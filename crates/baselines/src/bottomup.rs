@@ -8,14 +8,12 @@
 //! the symmetric ones instead (values consumed by sinks whose producers are
 //! pushed early), so the register pressure is still higher than HRMS's.
 
-use std::sync::Arc;
-
-use hrms_ddg::{Ddg, LoopCore};
+use hrms_ddg::LoopAnalysis;
 use hrms_machine::Machine;
 use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome, SchedulerConfig};
 
 use crate::common::{
-    boost_order, bottomup_order, escalate_ii_with_core, schedule_directional_at_ii, Direction,
+    boost_order, bottomup_order, escalate_ii, schedule_directional_at_ii, Direction,
 };
 
 /// Bottom-Up (ALAP) modulo scheduler.
@@ -37,32 +35,15 @@ impl ModuloScheduler for BottomUpScheduler {
         "Bottom-Up"
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_loop_with_core(ddg, machine, &Arc::new(LoopCore::new()))
-    }
-
-    fn schedule_loop_with_core(
+    fn schedule(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
-    ) -> Result<ScheduleOutcome, SchedError> {
-        let order = bottomup_order(ddg);
-        escalate_ii_with_core(ddg, core, machine, &self.config, |ii, _, la, _starts| {
-            schedule_directional_at_ii(la, machine, &order, ii, Direction::BottomUp)
-        })
-    }
-
-    fn schedule_loop_perturbed(
-        &self,
-        ddg: &Ddg,
-        machine: &Machine,
-        core: &Arc<LoopCore>,
         perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let mut order = bottomup_order(ddg);
+        let mut order = bottomup_order(analysis.ddg());
         boost_order(&mut order, perturbation);
-        escalate_ii_with_core(ddg, core, machine, &self.config, |ii, _, la, _starts| {
+        escalate_ii(analysis, machine, &self.config, |ii, _, la, _starts| {
             schedule_directional_at_ii(la, machine, &order, ii, Direction::BottomUp)
         })
     }
@@ -71,7 +52,7 @@ impl ModuloScheduler for BottomUpScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrms_ddg::{DdgBuilder, DepKind, NodeId, OpKind};
+    use hrms_ddg::{Ddg, DdgBuilder, DepKind, NodeId, OpKind};
     use hrms_machine::presets;
     use hrms_modsched::{validate_schedule, LifetimeAnalysis};
 

@@ -1,10 +1,9 @@
 //! Shared machinery of the baseline schedulers: priority orders, the
 //! II-escalation driver, and directional (top-down / bottom-up) placement.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use hrms_ddg::{Ddg, LoopAnalysis, LoopCore, NodeId, PerIiStarts, TopoLevels};
+use hrms_ddg::{Ddg, LoopAnalysis, NodeId, PerIiStarts, TopoLevels};
 use hrms_machine::Machine;
 use hrms_modsched::{
     MiiInfo, PartialSchedule, Perturbation, SchedError, Schedule, ScheduleOutcome, SchedulerConfig,
@@ -130,36 +129,19 @@ pub fn schedule_directional_at_ii(
     Some(partial.into_schedule(ddg))
 }
 
-/// The II-escalation driver shared by every baseline: analyses the loop
-/// once, computes the MII from the cached analysis, then tries
-/// `attempt(ii, mii, &analysis, &mut starts)` for II = MII, MII+1, ... up
+/// The II-escalation driver shared by every baseline: computes the MII
+/// from the loop's analysis, then tries
+/// `attempt(ii, mii, analysis, &mut starts)` for II = MII, MII+1, ... up
 /// to the configured cap. The analysis handed to every attempt carries the
-/// dense placement arcs and the cached dependence-edge list, and the
+/// dense placement arcs and the cached dependence-edge list (shared across
+/// machines when the caller built it over a shared `LoopCore`), and the
 /// [`PerIiStarts`] cache updates the resource-free earliest/latest start
 /// times **incrementally** from one II to the next (the loop-carried edge
 /// weights shift by one per unit of distance), so per-II passes neither
 /// rebuild per-loop structures nor rerun the Bellman-Ford passes from
 /// scratch.
 pub fn escalate_ii<F>(
-    ddg: &Ddg,
-    machine: &Machine,
-    config: &SchedulerConfig,
-    attempt: F,
-) -> Result<ScheduleOutcome, SchedError>
-where
-    F: FnMut(u32, MiiInfo, &LoopAnalysis<'_>, &mut PerIiStarts) -> Option<Schedule>,
-{
-    escalate_ii_with_core(ddg, &Arc::new(LoopCore::new()), machine, config, attempt)
-}
-
-/// [`escalate_ii`] over a shared machine-independent analysis core: batch
-/// drivers scheduling the same loop against several machines pass one
-/// `Arc<LoopCore>` per loop so Tarjan, the cycle-ratio λ-search and the
-/// dense CSRs are built exactly once across every (machine, scheduler)
-/// cell.
-pub fn escalate_ii_with_core<F>(
-    ddg: &Ddg,
-    core: &Arc<LoopCore>,
+    analysis: &LoopAnalysis<'_>,
     machine: &Machine,
     config: &SchedulerConfig,
     mut attempt: F,
@@ -168,8 +150,8 @@ where
     F: FnMut(u32, MiiInfo, &LoopAnalysis<'_>, &mut PerIiStarts) -> Option<Schedule>,
 {
     let start = Instant::now();
-    let analysis = LoopAnalysis::with_core(ddg, Arc::clone(core));
-    let mii = MiiInfo::compute(machine, &analysis)?;
+    let ddg = analysis.ddg();
+    let mii = MiiInfo::compute(machine, analysis)?;
     // Under the verify-recurrence feature, every loop the escalation
     // driver schedules also cross-checks the cycle-ratio analysis against
     // the exact scheduling RecMII: the paper-metric per-node maximum
@@ -197,7 +179,7 @@ where
     let mut ii = mii.mii();
     loop {
         attempts += 1;
-        if let Some(schedule) = attempt(ii, mii, &analysis, &mut starts) {
+        if let Some(schedule) = attempt(ii, mii, analysis, &mut starts) {
             return Ok(ScheduleOutcome::new(
                 ddg,
                 schedule,
@@ -264,6 +246,19 @@ mod tests {
     }
 
     #[test]
+    fn identity_boosts_keep_the_order_and_boosts_move_nodes_first() {
+        let mut order = vec![NodeId(3), NodeId(0), NodeId(2), NodeId(1)];
+        boost_order(&mut order, &Perturbation::default());
+        assert_eq!(order, [NodeId(3), NodeId(0), NodeId(2), NodeId(1)]);
+        let boosted = Perturbation {
+            boost: vec![0, 0, 5, 0],
+            ..Perturbation::default()
+        };
+        boost_order(&mut order, &boosted);
+        assert_eq!(order, [NodeId(2), NodeId(3), NodeId(0), NodeId(1)]);
+    }
+
+    #[test]
     fn directional_schedules_are_valid() {
         let g = diamond();
         let m = presets::govindarajan();
@@ -286,7 +281,8 @@ mod tests {
             ..SchedulerConfig::default()
         };
         // An attempt that always fails must exhaust the cap.
-        let err = escalate_ii(&g, &m, &config, |_, _, _, _| None).unwrap_err();
+        let la = LoopAnalysis::analyze(&g);
+        let err = escalate_ii(&la, &m, &config, |_, _, _, _| None).unwrap_err();
         assert_eq!(err, SchedError::NoValidSchedule { max_ii_tried: 3 });
     }
 
@@ -296,7 +292,8 @@ mod tests {
         let m = presets::govindarajan();
         let config = SchedulerConfig::default();
         let order = topdown_order(&g);
-        let outcome = escalate_ii(&g, &m, &config, |ii, _, la, _starts| {
+        let la = LoopAnalysis::analyze(&g);
+        let outcome = escalate_ii(&la, &m, &config, |ii, _, la, _starts| {
             if ii < 4 {
                 None
             } else {

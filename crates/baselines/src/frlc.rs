@@ -18,13 +18,11 @@
 //! but not always optimal IIs, and clearly higher buffer requirements than
 //! the lifetime-aware schedulers.
 
-use std::sync::Arc;
-
-use hrms_ddg::{Ddg, LoopAnalysis, LoopCore, NodeId, PerIiStarts};
+use hrms_ddg::{LoopAnalysis, NodeId, PerIiStarts};
 use hrms_machine::Machine;
 use hrms_modsched::{
-    validate_schedule, ModuloScheduler, PartialSchedule, SchedError, Schedule, ScheduleOutcome,
-    SchedulerConfig,
+    validate_schedule, ModuloScheduler, PartialSchedule, Perturbation, SchedError, Schedule,
+    ScheduleOutcome, SchedulerConfig,
 };
 
 /// FRLC-style decomposed software-pipelining scheduler.
@@ -46,23 +44,15 @@ impl ModuloScheduler for FrlcScheduler {
         "FRLC"
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_loop_with_core(ddg, machine, &Arc::new(LoopCore::new()))
-    }
-
-    fn schedule_loop_with_core(
+    fn schedule(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
+        _perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        crate::common::escalate_ii_with_core(
-            ddg,
-            core,
-            machine,
-            &self.config,
-            |ii, _, la, starts| schedule_frlc_at_ii(la, starts, machine, ii),
-        )
+        crate::common::escalate_ii(analysis, machine, &self.config, |ii, _, la, starts| {
+            schedule_frlc_at_ii(la, starts, machine, ii)
+        })
     }
 }
 
@@ -108,7 +98,7 @@ fn schedule_frlc_at_ii(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrms_ddg::{DdgBuilder, DepKind, OpKind};
+    use hrms_ddg::{Ddg, DdgBuilder, DepKind, OpKind};
     use hrms_machine::presets;
     use hrms_modsched::LifetimeAnalysis;
 

@@ -7,14 +7,12 @@
 //! tighter IIs on resource- and recurrence-constrained loops thanks to its
 //! force-place/eviction mechanism.
 
-use std::sync::Arc;
-
-use hrms_ddg::{Ddg, LoopCore};
+use hrms_ddg::{Ddg, LoopAnalysis};
 use hrms_machine::Machine;
-use hrms_modsched::{ModuloScheduler, SchedError, ScheduleOutcome, SchedulerConfig};
+use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome, SchedulerConfig};
 
 use crate::backtrack::{schedule_with_backtracking, Flavor};
-use crate::common::escalate_ii_with_core;
+use crate::common::escalate_ii;
 
 /// Iterative modulo scheduler (Rau, MICRO-27).
 #[derive(Debug, Clone, Default)]
@@ -41,18 +39,14 @@ impl ModuloScheduler for IterativeScheduler {
         "Iterative"
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_loop_with_core(ddg, machine, &Arc::new(LoopCore::new()))
-    }
-
-    fn schedule_loop_with_core(
+    fn schedule(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
+        _perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let budget = self.budget(ddg);
-        escalate_ii_with_core(ddg, core, machine, &self.config, |ii, _, la, starts| {
+        let budget = self.budget(analysis.ddg());
+        escalate_ii(analysis, machine, &self.config, |ii, _, la, starts| {
             schedule_with_backtracking(la, starts, machine, ii, Flavor::Iterative, budget)
         })
     }

@@ -25,13 +25,12 @@
 //! best-effort scheduler.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
 
-use hrms_ddg::{Ddg, LoopCore, NodeId, OpKind};
+use hrms_ddg::{Ddg, LoopAnalysis, NodeId, OpKind};
 use hrms_machine::Machine;
 use hrms_modsched::{
-    LifetimeAnalysis, ModuloScheduler, PartialSchedule, SchedError, Schedule, ScheduleOutcome,
-    SchedulerConfig,
+    LifetimeAnalysis, ModuloScheduler, PartialSchedule, Perturbation, SchedError, Schedule,
+    ScheduleOutcome, SchedulerConfig,
 };
 
 /// Branch-and-bound buffer-minimising scheduler (SPILP stand-in).
@@ -62,39 +61,30 @@ impl BranchAndBoundScheduler {
     ///
     /// # Errors
     ///
-    /// Same as [`ModuloScheduler::schedule_loop`].
+    /// Same as [`ModuloScheduler::schedule`].
     pub fn schedule_with_stats(
         &self,
         ddg: &Ddg,
         machine: &Machine,
     ) -> Result<(ScheduleOutcome, SearchStats), SchedError> {
-        self.schedule_with_stats_core(ddg, machine, &Arc::new(LoopCore::new()))
+        self.search(&LoopAnalysis::analyze(ddg), machine)
     }
 
-    /// [`BranchAndBoundScheduler::schedule_with_stats`] over a shared
-    /// machine-independent analysis core (see [`LoopCore`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ModuloScheduler::schedule_loop`].
-    pub fn schedule_with_stats_core(
+    /// The II-escalated branch-and-bound search over the loop's analysis.
+    fn search(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
     ) -> Result<(ScheduleOutcome, SearchStats), SchedError> {
+        let ddg = analysis.ddg();
         let mut stats = SearchStats {
             explored: 0,
             exhaustive: true,
         };
         let order = bfs_order(ddg);
         let greedy_order = crate::common::topdown_order(ddg);
-        let outcome = crate::common::escalate_ii_with_core(
-            ddg,
-            core,
-            machine,
-            &self.config,
-            |ii, _, la, _starts| {
+        let outcome =
+            crate::common::escalate_ii(analysis, machine, &self.config, |ii, _, la, _starts| {
                 // Seed the incumbent with a greedy top-down schedule at this II.
                 // This bounds the search from the start (better pruning) and
                 // guarantees graceful degradation: even if the budget runs out
@@ -135,8 +125,7 @@ impl BranchAndBoundScheduler {
                     stats.exhaustive = false;
                 }
                 search.best
-            },
-        )?;
+            })?;
         Ok((outcome, stats))
     }
 }
@@ -146,18 +135,13 @@ impl ModuloScheduler for BranchAndBoundScheduler {
         "B&B (SPILP stand-in)"
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_with_stats(ddg, machine).map(|(o, _)| o)
-    }
-
-    fn schedule_loop_with_core(
+    fn schedule(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
+        _perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_with_stats_core(ddg, machine, core)
-            .map(|(o, _)| o)
+        self.search(analysis, machine).map(|(o, _)| o)
     }
 }
 

@@ -9,14 +9,12 @@
 //! allow, operand lifetimes are stretched and the register pressure is high
 //! — exactly the behaviour HRMS was designed to avoid.
 
-use std::sync::Arc;
-
-use hrms_ddg::{Ddg, LoopCore};
+use hrms_ddg::LoopAnalysis;
 use hrms_machine::Machine;
 use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome, SchedulerConfig};
 
 use crate::common::{
-    boost_order, escalate_ii_with_core, schedule_directional_at_ii, topdown_order, Direction,
+    boost_order, escalate_ii, schedule_directional_at_ii, topdown_order, Direction,
 };
 
 /// Top-Down (ASAP) modulo scheduler.
@@ -38,32 +36,15 @@ impl ModuloScheduler for TopDownScheduler {
         "Top-Down"
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_loop_with_core(ddg, machine, &Arc::new(LoopCore::new()))
-    }
-
-    fn schedule_loop_with_core(
+    fn schedule(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
-    ) -> Result<ScheduleOutcome, SchedError> {
-        let order = topdown_order(ddg);
-        escalate_ii_with_core(ddg, core, machine, &self.config, |ii, _, la, _starts| {
-            schedule_directional_at_ii(la, machine, &order, ii, Direction::TopDown)
-        })
-    }
-
-    fn schedule_loop_perturbed(
-        &self,
-        ddg: &Ddg,
-        machine: &Machine,
-        core: &Arc<LoopCore>,
         perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let mut order = topdown_order(ddg);
+        let mut order = topdown_order(analysis.ddg());
         boost_order(&mut order, perturbation);
-        escalate_ii_with_core(ddg, core, machine, &self.config, |ii, _, la, _starts| {
+        escalate_ii(analysis, machine, &self.config, |ii, _, la, _starts| {
             schedule_directional_at_ii(la, machine, &order, ii, Direction::TopDown)
         })
     }
@@ -72,7 +53,7 @@ impl ModuloScheduler for TopDownScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrms_ddg::{DdgBuilder, DepKind, NodeId, OpKind};
+    use hrms_ddg::{Ddg, DdgBuilder, DepKind, NodeId, OpKind};
     use hrms_machine::presets;
     use hrms_modsched::{validate_schedule, LifetimeAnalysis};
 

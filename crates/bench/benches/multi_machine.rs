@@ -1,8 +1,9 @@
 //! Multi-machine scheduling benchmark: one loop scheduled on every
 //! machine preset, with the machine-independent analysis either rebuilt
-//! from scratch per machine (the old `schedule_loop` path) or built once
-//! and shared across all machines through an [`hrms_ddg::LoopCore`] (the
-//! `schedule_loop_with_core` path the engine's `schedule_matrix` uses).
+//! from scratch per machine (`schedule_loop`, a private core per call) or
+//! built once and shared across all machines through an
+//! [`hrms_ddg::LoopCore`] (`schedule_loop_with_core`, the sharing the
+//! engine's `schedule_matrix` does per loop).
 //!
 //! This is the benchmark backing the core/overlay acceptance criterion:
 //! on a ≥ 500-operation loop, the shared-core sweep over the four presets

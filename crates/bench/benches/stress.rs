@@ -10,9 +10,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hrms_core::{pre_order, pre_order_legacy, HrmsScheduler};
+use hrms_ddg::Ddg;
 use hrms_engine::BatchEngine;
-use hrms_machine::presets;
+use hrms_machine::{presets, Machine};
+use hrms_modsched::{ModuloScheduler, ScheduleOutcome};
 use hrms_workloads::synthetic;
+
+/// Schedules every loop with HRMS across the engine's worker pool, in
+/// input order; panics if a loop fails, so a regression surfaces in the
+/// single-sample CI smoke run.
+fn schedule_all(engine: &BatchEngine, loops: &[Ddg], machine: &Machine) -> Vec<ScheduleOutcome> {
+    let scheduler = HrmsScheduler::new();
+    engine.map(loops, |_, ddg| {
+        scheduler
+            .schedule_loop(ddg, machine)
+            .expect("stress loops schedule")
+    })
+}
 
 fn bench_preorder_dense_vs_legacy(c: &mut Criterion) {
     let mut group = c.benchmark_group("stress_preorder");
@@ -36,17 +50,12 @@ fn bench_batch_engine(c: &mut Criterion) {
     // worker pool's speedup is visible over the spawn overhead.
     let loops = synthetic::perfect_club_like_sized(192);
     let machine = presets::perfect_club();
-    let scheduler = HrmsScheduler::new();
     for workers in [1usize, 2, 4, 8] {
         let engine = BatchEngine::with_workers(workers);
         group.bench_with_input(
             BenchmarkId::new("schedule_batch", workers),
             &loops,
-            |b, loops| {
-                b.iter(|| {
-                    engine.must_schedule_batch(&scheduler, std::hint::black_box(loops), &machine)
-                })
-            },
+            |b, loops| b.iter(|| schedule_all(&engine, std::hint::black_box(loops), &machine)),
         );
     }
     group.finish();
@@ -59,10 +68,9 @@ fn bench_stress_suite_scheduling(c: &mut Criterion) {
     // engine (pre-ordering + placement, all loops in parallel).
     let loops = synthetic::stress_suite();
     let machine = presets::perfect_club();
-    let scheduler = HrmsScheduler::new();
     let engine = BatchEngine::new();
     group.bench_function("stress_suite_parallel", |b| {
-        b.iter(|| engine.must_schedule_batch(&scheduler, std::hint::black_box(&loops), &machine))
+        b.iter(|| schedule_all(&engine, std::hint::black_box(&loops), &machine))
     });
     group.finish();
 }

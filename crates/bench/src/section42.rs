@@ -8,6 +8,7 @@ use hrms_core::HrmsScheduler;
 use hrms_ddg::Ddg;
 use hrms_engine::BatchEngine;
 use hrms_machine::presets;
+use hrms_modsched::ModuloScheduler;
 
 /// The Section 4.2 statistics over a loop suite.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +92,11 @@ pub fn run_on(engine: &BatchEngine, loops: &[Ddg]) -> Section42Stats {
     let mut weighted_ii = 0u128;
     // Schedule in parallel; fold the per-loop outcomes sequentially in input
     // order so the floating-point accumulation is deterministic.
-    let outcomes = engine.must_schedule_batch(&scheduler, loops, &machine);
+    let outcomes = engine.map(loops, |_, ddg| {
+        scheduler
+            .schedule_loop(ddg, &machine)
+            .unwrap_or_else(|e| panic!("HRMS failed on loop `{}`: {e}", ddg.name()))
+    });
     for (ddg, outcome) in loops.iter().zip(outcomes) {
         if outcome.metrics.ii_is_optimal() {
             stats.optimal_ii += 1;

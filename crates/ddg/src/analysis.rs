@@ -834,10 +834,11 @@ impl MachineView {
 /// `tarjan_runs_exactly_once` test pins this), the dependence edges are
 /// flattened once, and so on.
 ///
-/// The struct borrows the [`Ddg`] it analyses, so a scheduler typically
-/// creates one per loop on the stack — [`LoopAnalysis::with_core`] when a
-/// batch driver hands it a shared core, [`LoopAnalysis::analyze`] for a
-/// private one — and threads `&LoopAnalysis` through its phases.
+/// The struct borrows the [`Ddg`] it analyses, so a caller typically
+/// creates one per loop and machine on the stack —
+/// [`LoopAnalysis::with_core`] over a core shared by a batch driver,
+/// [`LoopAnalysis::analyze`] for a private one — and hands `&LoopAnalysis`
+/// to the scheduler, which threads it through its phases.
 #[derive(Debug)]
 pub struct LoopAnalysis<'a> {
     ddg: &'a Ddg,

@@ -6,7 +6,6 @@ use crate::node::NodeId;
 
 /// Identifier of an edge inside one [`crate::Ddg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -37,7 +36,6 @@ impl fmt::Display for EdgeId {
 /// loop-variant lifetimes (and therefore register pressure), while the other
 /// kinds only constrain the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum DepKind {
     /// True (read-after-write) register dependence: the consumer reads the
@@ -103,7 +101,6 @@ impl fmt::Display for DepKind {
 /// distance are also called *backward* edges when they close a recurrence
 /// circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     source: NodeId,
     target: NodeId,

@@ -16,7 +16,6 @@ use crate::node::{Node, NodeId, OpKind};
 /// Node ids are dense (`0..num_nodes()`) and follow program order; edge ids
 /// are dense and follow insertion order.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ddg {
     name: String,
     nodes: Vec<Node>,

@@ -9,7 +9,6 @@ use std::fmt;
 /// first node of the graph", i.e. the operation that appears first in program
 /// order, as the default initial hypernode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -40,7 +39,6 @@ impl fmt::Display for NodeId {
 /// loads/stores, plus integer/address arithmetic, copies and a generic
 /// "other" class for anything that only occupies an issue slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum OpKind {
     /// Floating-point addition or subtraction.
@@ -127,7 +125,6 @@ impl fmt::Display for OpKind {
 
 /// One operation of the loop body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     /// Human-readable, unique name ("A", "load_x", ...). The paper's worked
     /// examples are addressed by these names in the test-suite.

@@ -34,56 +34,40 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hrms_ddg::{Ddg, LoopCore};
+use hrms_ddg::{Ddg, LoopAnalysis, LoopCore};
 use hrms_machine::Machine;
-use hrms_modsched::{ModuloScheduler, SchedError, ScheduleOutcome};
+use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome};
 
 pub use cache::{CacheStats, ResultCache};
 pub use contain::run_contained;
 
-/// Runs one scheduler × loop cell with panic containment: a panic inside
-/// the scheduler becomes a [`SchedError::Internal`] carrying the panic
-/// message and source location (see [`run_contained`]) instead of
-/// unwinding into the worker pool.
-fn contained_cell(
-    scheduler: &(dyn ModuloScheduler + Sync),
-    ddg: &Ddg,
-    machine: &Machine,
-) -> Result<ScheduleOutcome, SchedError> {
-    run_contained(|| scheduler.schedule_loop(ddg, machine)).unwrap_or_else(|what| {
-        Err(SchedError::Internal {
-            what: format!(
-                "scheduler `{}` panicked on loop `{}`: {what}",
-                scheduler.name(),
-                ddg.name()
-            ),
-        })
-    })
-}
-
 /// Schedules one loop × machine cell with panic containment and a shared
-/// machine-independent analysis core: the
-/// scheduler reuses the loop's [`LoopCore`] (Tarjan, cycle ratios, CSRs)
-/// instead of rebuilding it, so a loop scheduled against N machines pays
-/// for its structural analysis once. Public so custom batch drivers (the
-/// service's cache-miss path) can schedule an arbitrary subset of
-/// loop × machine cells through [`BatchEngine::map`] with the same
-/// containment and core-sharing as [`BatchEngine::schedule_matrix`].
+/// machine-independent analysis core: a panic inside the scheduler becomes
+/// a [`SchedError::Internal`] carrying the panic message and source
+/// location (see [`run_contained`]) instead of unwinding into the worker
+/// pool, and the scheduler reuses the loop's [`LoopCore`] (Tarjan, cycle
+/// ratios, CSRs) instead of rebuilding it, so a loop scheduled against N
+/// machines pays for its structural analysis once. Public so custom batch
+/// drivers (the service's cache-miss path) can schedule an arbitrary
+/// subset of loop × machine cells through [`BatchEngine::map`] with the
+/// same containment and core-sharing as [`BatchEngine::schedule_matrix`].
 pub fn schedule_cell_with_core(
     scheduler: &(dyn ModuloScheduler + Sync),
     ddg: &Ddg,
     machine: &Machine,
     core: &Arc<LoopCore>,
 ) -> Result<ScheduleOutcome, SchedError> {
-    run_contained(|| scheduler.schedule_loop_with_core(ddg, machine, core)).unwrap_or_else(|what| {
-        Err(SchedError::Internal {
-            what: format!(
-                "scheduler `{}` panicked on loop `{}`: {what}",
-                scheduler.name(),
-                ddg.name()
-            ),
+    let analysis = LoopAnalysis::with_core(ddg, Arc::clone(core));
+    run_contained(|| scheduler.schedule(&analysis, machine, &Perturbation::default()))
+        .unwrap_or_else(|what| {
+            Err(SchedError::Internal {
+                what: format!(
+                    "scheduler `{}` panicked on loop `{}`: {what}",
+                    scheduler.name(),
+                    ddg.name()
+                ),
+            })
         })
-    })
 }
 
 /// A fixed-size scoped-thread worker pool for batches of independent work
@@ -173,69 +157,6 @@ impl BatchEngine {
             .collect()
     }
 
-    /// Schedules every loop of `loops` with `scheduler` on `machine`,
-    /// returning per-loop outcomes in input order.
-    pub fn schedule_batch<S>(
-        &self,
-        scheduler: &S,
-        loops: &[Ddg],
-        machine: &Machine,
-    ) -> Vec<Result<ScheduleOutcome, SchedError>>
-    where
-        S: ModuloScheduler + Sync + ?Sized,
-    {
-        self.map(loops, |_, ddg| scheduler.schedule_loop(ddg, machine))
-    }
-
-    /// Like [`BatchEngine::schedule_batch`], but every cell is an isolation
-    /// boundary: a panicking scheduler yields a [`SchedError::Internal`]
-    /// carrying the panic message and source location in that cell instead
-    /// of unwinding through the pool. This is the entry point the batch
-    /// scheduling service (`hrms serve`) uses, where one poisoned loop must
-    /// never take down the batch or the connection.
-    pub fn schedule_batch_contained(
-        &self,
-        scheduler: &(dyn ModuloScheduler + Sync),
-        loops: &[Ddg],
-        machine: &Machine,
-    ) -> Vec<Result<ScheduleOutcome, SchedError>> {
-        self.map(loops, |_, ddg| contained_cell(scheduler, ddg, machine))
-    }
-
-    /// Schedules the full cross product `schedulers × loops` on `machine`.
-    ///
-    /// Returns one row per scheduler, each holding the per-loop outcomes in
-    /// loop order: `grid[s][l]` is scheduler `s` applied to loop `l`. All
-    /// `schedulers.len() * loops.len()` cells are claimed through the same
-    /// atomic cursor, so a slow scheduler does not serialise the batch, and
-    /// the output shape is deterministic regardless of worker interleaving.
-    /// This is the engine entry point behind `hrms schedule` (which prints
-    /// cell results in loop-major order to keep the report stream stable).
-    ///
-    /// Each cell is an isolation boundary: a panicking scheduler yields a
-    /// [`SchedError::Internal`] in that cell instead of unwinding through
-    /// the pool and poisoning the remaining
-    /// `schedulers.len() * loops.len() - 1` results.
-    pub fn schedule_grid(
-        &self,
-        schedulers: &[&(dyn ModuloScheduler + Sync)],
-        loops: &[Ddg],
-        machine: &Machine,
-    ) -> Vec<Vec<Result<ScheduleOutcome, SchedError>>> {
-        let cells: Vec<(usize, usize)> = (0..schedulers.len())
-            .flat_map(|s| (0..loops.len()).map(move |l| (s, l)))
-            .collect();
-        let mut flat = self
-            .map(&cells, |_, &(s, l)| {
-                contained_cell(schedulers[s], &loops[l], machine)
-            })
-            .into_iter();
-        schedulers
-            .iter()
-            .map(|_| flat.by_ref().take(loops.len()).collect())
-            .collect()
-    }
-
     /// Schedules the full cross product `schedulers × loops × machines` —
     /// "one loop, N machines" batch evaluation.
     ///
@@ -246,14 +167,18 @@ impl BatchEngine {
     /// (Tarjan's SCCs, backward edges, the dense CSRs, the cycle-ratio
     /// λ-search, the exact RecMII) is computed by whichever cell touches
     /// the loop first and reused by every other `(scheduler, machine)`
-    /// cell via [`ModuloScheduler::schedule_loop_with_core`], while the
+    /// cell via [`schedule_cell_with_core`], while the
     /// per-machine resource facts (ResMII, MRT occupancy) are recomputed
     /// per cell. The [`std::sync::OnceLock`]s inside the core make the
     /// sharing race-free under the work-stealing pool.
     ///
     /// All `schedulers.len() * loops.len() * machines.len()` cells are
-    /// claimed through the same atomic cursor, and each cell is an
-    /// isolation boundary exactly as in [`BatchEngine::schedule_grid`].
+    /// claimed through the same atomic cursor, so a slow scheduler does not
+    /// serialise the batch. Each cell is an isolation boundary: a panicking
+    /// scheduler yields a [`SchedError::Internal`] in that cell instead of
+    /// unwinding through the pool and poisoning the other results. This is
+    /// the engine entry point behind `hrms schedule` and the benchmark
+    /// harness.
     pub fn schedule_matrix(
         &self,
         schedulers: &[&(dyn ModuloScheduler + Sync)],
@@ -281,33 +206,6 @@ impl BatchEngine {
             })
             .collect()
     }
-
-    /// Like [`BatchEngine::schedule_batch`] but panicking on the first loop
-    /// that fails to schedule — for harness inputs that are known to be
-    /// schedulable.
-    pub fn must_schedule_batch<S>(
-        &self,
-        scheduler: &S,
-        loops: &[Ddg],
-        machine: &Machine,
-    ) -> Vec<ScheduleOutcome>
-    where
-        S: ModuloScheduler + Sync + ?Sized,
-    {
-        self.schedule_batch(scheduler, loops, machine)
-            .into_iter()
-            .zip(loops)
-            .map(|(result, ddg)| {
-                result.unwrap_or_else(|e| {
-                    panic!(
-                        "scheduler `{}` failed on loop `{}`: {e}",
-                        scheduler.name(),
-                        ddg.name()
-                    )
-                })
-            })
-            .collect()
-    }
 }
 
 impl Default for BatchEngine {
@@ -322,6 +220,37 @@ mod tests {
     use hrms_core::HrmsScheduler;
     use hrms_machine::presets;
     use hrms_workloads::LoopGenerator;
+
+    /// One scheduler on one machine: the single column of
+    /// [`BatchEngine::schedule_matrix`], flattened to per-loop outcomes.
+    fn column(
+        engine: &BatchEngine,
+        scheduler: &(dyn ModuloScheduler + Sync),
+        loops: &[Ddg],
+        machine: &Machine,
+    ) -> Vec<Result<ScheduleOutcome, SchedError>> {
+        let machines = std::slice::from_ref(machine);
+        let mut matrix = engine.schedule_matrix(&[scheduler], loops, machines);
+        matrix.remove(0).into_iter().flatten().collect()
+    }
+
+    /// Panics on every loop, naming it.
+    struct PanickingScheduler;
+
+    impl ModuloScheduler for PanickingScheduler {
+        fn name(&self) -> &str {
+            "panicker"
+        }
+
+        fn schedule(
+            &self,
+            la: &LoopAnalysis<'_>,
+            _machine: &Machine,
+            _perturbation: &Perturbation,
+        ) -> Result<ScheduleOutcome, SchedError> {
+            panic!("induced failure on `{}`", la.ddg().name())
+        }
+    }
 
     #[test]
     fn map_preserves_input_order() {
@@ -355,8 +284,8 @@ mod tests {
         let loops = LoopGenerator::with_seed(11).generate(40);
         let machine = presets::perfect_club();
         let scheduler = HrmsScheduler::new();
-        let sequential = BatchEngine::with_workers(1).schedule_batch(&scheduler, &loops, &machine);
-        let parallel = BatchEngine::with_workers(8).schedule_batch(&scheduler, &loops, &machine);
+        let sequential = column(&BatchEngine::with_workers(1), &scheduler, &loops, &machine);
+        let parallel = column(&BatchEngine::with_workers(8), &scheduler, &loops, &machine);
         assert_eq!(sequential.len(), parallel.len());
         for ((s, p), ddg) in sequential.iter().zip(&parallel).zip(&loops) {
             let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
@@ -380,52 +309,15 @@ mod tests {
 
         let loops = vec![good.clone(), bad, good];
         let engine = BatchEngine::with_workers(3);
-        let results =
-            engine.schedule_batch(&HrmsScheduler::new(), &loops, &presets::perfect_club());
+        let results = column(
+            &engine,
+            &HrmsScheduler::new(),
+            &loops,
+            &presets::perfect_club(),
+        );
         assert!(results[0].is_ok());
         assert!(results[1].is_err(), "the malformed loop fails");
         assert!(results[2].is_ok());
-    }
-
-    #[test]
-    fn must_schedule_batch_unwraps_outcomes() {
-        let loops = LoopGenerator::with_seed(3).generate(12);
-        let engine = BatchEngine::with_workers(4);
-        let outcomes =
-            engine.must_schedule_batch(&HrmsScheduler::new(), &loops, &presets::perfect_club());
-        assert_eq!(outcomes.len(), loops.len());
-        for (o, ddg) in outcomes.iter().zip(&loops) {
-            assert_eq!(o.schedule.len(), ddg.num_nodes());
-        }
-    }
-
-    #[test]
-    fn schedule_grid_matches_per_scheduler_batches() {
-        use hrms_baselines::{SlackScheduler, TopDownScheduler};
-        let loops = LoopGenerator::with_seed(21).generate(10);
-        let machine = presets::govindarajan();
-        let hrms = HrmsScheduler::new();
-        let top_down = TopDownScheduler::new();
-        let slack = SlackScheduler::new();
-        let schedulers: Vec<&(dyn ModuloScheduler + Sync)> = vec![&hrms, &top_down, &slack];
-
-        let engine = BatchEngine::with_workers(6);
-        let grid = engine.schedule_grid(&schedulers, &loops, &machine);
-        assert_eq!(grid.len(), schedulers.len());
-        for (row, scheduler) in grid.iter().zip(&schedulers) {
-            assert_eq!(row.len(), loops.len());
-            let batch = engine.schedule_batch(*scheduler, &loops, &machine);
-            for ((cell, expected), ddg) in row.iter().zip(&batch).zip(&loops) {
-                let (cell, expected) = (cell.as_ref().unwrap(), expected.as_ref().unwrap());
-                assert_eq!(
-                    cell.schedule,
-                    expected.schedule,
-                    "scheduler `{}`, loop `{}`",
-                    scheduler.name(),
-                    ddg.name()
-                );
-            }
-        }
     }
 
     #[test]
@@ -517,34 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_grid_with_no_loops_or_schedulers_is_empty() {
-        let engine = BatchEngine::with_workers(2);
-        let machine = presets::govindarajan();
-        let hrms = HrmsScheduler::new();
-        let schedulers: Vec<&(dyn ModuloScheduler + Sync)> = vec![&hrms];
-        let grid = engine.schedule_grid(&schedulers, &[], &machine);
-        assert_eq!(grid.len(), 1);
-        assert!(grid[0].is_empty());
-        let grid = engine.schedule_grid(&[], &LoopGenerator::with_seed(1).generate(2), &machine);
-        assert!(grid.is_empty());
-    }
-
-    #[test]
     fn a_panicking_scheduler_fails_its_cells_and_spares_the_rest() {
-        struct PanickingScheduler;
-        impl ModuloScheduler for PanickingScheduler {
-            fn name(&self) -> &str {
-                "panicker"
-            }
-            fn schedule_loop(
-                &self,
-                ddg: &Ddg,
-                _machine: &Machine,
-            ) -> Result<ScheduleOutcome, SchedError> {
-                panic!("induced failure on `{}`", ddg.name())
-            }
-        }
-
         // No hook juggling needed: contained panics are captured silently
         // by the engine's own panic hook, so the induced failures do not
         // spew to stderr in the first place.
@@ -553,10 +418,14 @@ mod tests {
         let hrms = HrmsScheduler::new();
         let panicker = PanickingScheduler;
         let schedulers: Vec<&(dyn ModuloScheduler + Sync)> = vec![&hrms, &panicker];
-        let grid = BatchEngine::with_workers(4).schedule_grid(&schedulers, &loops, &machine);
+        let machines = std::slice::from_ref(&machine);
+        let matrix = BatchEngine::with_workers(4).schedule_matrix(&schedulers, &loops, machines);
 
-        assert!(grid[0].iter().all(Result::is_ok), "healthy row unaffected");
-        for (cell, ddg) in grid[1].iter().zip(&loops) {
+        assert!(
+            matrix[0].iter().flatten().all(Result::is_ok),
+            "healthy row unaffected"
+        );
+        for (cell, ddg) in matrix[1].iter().flatten().zip(&loops) {
             match cell {
                 Err(SchedError::Internal { what }) => {
                     assert!(what.contains("panicker"), "{what}");
@@ -573,27 +442,29 @@ mod tests {
     }
 
     #[test]
-    fn schedule_batch_contained_isolates_panicking_cells() {
+    fn contained_cells_isolate_panics_loop_by_loop() {
         struct SelectivePanicker;
         impl ModuloScheduler for SelectivePanicker {
             fn name(&self) -> &str {
                 "selective"
             }
-            fn schedule_loop(
+            fn schedule(
                 &self,
-                ddg: &Ddg,
+                la: &LoopAnalysis<'_>,
                 machine: &Machine,
+                perturbation: &Perturbation,
             ) -> Result<ScheduleOutcome, SchedError> {
-                if ddg.name().ends_with('1') {
-                    panic!("unlucky loop `{}`", ddg.name())
+                if la.ddg().name().ends_with('1') {
+                    panic!("unlucky loop `{}`", la.ddg().name())
                 }
-                HrmsScheduler::new().schedule_loop(ddg, machine)
+                HrmsScheduler::new().schedule(la, machine, perturbation)
             }
         }
 
         let loops = LoopGenerator::with_seed(14).generate(8);
         let machine = presets::perfect_club();
-        let results = BatchEngine::with_workers(4).schedule_batch_contained(
+        let results = column(
+            &BatchEngine::with_workers(4),
             &SelectivePanicker,
             &loops,
             &machine,
@@ -626,34 +497,11 @@ mod tests {
         // must be caught at the engine's cell boundary, exactly as for a
         // bare scheduler. This is what keeps `feedback:<anything>` requests
         // (including the hidden chaos scheduler) safe in the service.
-        struct PanickingScheduler;
-        impl ModuloScheduler for PanickingScheduler {
-            fn name(&self) -> &str {
-                "panicker"
-            }
-            fn schedule_loop(
-                &self,
-                ddg: &Ddg,
-                machine: &Machine,
-            ) -> Result<ScheduleOutcome, SchedError> {
-                self.schedule_loop_with_core(ddg, machine, &Arc::new(LoopCore::new()))
-            }
-            fn schedule_loop_with_core(
-                &self,
-                ddg: &Ddg,
-                _machine: &Machine,
-                _core: &Arc<LoopCore>,
-            ) -> Result<ScheduleOutcome, SchedError> {
-                panic!("induced failure on `{}`", ddg.name())
-            }
-        }
-
         let wrapped =
             IterativeRescheduler::new(Box::new(PanickingScheduler), FeedbackConfig::default());
         let loops = LoopGenerator::with_seed(9).generate(3);
         let machine = presets::govindarajan();
-        let results =
-            BatchEngine::with_workers(2).schedule_batch_contained(&wrapped, &loops, &machine);
+        let results = column(&BatchEngine::with_workers(2), &wrapped, &loops, &machine);
         assert_eq!(results.len(), loops.len());
         for (cell, ddg) in results.iter().zip(&loops) {
             match cell {
@@ -665,14 +513,5 @@ mod tests {
                 other => panic!("expected Internal error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn dyn_schedulers_are_accepted() {
-        let loops = LoopGenerator::with_seed(5).generate(6);
-        let scheduler: Box<dyn ModuloScheduler + Sync> = Box::new(HrmsScheduler::new());
-        let engine = BatchEngine::with_workers(2);
-        let results = engine.schedule_batch(&*scheduler, &loops, &presets::perfect_club());
-        assert!(results.iter().all(Result::is_ok));
     }
 }

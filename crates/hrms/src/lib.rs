@@ -42,7 +42,7 @@ pub mod workgraph;
 pub use legacy::{pre_order_legacy, pre_order_legacy_with, LegacyWorkGraph};
 pub use preorder::{pre_order, pre_order_with, PreOrderOptions, PreOrdering, StartNodePolicy};
 pub use scheduler::{
-    phase_split, program_order_scheduler, schedule_at_ii, schedule_at_ii_reference,
-    schedule_at_ii_with, HrmsOptions, HrmsScheduler, OrderingMode,
+    phase_split, program_order_scheduler, schedule_at_ii_reference, schedule_at_ii_with,
+    HrmsOptions, HrmsScheduler, OrderingMode,
 };
 pub use workgraph::WorkGraph;

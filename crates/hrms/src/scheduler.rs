@@ -10,8 +10,6 @@ use hrms_modsched::{
     SchedulerConfig, StartHint,
 };
 
-use hrms_ddg::LoopCore;
-
 use crate::preorder::{pre_order_with, PreOrderOptions, PreOrdering, StartNodePolicy};
 
 /// How the node order handed to the scheduling step is obtained.
@@ -100,20 +98,6 @@ impl HrmsScheduler {
     pub fn pre_order(&self, ddg: &Ddg) -> PreOrdering {
         pre_order_with(&LoopAnalysis::analyze(ddg), &self.options.preorder)
     }
-
-    /// The node order for the scheduling step, plus whether the recurrence
-    /// analysis behind it was truncated (never on the default path — the
-    /// SCC-derived analysis has no enumeration budget; see
-    /// [`PreOrdering::truncated`]).
-    fn node_order(&self, la: &LoopAnalysis<'_>) -> (Vec<NodeId>, bool) {
-        match self.options.ordering {
-            OrderingMode::HypernodeReduction => {
-                let p = pre_order_with(la, &self.options.preorder);
-                (p.order, p.truncated)
-            }
-            OrderingMode::ProgramOrder => (la.ddg().node_ids().collect(), false),
-        }
-    }
 }
 
 impl ModuloScheduler for HrmsScheduler {
@@ -124,27 +108,40 @@ impl ModuloScheduler for HrmsScheduler {
         }
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_loop_with_core(ddg, machine, &Arc::new(LoopCore::new()))
-    }
-
-    fn schedule_loop_with_core(
+    /// HRMS's ordering is derived by hypernode reduction rather than a
+    /// priority sort, so the perturbation's [`StartHint`] maps onto the
+    /// pre-ordering's [`StartNodePolicy`]: changing where the hypernode
+    /// starts growing reorders the whole traversal around the hinted node.
+    /// Per-node boosts are ignored (they have no hypernode analogue).
+    fn schedule(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
+        perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
         let start = Instant::now();
         // One shared analysis for the whole loop: the MII, the pre-ordering
         // and every placement pass below read from the same cache (Tarjan,
         // backward edges, CSRs and dependence latencies are computed once
-        // per core — shared across machines when the caller threads one
-        // `Arc<LoopCore>` through several `schedule_loop_with_core` calls).
-        let analysis = LoopAnalysis::with_core(ddg, Arc::clone(core));
-        let mii = MiiInfo::compute(machine, &analysis)?;
+        // per core — shared across machines when the caller builds every
+        // cell's analysis over one `Arc<LoopCore>`).
+        let ddg = analysis.ddg();
+        let mii = MiiInfo::compute(machine, analysis)?;
 
         let order_start = Instant::now();
-        let (order, recurrence_truncated) = self.node_order(&analysis);
+        let (order, recurrence_truncated) = match self.options.ordering {
+            OrderingMode::HypernodeReduction => {
+                let mut preorder = self.options.preorder;
+                match perturbation.start {
+                    StartHint::Default => {}
+                    StartHint::Last => preorder.start_node = StartNodePolicy::LastInProgramOrder,
+                    StartHint::Node(node) => preorder.start_node = StartNodePolicy::Fixed(node),
+                }
+                let p = pre_order_with(analysis, &preorder);
+                (p.order, p.truncated)
+            }
+            OrderingMode::ProgramOrder => (ddg.node_ids().collect(), false),
+        };
         let ordering_time = order_start.elapsed();
 
         let max_ii = self.options.config.effective_max_ii(ddg, mii.mii());
@@ -164,24 +161,13 @@ impl ModuloScheduler for HrmsScheduler {
         let mut ii = mii.mii();
         loop {
             attempts += 1;
-            if let Some(schedule) =
-                schedule_at_ii_with(ddg, machine, analysis.placement(), &order, ii)
-            {
-                return Ok(ScheduleOutcome::new(
-                    ddg,
-                    schedule,
-                    mii,
-                    attempts,
-                    start.elapsed(),
-                    ordering_time,
-                )
-                .with_recurrence_truncated(recurrence_truncated));
-            }
-            let fallback =
-                fallback_order.get_or_insert_with(|| earliest_start_order(&analysis, mii.mii()));
-            if let Some(schedule) =
-                schedule_at_ii_with(ddg, machine, analysis.placement(), fallback, ii)
-            {
+            let placed = schedule_at_ii_with(ddg, machine, analysis.placement(), &order, ii)
+                .or_else(|| {
+                    let fallback = fallback_order
+                        .get_or_insert_with(|| earliest_start_order(analysis, mii.mii()));
+                    schedule_at_ii_with(ddg, machine, analysis.placement(), fallback, ii)
+                });
+            if let Some(schedule) = placed {
                 return Ok(ScheduleOutcome::new(
                     ddg,
                     schedule,
@@ -198,35 +184,10 @@ impl ModuloScheduler for HrmsScheduler {
             ii += 1;
         }
     }
-
-    /// HRMS's ordering is derived by hypernode reduction rather than a
-    /// priority sort, so the perturbation hook maps the [`StartHint`] onto
-    /// the pre-ordering's [`StartNodePolicy`]: changing where the hypernode
-    /// starts growing reorders the whole traversal around the hinted node.
-    /// Per-node boosts are ignored (they have no hypernode analogue).
-    fn schedule_loop_perturbed(
-        &self,
-        ddg: &Ddg,
-        machine: &Machine,
-        core: &Arc<LoopCore>,
-        perturbation: &Perturbation,
-    ) -> Result<ScheduleOutcome, SchedError> {
-        let mut options = self.options.clone();
-        match perturbation.start {
-            StartHint::Default => {}
-            StartHint::Last => {
-                options.preorder.start_node = StartNodePolicy::LastInProgramOrder;
-            }
-            StartHint::Node(node) => {
-                options.preorder.start_node = StartNodePolicy::Fixed(node);
-            }
-        }
-        HrmsScheduler::with_options(options).schedule_loop_with_core(ddg, machine, core)
-    }
 }
 
 /// A topological-by-earliest-start order used as the robustness fallback of
-/// [`HrmsScheduler::schedule_loop`]: with it, every operation is placed after
+/// [`HrmsScheduler`]'s II escalation: with it, every operation is placed after
 /// all of its intra-iteration predecessors, so only loop-carried constraints
 /// can close a placement window — and those always open up as the II grows.
 fn earliest_start_order(la: &LoopAnalysis<'_>, ii: u32) -> Vec<NodeId> {
@@ -239,22 +200,12 @@ fn earliest_start_order(la: &LoopAnalysis<'_>, ii: u32) -> Vec<NodeId> {
     order
 }
 
-/// One pass of the scheduling step (Section 3.3) at a fixed II. Returns the
-/// schedule, or `None` if some node found no free slot (the caller then
-/// increases the II).
-///
-/// Builds the loop's dense placement arcs on the fly; callers with a shared
-/// per-loop analysis (or several IIs to try) should use
-/// [`schedule_at_ii_with`] so the arcs are built once.
-pub fn schedule_at_ii(ddg: &Ddg, machine: &Machine, order: &[NodeId], ii: u32) -> Option<Schedule> {
-    let arcs = Arc::new(PlacementCsr::from_graph(ddg));
-    schedule_at_ii_with(ddg, machine, &arcs, order, ii)
-}
-
-/// [`schedule_at_ii`] over prebuilt dense placement arcs (typically
-/// `analysis.placement()` of the loop's [`LoopAnalysis`]): every
-/// `Early_Start`/`Late_Start` evaluation scans flat arc slices with
-/// precomputed dependence latencies instead of walking [`Ddg`] edge lists.
+/// One pass of the scheduling step (Section 3.3) at a fixed II, over
+/// prebuilt dense placement arcs (typically `analysis.placement()` of the
+/// loop's [`LoopAnalysis`]): every `Early_Start`/`Late_Start` evaluation
+/// scans flat arc slices with precomputed dependence latencies instead of
+/// walking [`Ddg`] edge lists. Returns the schedule, or `None` if some node
+/// found no free slot (the caller then increases the II).
 pub fn schedule_at_ii_with(
     ddg: &Ddg,
     machine: &Machine,

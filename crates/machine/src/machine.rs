@@ -9,7 +9,6 @@ use crate::error::MachineError;
 
 /// Identifier of a functional-unit class within one [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassId(pub u32);
 
 impl ClassId {
@@ -28,7 +27,6 @@ impl fmt::Display for ClassId {
 
 /// A group of identical functional units.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResourceClass {
     /// Human-readable name ("FP adder", "Load/Store", ...).
     pub name: String,
@@ -64,7 +62,6 @@ impl ResourceClass {
 ///
 /// Built with [`MachineBuilder`]; immutable afterwards.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Machine {
     name: String,
     classes: Vec<ResourceClass>,

@@ -37,10 +37,9 @@
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
-use hrms_ddg::{Ddg, LoopCore, NodeId};
+use hrms_ddg::{Ddg, LoopAnalysis, NodeId};
 use hrms_machine::Machine;
 
 use crate::error::SchedError;
@@ -121,9 +120,9 @@ pub enum StartHint {
 /// Schedulers consume whichever part applies to them: HRMS honours the
 /// [`StartHint`] (its ordering is derived, not priority-sorted), the
 /// directional baselines honour the per-node boosts. A scheduler that
-/// understands neither ignores the perturbation entirely (the default
-/// [`ModuloScheduler::schedule_loop_perturbed`]), which keeps
-/// `feedback:<slug>` well-defined for every slug.
+/// understands neither ignores the perturbation in its
+/// [`ModuloScheduler::schedule`], which keeps `feedback:<slug>`
+/// well-defined for every slug. `Perturbation::default()` is the identity.
 #[derive(Debug, Clone, Default)]
 pub struct Perturbation {
     /// Stable human-readable label recorded in the [`FeedbackTrace`].
@@ -274,18 +273,13 @@ impl ModuloScheduler for PerturbedScheduler<'_> {
         self.inner.name()
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_loop_with_core(ddg, machine, &Arc::new(LoopCore::new()))
-    }
-
-    fn schedule_loop_with_core(
+    fn schedule(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
+        _perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        self.inner
-            .schedule_loop_perturbed(ddg, machine, core, self.perturbation)
+        self.inner.schedule(analysis, machine, self.perturbation)
     }
 }
 
@@ -354,16 +348,13 @@ impl IterativeRescheduler {
     /// pressure and spill signals.
     fn run_attempt(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
         perturbation: &Perturbation,
         attempt: usize,
         subgraph: usize,
     ) -> Result<(ScheduleOutcome, FeedbackIteration), SchedError> {
-        let outcome = self
-            .inner
-            .schedule_loop_perturbed(ddg, machine, core, perturbation)?;
+        let outcome = self.inner.schedule(analysis, machine, perturbation)?;
         let max_live = outcome.metrics.max_live_with_invariants;
         let spills = match self.config.budget {
             Some(budget) if max_live > budget.registers => match &self.evaluator {
@@ -373,7 +364,7 @@ impl IterativeRescheduler {
                         perturbation,
                     };
                     match evaluator.evaluate(
-                        ddg,
+                        analysis.ddg(),
                         machine,
                         &adapter,
                         budget.registers,
@@ -407,12 +398,12 @@ impl IterativeRescheduler {
     /// size of the full extracted node set.
     fn extract_subgraph(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
         best: &ScheduleOutcome,
         best_it: &FeedbackIteration,
     ) -> (Vec<NodeId>, Vec<u64>, usize) {
+        let ddg = analysis.ddg();
         let over_budget = self
             .config
             .budget
@@ -423,7 +414,7 @@ impl IterativeRescheduler {
         // II degradation: the binding recurrence group, ranked by the exact
         // per-node cycle ratios; for recurrence-free loops the saturated
         // resource class is the binding region instead.
-        let ratios = core.cycle_ratios(ddg).per_node();
+        let ratios = analysis.cycle_ratios().per_node();
         let max_ratio = ratios.iter().copied().max().unwrap_or(0);
         if max_ratio > 0 {
             let mut ranked: Vec<NodeId> = ddg
@@ -541,21 +532,20 @@ impl ModuloScheduler for IterativeRescheduler {
         &self.name
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        self.schedule_loop_with_core(ddg, machine, &Arc::new(LoopCore::new()))
-    }
-
-    fn schedule_loop_with_core(
+    /// The rescheduler owns the perturbation axis: it ignores the
+    /// perturbation it is given and drives its own, starting from
+    /// [`Perturbation::baseline`].
+    fn schedule(
         &self,
-        ddg: &Ddg,
+        analysis: &LoopAnalysis<'_>,
         machine: &Machine,
-        core: &Arc<LoopCore>,
+        _perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
         let start = Instant::now();
         let max_iterations = self.config.max_iterations.max(1);
 
         let (baseline, baseline_it) =
-            self.run_attempt(ddg, machine, core, &Perturbation::baseline(), 0, 0)?;
+            self.run_attempt(analysis, machine, &Perturbation::baseline(), 0, 0)?;
         let mii = baseline.mii.mii();
         let mut iterations = vec![baseline_it];
         let mut best = baseline;
@@ -570,7 +560,7 @@ impl ModuloScheduler for IterativeRescheduler {
                 break;
             }
             let (ranked, boost, subgraph) =
-                self.extract_subgraph(ddg, machine, core, &best, &iterations[best_idx]);
+                self.extract_subgraph(analysis, machine, &best, &iterations[best_idx]);
             let Some(perturbation) = next_candidate(&ranked, &boost, &tried) else {
                 break;
             };
@@ -582,7 +572,7 @@ impl ModuloScheduler for IterativeRescheduler {
             // baseline already succeeded, so the run still returns a
             // schedule.
             let Ok((outcome, iteration)) =
-                self.run_attempt(ddg, machine, core, &perturbation, attempt, subgraph)
+                self.run_attempt(analysis, machine, &perturbation, attempt, subgraph)
             else {
                 continue;
             };
@@ -626,13 +616,14 @@ mod tests {
             "Naive"
         }
 
-        fn schedule_loop(
+        fn schedule(
             &self,
-            ddg: &Ddg,
+            la: &LoopAnalysis<'_>,
             machine: &Machine,
+            _perturbation: &Perturbation,
         ) -> Result<ScheduleOutcome, SchedError> {
-            let la = hrms_ddg::LoopAnalysis::analyze(ddg);
-            let mii = MiiInfo::compute(machine, &la)?;
+            let ddg = la.ddg();
+            let mii = MiiInfo::compute(machine, la)?;
             let mut cycle = 0i64;
             let mut cycles = Vec::with_capacity(ddg.num_nodes());
             for (_, node) in ddg.nodes() {

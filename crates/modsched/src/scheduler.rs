@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hrms_ddg::{Ddg, LoopCore};
+use hrms_ddg::{Ddg, LoopAnalysis, LoopCore};
 use hrms_machine::Machine;
 
 use crate::error::SchedError;
@@ -188,65 +188,68 @@ impl ScheduleOutcome {
 /// Implemented by HRMS (`hrms-core`) and by every baseline
 /// (`hrms-baselines`); the benchmark harness and the register-allocation
 /// passes only interact with schedulers through this trait.
+///
+/// A scheduler implements exactly two methods: [`ModuloScheduler::name`]
+/// and [`ModuloScheduler::schedule`]. The one scheduling method receives
+/// the loop's [`LoopAnalysis`] — so a batch driver that shares one
+/// [`LoopCore`] across machines shares it with every scheduler by
+/// construction — and a [`Perturbation`], so every scheduler takes part in
+/// the feedback loop of [`crate::feedback::IterativeRescheduler`].
+/// [`ModuloScheduler::schedule_loop`] and
+/// [`ModuloScheduler::schedule_loop_with_core`] are provided conveniences
+/// over it.
 pub trait ModuloScheduler {
     /// Short identifier used in reports ("HRMS", "Top-Down", "Slack", ...).
     fn name(&self) -> &str;
 
-    /// Schedules one loop on the given machine.
+    /// Schedules the analysed loop on the given machine under a priority
+    /// [`Perturbation`].
+    ///
+    /// `analysis` wraps the loop's [`Ddg`] and its (possibly shared)
+    /// machine-independent [`LoopCore`]: Tarjan, the cycle-ratio λ-search
+    /// and every other structural fact are read from it, so a core shared
+    /// by several calls is computed once. `Perturbation::default()` is the
+    /// identity and must produce the scheduler's one-shot schedule.
+    /// Schedulers with a perturbable ordering honour the parts that apply
+    /// to them (HRMS the start-node hint, the directional baselines the
+    /// per-node boosts) and ignore the rest.
     ///
     /// # Errors
     ///
     /// Returns a [`SchedError`] when the loop cannot be scheduled (malformed
     /// graph, or the II/search budget was exhausted).
-    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError>;
+    fn schedule(
+        &self,
+        analysis: &LoopAnalysis<'_>,
+        machine: &Machine,
+        perturbation: &Perturbation,
+    ) -> Result<ScheduleOutcome, SchedError>;
 
-    /// Schedules one loop on the given machine, reusing a shared
-    /// machine-independent analysis core (see [`LoopCore`]).
-    ///
-    /// Batch drivers scheduling the *same* loop against several machines
-    /// build one `Arc<LoopCore>` per loop and pass it to every cell, so
-    /// Tarjan, the cycle-ratio λ-search and every other structural
-    /// analysis run once per loop instead of once per (loop, machine)
-    /// pair. The default implementation ignores the core and falls back
-    /// to [`ModuloScheduler::schedule_loop`]; every scheduler in this
-    /// workspace overrides it to thread the core through its analysis.
+    /// Schedules one loop on the given machine with a private analysis and
+    /// the identity perturbation.
     ///
     /// # Errors
     ///
-    /// Returns a [`SchedError`] when the loop cannot be scheduled (malformed
-    /// graph, or the II/search budget was exhausted).
+    /// Same as [`ModuloScheduler::schedule`].
+    fn schedule_loop(&self, ddg: &Ddg, machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
+        let analysis = LoopAnalysis::analyze(ddg);
+        self.schedule(&analysis, machine, &Perturbation::default())
+    }
+
+    /// Schedules one loop on the given machine over a shared
+    /// machine-independent analysis core, with the identity perturbation.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ModuloScheduler::schedule`].
     fn schedule_loop_with_core(
         &self,
         ddg: &Ddg,
         machine: &Machine,
         core: &Arc<LoopCore>,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let _ = core;
-        self.schedule_loop(ddg, machine)
-    }
-
-    /// Schedules one loop under a priority [`Perturbation`] — the hook the
-    /// feedback-guided [`crate::feedback::IterativeRescheduler`] drives.
-    ///
-    /// Schedulers with a perturbable ordering override this: HRMS honours
-    /// the start-node hint, the directional baselines honour the per-node
-    /// boosts. The default ignores the perturbation and schedules normally,
-    /// so wrapping *any* scheduler in the feedback loop is well-defined
-    /// (the loop then degenerates to returning the one-shot schedule).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchedError`] when the loop cannot be scheduled (malformed
-    /// graph, or the II/search budget was exhausted).
-    fn schedule_loop_perturbed(
-        &self,
-        ddg: &Ddg,
-        machine: &Machine,
-        core: &Arc<LoopCore>,
-        perturbation: &Perturbation,
-    ) -> Result<ScheduleOutcome, SchedError> {
-        let _ = perturbation;
-        self.schedule_loop_with_core(ddg, machine, core)
+        let analysis = LoopAnalysis::with_core(ddg, Arc::clone(core));
+        self.schedule(&analysis, machine, &Perturbation::default())
     }
 }
 

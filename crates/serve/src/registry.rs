@@ -15,10 +15,11 @@ use hrms_baselines::{
     TopDownScheduler,
 };
 use hrms_core::HrmsScheduler;
-use hrms_ddg::Ddg;
+use hrms_ddg::LoopAnalysis;
 use hrms_machine::{presets, Machine};
 use hrms_modsched::{
-    FeedbackConfig, IterativeRescheduler, ModuloScheduler, SchedError, ScheduleOutcome,
+    FeedbackConfig, IterativeRescheduler, ModuloScheduler, Perturbation, SchedError,
+    ScheduleOutcome,
 };
 use hrms_regalloc::BudgetSpillEvaluator;
 
@@ -51,8 +52,16 @@ impl ModuloScheduler for ChaosScheduler {
         "Chaos"
     }
 
-    fn schedule_loop(&self, ddg: &Ddg, _machine: &Machine) -> Result<ScheduleOutcome, SchedError> {
-        panic!("chaos scheduler always panics (loop `{}`)", ddg.name())
+    fn schedule(
+        &self,
+        analysis: &LoopAnalysis<'_>,
+        _machine: &Machine,
+        _perturbation: &Perturbation,
+    ) -> Result<ScheduleOutcome, SchedError> {
+        panic!(
+            "chaos scheduler always panics (loop `{}`)",
+            analysis.ddg().name()
+        )
     }
 }
 
@@ -322,12 +331,12 @@ mod tests {
     fn chaos_panics_are_contained_by_the_engine() {
         let chaos = scheduler_by_slug("chaos").unwrap();
         let loops = [hrms_ddg::chain("victim", 3, hrms_ddg::OpKind::FpAdd, 1)];
-        let results = hrms_engine::BatchEngine::with_workers(2).schedule_batch_contained(
-            &*chaos,
+        let matrix = hrms_engine::BatchEngine::with_workers(2).schedule_matrix(
+            &[&*chaos],
             &loops,
-            &presets::govindarajan(),
+            &[presets::govindarajan()],
         );
-        match &results[0] {
+        match &matrix[0][0][0] {
             Err(SchedError::Internal { what }) => {
                 assert!(what.contains("chaos scheduler always panics"), "{what}");
                 assert!(what.contains("`victim`"), "{what}");

@@ -27,10 +27,10 @@ use std::fmt::Write as _;
 
 use hrms_ddg::{ddg_fingerprint, format_digest, Ddg};
 use hrms_machine::{machine_fingerprint, Machine};
-use hrms_modsched::{dependence_latency, LifetimeAnalysis, MiiInfo, Schedule};
+use hrms_modsched::{dependence_latency, push_json_str, LifetimeAnalysis, MiiInfo, Schedule};
 use hrms_regalloc::{mve_registers, mve_unroll_factor, ExpandedKernel, RegisterPressure};
 
-use crate::diag::{push_json_str, Code, Diagnostic};
+use crate::diag::{Code, Diagnostic};
 
 /// The outcome of one certifier check.
 #[derive(Debug, Clone, PartialEq, Eq)]

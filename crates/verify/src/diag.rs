@@ -11,6 +11,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use hrms_ddg::Span;
+use hrms_modsched::push_json_str;
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -320,26 +321,6 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
 /// Whether any diagnostic in `diags` is an error.
 pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
-}
-
-/// Appends `s` as a JSON string literal (with escapes) to `out`. Same
-/// escaping as the schedule reports in `hrms_modsched::report`.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

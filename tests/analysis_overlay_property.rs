@@ -5,18 +5,24 @@
 //! matter how many machines share the core.
 //!
 //! The suite sweeps all 24 reference loops plus a band of generated
-//! loops, across every preset and both the HRMS scheduler and a baseline
-//! (whose escalation path threads the core through `escalate_ii_with_core`
-//! rather than the HRMS scheduler's own loop), so both core-threading
-//! paths are pinned.
+//! loops, across every preset and every registered scheduler except the
+//! budget-bound branch-and-bound search. Each schedule is produced three
+//! ways — from scratch, over a shared core, and through
+//! [`ModuloScheduler::schedule`] with the identity [`Perturbation`] — and
+//! all three must render the same report bytes. The third route pins that
+//! the feedback loop's attempt 0 (`Perturbation::baseline()`, the identity
+//! with a label) reproduces the one-shot schedule through every
+//! scheduler's one scheduling method; that the directional baselines'
+//! `boost_order` keeps an order unchanged under the identity is pinned by
+//! its unit test in `hrms-baselines`.
 
 use std::sync::Arc;
 
-use hrms_repro::baselines::SlackScheduler;
 use hrms_repro::ddg::{Ddg, LoopAnalysis, LoopCore};
 use hrms_repro::hrms::HrmsScheduler;
 use hrms_repro::machine::presets;
-use hrms_repro::modsched::{report_line, ModuloScheduler, ReportOptions};
+use hrms_repro::modsched::{report_line, ModuloScheduler, Perturbation, ReportOptions};
+use hrms_repro::registry::{scheduler_by_slug, SCHEDULER_SLUGS};
 use hrms_repro::workloads::{reference24, GeneratorConfig, LoopGenerator};
 
 /// The loops under test: every reference loop plus generated ones spanning
@@ -38,48 +44,38 @@ fn suite() -> Vec<Ddg> {
 
 #[test]
 fn shared_core_schedules_are_byte_identical_to_from_scratch_on_every_preset() {
-    let schedulers: Vec<Box<dyn ModuloScheduler>> = vec![
-        Box::new(HrmsScheduler::new()),
-        Box::new(SlackScheduler::new()),
-    ];
+    let schedulers: Vec<_> = SCHEDULER_SLUGS
+        .iter()
+        .filter(|&&slug| slug != "bnb")
+        .map(|slug| scheduler_by_slug(slug).expect("listed slugs resolve"))
+        .collect();
     let options = ReportOptions { timing: false };
-    for ddg in suite() {
+    let loops = suite();
+    for ddg in &loops {
         for scheduler in &schedulers {
             // One core serves every machine this loop is scheduled on.
             let core = Arc::new(LoopCore::new());
             for machine in presets::all() {
-                let fresh = scheduler.schedule_loop(&ddg, &machine);
-                let shared = scheduler.schedule_loop_with_core(&ddg, &machine, &core);
-                match (fresh, shared) {
-                    (Ok(fresh), Ok(shared)) => {
-                        assert_eq!(
-                            fresh.schedule,
-                            shared.schedule,
-                            "schedule drifted: loop `{}` x {} x {}",
-                            ddg.name(),
-                            scheduler.name(),
-                            machine.name()
-                        );
-                        assert_eq!(
-                            report_line(&ddg, &machine, scheduler.name(), &fresh, options),
-                            report_line(&ddg, &machine, scheduler.name(), &shared, options),
-                            "report bytes drifted: loop `{}` x {} x {}",
-                            ddg.name(),
-                            scheduler.name(),
-                            machine.name()
-                        );
-                    }
-                    (Err(fresh), Err(shared)) => {
-                        assert_eq!(fresh.to_string(), shared.to_string());
-                    }
-                    (fresh, shared) => panic!(
-                        "outcome kind drifted on loop `{}` x {} x {}: fresh {fresh:?} vs shared \
-                         {shared:?}",
-                        ddg.name(),
-                        scheduler.name(),
-                        machine.name()
-                    ),
-                }
+                let cell = format!(
+                    "loop `{}` x {} x {}",
+                    ddg.name(),
+                    scheduler.name(),
+                    machine.name()
+                );
+                let render = |result: Result<_, _>| {
+                    result.map(|outcome| {
+                        report_line(ddg, &machine, scheduler.name(), &outcome, options)
+                    })
+                };
+                let fresh = render(scheduler.schedule_loop(ddg, &machine));
+                let shared = render(scheduler.schedule_loop_with_core(ddg, &machine, &core));
+                let identity = render(scheduler.schedule(
+                    &LoopAnalysis::with_core(ddg, Arc::clone(&core)),
+                    &machine,
+                    &Perturbation::baseline(),
+                ));
+                assert_eq!(fresh, shared, "shared core drifted: {cell}");
+                assert_eq!(fresh, identity, "identity perturbation drifted: {cell}");
             }
         }
     }

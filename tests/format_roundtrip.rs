@@ -143,8 +143,8 @@ fn generated_loops_schedule_identically_after_import() {
         .map(|g| parse_loop(&write_loop(g)).unwrap())
         .collect();
     let engine = BatchEngine::new();
-    let a = engine.schedule_batch(&scheduler, &loops, &machine);
-    let b = engine.schedule_batch(&scheduler, &imported, &machine);
+    let a = engine.map(&loops, |_, g| scheduler.schedule_loop(g, &machine));
+    let b = engine.map(&imported, |_, g| scheduler.schedule_loop(g, &machine));
     for ((a, b), ddg) in a.iter().zip(&b).zip(&loops) {
         match (a, b) {
             (Ok(a), Ok(b)) => {
