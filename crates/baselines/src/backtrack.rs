@@ -63,14 +63,14 @@ pub fn schedule_with_backtracking(
         if placements >= budget {
             return None;
         }
-        let u = pick_node(ddg, &partial, &unscheduled, &est, &lst, flavor);
+        let u = pick_node(&partial, &unscheduled, &est, &lst, flavor);
 
         // Dynamic bounds from already-placed neighbours.
-        let dyn_early = match partial.early_start(ddg, u) {
+        let dyn_early = match partial.early_start(u) {
             Some(e) => e.max(est[u.index()]),
             None => est[u.index()],
         };
-        let dyn_late = partial.late_start(ddg, u);
+        let dyn_late = partial.late_start(u);
 
         let place_late = match flavor {
             Flavor::Iterative => false,
@@ -91,7 +91,7 @@ pub fn schedule_with_backtracking(
 
         let attempted = if place_late {
             let from = dyn_late.unwrap_or(lst[u.index()]);
-            let span = if let Some(e) = partial.early_start(ddg, u) {
+            let span = if let Some(e) = partial.early_start(u) {
                 ((from - e.max(est[u.index()]) + 1).max(0) as u64).min(u64::from(ii)) as u32
             } else {
                 ii
@@ -138,7 +138,6 @@ pub fn schedule_with_backtracking(
 
 /// Picks the next node to schedule.
 fn pick_node(
-    ddg: &Ddg,
     partial: &PartialSchedule,
     unscheduled: &HashSet<NodeId>,
     est: &[i64],
@@ -155,11 +154,11 @@ fn pick_node(
             }
             Flavor::Slack => {
                 // Smallest dynamic slack first.
-                let dyn_early = match partial.early_start(ddg, u) {
+                let dyn_early = match partial.early_start(u) {
                     Some(e) => e.max(est[u.index()]),
                     None => est[u.index()],
                 };
-                let dyn_late = match partial.late_start(ddg, u) {
+                let dyn_late = match partial.late_start(u) {
                     Some(l) => l.min(lst[u.index()]),
                     None => lst[u.index()],
                 };

@@ -98,8 +98,8 @@ pub fn schedule_directional_at_ii(
     let ddg = la.ddg();
     let mut partial = PartialSchedule::with_placement(machine, ii, la.placement().clone());
     for &u in order {
-        let early = partial.early_start(ddg, u);
-        let late = partial.late_start(ddg, u);
+        let early = partial.early_start(u);
+        let late = partial.late_start(u);
         let placed = match direction {
             Direction::TopDown => {
                 let from = early.unwrap_or(0);

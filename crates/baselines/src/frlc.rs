@@ -79,7 +79,7 @@ fn schedule_frlc_at_ii(
     // loop-carried successors.
     let mut partial = PartialSchedule::with_placement(machine, ii, la.placement().clone());
     for &u in &order {
-        let lower = match partial.early_start(ddg, u) {
+        let lower = match partial.early_start(u) {
             Some(e) => e.max(est[u.index()]),
             None => est[u.index()],
         };

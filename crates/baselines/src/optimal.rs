@@ -205,8 +205,8 @@ impl Search<'_> {
         }
 
         let u = self.order[depth];
-        let early = partial.early_start(self.ddg, u);
-        let late = partial.late_start(self.ddg, u);
+        let early = partial.early_start(u);
+        let late = partial.late_start(u);
         let candidates: Vec<i64> = match (early, late) {
             (Some(e), None) => (0..i64::from(self.ii)).map(|k| e + k).collect(),
             (None, Some(l)) => (0..i64::from(self.ii)).map(|k| l - k).collect(),

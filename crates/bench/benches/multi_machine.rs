@@ -5,7 +5,7 @@
 //! [`hrms_ddg::LoopCore`] (`schedule_loop_with_core`, the sharing the
 //! engine's `schedule_matrix` does per loop).
 //!
-//! This is the benchmark backing the core/overlay acceptance criterion:
+//! This is the benchmark backing the shared-core acceptance criterion:
 //! on a ≥ 500-operation loop, the shared-core sweep over the four presets
 //! must beat the from-scratch sweep — the Tarjan/λ-search/recurrence
 //! analysis is paid once instead of once per machine. CI runs this bench
@@ -26,7 +26,7 @@ fn bench_one_loop_across_presets(c: &mut Criterion) {
     let scheduler = HrmsScheduler::new();
     let machines = presets::all();
     // A ≥ 500-operation loop: large enough that the machine-independent
-    // analysis dominates the per-machine overlay.
+    // analysis dominates the per-machine work.
     for size in [500usize, 1000] {
         let ddg =
             LoopGenerator::new(0xB5 ^ size as u64, synthetic::stress_config(size)).next_loop();

@@ -1,19 +1,12 @@
-//! Placement micro-benchmark: the dense scheduling step against the
-//! `Ddg`-walking reference path on 200–2000-operation loop bodies.
-//!
-//! This is the benchmark backing the dense-placement acceptance criterion:
-//! one pass of the scheduling step (Section 3.3) at a fixed, feasible II
-//! over the dense placement arcs of the shared per-loop analysis
-//! (`schedule_at_ii_with`) must beat the pre-refactor path that walks the
-//! `Ddg` edge lists and resolves dependence latencies per edge
-//! (`schedule_at_ii_reference`) on loops of ≥ 500 operations; the measured
-//! margin is recorded in `docs/ARCHITECTURE.md`'s Performance section. The
-//! analysis-construction group measures the one-off cost of building the
-//! shared cache so the placement win can be judged net of it. CI runs this
-//! bench with `-- --test` as a single-sample smoke check.
+//! Placement micro-benchmark: one pass of the scheduling step (Section 3.3)
+//! at a fixed, feasible II over the dense placement arcs of the shared
+//! per-loop analysis (`schedule_at_ii_with`) on 200–2000-operation loop
+//! bodies. The analysis-construction group measures the one-off cost of
+//! building the shared cache so the placement cost can be judged net of
+//! it. CI runs this bench with `-- --test` as a single-sample smoke check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hrms_core::{schedule_at_ii_reference, schedule_at_ii_with, HrmsScheduler};
+use hrms_core::{pre_order, schedule_at_ii_with};
 use hrms_ddg::{Ddg, LoopAnalysis, NodeId};
 use hrms_machine::presets;
 use hrms_modsched::MiiInfo;
@@ -31,14 +24,14 @@ fn first_feasible_ii(ddg: &Ddg, la: &LoopAnalysis<'_>, order: &[NodeId]) -> u32 
         .unwrap_or_else(|| panic!("stress loop `{}` never scheduled", ddg.name()))
 }
 
-fn bench_placement_dense_vs_reference(c: &mut Criterion) {
+fn bench_placement(c: &mut Criterion) {
     let mut group = c.benchmark_group("stress_placement");
     group.sample_size(30);
     let machine = presets::perfect_club();
     for ddg in synthetic::stress_suite() {
         let ops = ddg.num_nodes();
         let la = LoopAnalysis::analyze(&ddg);
-        let order = HrmsScheduler::new().pre_order(&ddg).order;
+        let order = pre_order(&la).order;
         let ii = first_feasible_ii(&ddg, &la, &order);
         group.bench_with_input(BenchmarkId::new("dense", ops), &ddg, |b, ddg| {
             b.iter(|| {
@@ -50,12 +43,6 @@ fn bench_placement_dense_vs_reference(c: &mut Criterion) {
                     ii,
                 )
                 .expect("ii was verified feasible")
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("reference", ops), &ddg, |b, ddg| {
-            b.iter(|| {
-                schedule_at_ii_reference(std::hint::black_box(ddg), &machine, &order, ii)
-                    .expect("both paths accept the same IIs")
             })
         });
     }
@@ -74,9 +61,5 @@ fn bench_loop_analysis_construction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_placement_dense_vs_reference,
-    bench_loop_analysis_construction
-);
+criterion_group!(benches, bench_placement, bench_loop_analysis_construction);
 criterion_main!(benches);

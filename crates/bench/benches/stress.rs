@@ -1,15 +1,9 @@
-//! Large-loop stress benchmarks: the dense pre-ordering fast path against
-//! the preserved legacy implementation on 200–2000-operation loop bodies,
-//! and batch-scheduling throughput of the parallel engine.
-//!
-//! This is the benchmark backing the dense-representation acceptance
-//! criterion: on loops of ≥ 500 operations, `pre_order` end-to-end must be
-//! at least 2× faster than the legacy hash-based path (the measured margin
-//! is recorded in the README's Performance section). CI runs this bench
-//! with `-- --test` as a single-sample smoke check.
+//! Large-loop stress benchmarks: the pre-ordering on 200–2000-operation
+//! loop bodies, and batch-scheduling throughput of the parallel engine.
+//! CI runs this bench with `-- --test` as a single-sample smoke check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hrms_core::{pre_order, pre_order_legacy, HrmsScheduler};
+use hrms_core::{pre_order, HrmsScheduler};
 use hrms_ddg::Ddg;
 use hrms_engine::BatchEngine;
 use hrms_machine::{presets, Machine};
@@ -28,16 +22,13 @@ fn schedule_all(engine: &BatchEngine, loops: &[Ddg], machine: &Machine) -> Vec<S
     })
 }
 
-fn bench_preorder_dense_vs_legacy(c: &mut Criterion) {
+fn bench_preorder(c: &mut Criterion) {
     let mut group = c.benchmark_group("stress_preorder");
     group.sample_size(30);
     for ddg in synthetic::stress_suite() {
         let ops = ddg.num_nodes();
         group.bench_with_input(BenchmarkId::new("dense", ops), &ddg, |b, ddg| {
             b.iter(|| pre_order(&hrms_ddg::LoopAnalysis::analyze(std::hint::black_box(ddg))))
-        });
-        group.bench_with_input(BenchmarkId::new("legacy", ops), &ddg, |b, ddg| {
-            b.iter(|| pre_order_legacy(std::hint::black_box(ddg)))
         });
     }
     group.finish();
@@ -77,7 +68,7 @@ fn bench_stress_suite_scheduling(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_preorder_dense_vs_legacy,
+    bench_preorder,
     bench_batch_engine,
     bench_stress_suite_scheduling
 );

@@ -11,8 +11,9 @@
 //! the facts it actually touches — and hands cached references to all
 //! phases:
 //!
-//! * Tarjan SCCs ([`LoopAnalysis::sccs`]) — one run, shared with the circuit
-//!   enumeration and the backward-edge computation (`O(|V| + |E|)`);
+//! * Tarjan SCCs ([`LoopAnalysis::sccs`]) — one run, shared with the
+//!   cycle-ratio analysis and the backward-edge computation
+//!   (`O(|V| + |E|)`);
 //! * the backward edges of recurrence circuits
 //!   ([`LoopAnalysis::backward_edges`]) — `O(|E|)` given the SCCs;
 //! * the flat dependence-constraint edge list ([`LoopAnalysis::dep_edges`])
@@ -24,37 +25,28 @@
 //!   scheduling hot path (`O(|V| + |E|)`);
 //! * the full and backward-edge-filtered CSR adjacencies
 //!   ([`LoopAnalysis::csr_full`], [`LoopAnalysis::csr_work`]), the
-//!   recurrence-circuit analysis ([`LoopAnalysis::recurrences`], which
-//!   reuses the cached SCCs instead of re-running Tarjan) and the exact
-//!   recurrence-constrained MII ([`LoopAnalysis::rec_mii`]).
+//!   enumeration-free recurrence groups
+//!   ([`LoopAnalysis::recurrence_groups`], built from the cached SCCs) and
+//!   the exact recurrence-constrained MII ([`LoopAnalysis::rec_mii`]).
 //!
 //! The `tarjan_runs_exactly_once` test at the bottom of this file pins the
 //! "Tarjan at most once, however many phases ask" property with an
 //! instrumented counter ([`crate::instrument`]).
 //!
-//! # The core/overlay split
+//! # The shared core
 //!
-//! [`LoopAnalysis`] is a thin composition of two layers:
-//!
-//! * [`LoopCore`] — the machine-independent facts (everything above: SCCs,
-//!   backward edges, CSRs, recurrence groups, cycle ratios, dependence
-//!   edges resolved from the graph's authoritative node latencies, the
-//!   structural fingerprint). Lifetime-free and `Sync`, so one
-//!   `Arc<LoopCore>` per loop can be shared by every per-machine
-//!   scheduling cell of a multi-backend batch — Tarjan and the
-//!   cycle-ratio λ-search then run exactly once per loop however many
-//!   machines are targeted.
-//! * [`MachineView`] — the cheap per-machine overlay. The default view
-//!   delegates every latency-resolved fact to the core (the `.loop`
-//!   corpus convention: node latencies are already the target's); an
-//!   explicit view rebuilds only the `O(|E|)` latency-dependent facts
-//!   ([`DepEdge`] list, [`PlacementCsr`], RecMII) against a per-node
-//!   latency table.
+//! [`LoopAnalysis`] pairs the analysed graph with a [`LoopCore`]: the
+//! machine-independent facts (everything above: SCCs, backward edges,
+//! CSRs, recurrence groups, cycle ratios, dependence edges resolved from
+//! the graph's authoritative node latencies, the structural fingerprint).
+//! The core is lifetime-free and `Sync`, so one `Arc<LoopCore>` per loop
+//! can be shared by every per-machine scheduling cell of a multi-backend
+//! batch — Tarjan and the cycle-ratio λ-search then run exactly once per
+//! loop however many machines are targeted.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use crate::circuits::{RecurrenceInfo, DEFAULT_CIRCUIT_BUDGET};
 use crate::cycle_ratio::CycleRatios;
 use crate::dense::Csr;
 use crate::edge::{DepKind, Edge, EdgeId};
@@ -155,12 +147,6 @@ impl PlacementCsr {
     /// Builds the placement arcs of `ddg` in `O(|V| + |E|)`, resolving
     /// latencies from the graph's node latencies ([`dependence_latency`]).
     pub fn from_graph(ddg: &Ddg) -> Self {
-        Self::from_graph_with(ddg, |e| dependence_latency(ddg, e))
-    }
-
-    /// Builds the placement arcs of `ddg` with an explicit per-edge latency
-    /// resolver — the [`MachineView`] overlay hook. `O(|V| + |E|)`.
-    pub fn from_graph_with(ddg: &Ddg, resolve: impl Fn(&Edge) -> u32) -> Self {
         let n = ddg.num_nodes();
         let mut ins: Vec<Vec<DepArc>> = vec![Vec::new(); n];
         let mut outs: Vec<Vec<DepArc>> = vec![Vec::new(); n];
@@ -168,7 +154,7 @@ impl PlacementCsr {
             if e.is_self_loop() {
                 continue; // self-dependences only bound II, not placement
             }
-            let latency = resolve(e);
+            let latency = dependence_latency(ddg, e);
             ins[e.target().index()].push(DepArc {
                 other: e.source().0,
                 latency,
@@ -577,7 +563,8 @@ impl PerIiStarts {
 /// per-machine scheduling cells: each fact is computed by whichever cell
 /// asks first ([`OnceLock`] guarantees exactly-once under concurrency) and
 /// reused by all others. The `tarjan_runs_exactly_once` test and the
-/// workspace `core_overlay` suite pin the once-per-loop property.
+/// workspace suite `tests/analysis_overlay_property.rs` pin the
+/// once-per-loop property.
 ///
 /// Callers must pass the **same** graph to every getter; constructing the
 /// core through [`LoopAnalysis::analyze`] or
@@ -590,7 +577,6 @@ pub struct LoopCore {
     placement: OnceLock<Arc<PlacementCsr>>,
     csr_full: OnceLock<Csr>,
     csr_work: OnceLock<Csr>,
-    rec_info: OnceLock<RecurrenceInfo>,
     ratios: OnceLock<CycleRatios>,
     rec_groups: OnceLock<RecurrenceGroups>,
     rec_mii: OnceLock<Option<u32>>,
@@ -645,20 +631,6 @@ impl LoopCore {
             .get_or_init(|| Csr::filtered(ddg, self.backward_edges(ddg)))
     }
 
-    /// The recurrence-circuit analysis (Johnson's enumeration grouped into
-    /// recurrence subgraphs), reusing the cached SCCs so Tarjan is **not**
-    /// re-run. Exponential in the worst case, bounded by the default
-    /// circuit budget (the result is then marked truncated).
-    ///
-    /// Kept as the differential oracle and legacy fallback; the scheduling
-    /// phases read the enumeration-free [`LoopCore::recurrence_groups`]
-    /// instead.
-    pub fn recurrences(&self, ddg: &Ddg) -> &RecurrenceInfo {
-        self.rec_info.get_or_init(|| {
-            RecurrenceInfo::analyze_with_sccs(ddg, self.sccs(ddg), DEFAULT_CIRCUIT_BUDGET)
-        })
-    }
-
     /// The per-node maximum cycle-ratio analysis
     /// ([`crate::cycle_ratio::CycleRatios`]): for every node, the exact
     /// `RecMII` of the most critical recurrence circuit through it,
@@ -686,9 +658,13 @@ impl LoopCore {
             let groups = RecurrenceGroups::from_cycle_ratios(ddg, self.cycle_ratios(ddg));
             #[cfg(feature = "verify-recurrence")]
             {
-                let oracle = self.recurrences(ddg);
+                let oracle = crate::circuits::RecurrenceInfo::analyze_with_sccs(
+                    ddg,
+                    self.sccs(ddg),
+                    crate::circuits::DEFAULT_CIRCUIT_BUDGET,
+                );
                 if !oracle.truncated {
-                    match crate::recurrence::cross_check(&groups, oracle) {
+                    match crate::recurrence::cross_check(&groups, &oracle) {
                         Err(e) => panic!(
                             "SCC-derived recurrence groups diverged from the \
                              circuit enumeration on `{}`: {e}",
@@ -741,89 +717,9 @@ impl LoopCore {
     }
 }
 
-/// The per-machine overlay of a loop analysis: the latency-resolved facts
-/// ([`DepEdge`] list, [`PlacementCsr`], RecMII) a target machine could
-/// specialise, layered over a shared [`LoopCore`].
-///
-/// In the default mode ([`MachineView::graph_latencies`]) the graph's node
-/// latencies are authoritative — the convention of every `.loop` corpus,
-/// where the importer has already baked the target latencies into the
-/// nodes — and the view delegates every fact to the shared core, so it is
-/// a zero-cost handle and N machine views of one loop share one set of
-/// latency-resolved caches byte-for-byte.
-///
-/// [`MachineView::with_node_latencies`] instead re-resolves the
-/// dependence latencies against an explicit per-node latency table (e.g.
-/// `hrms_machine::apply_latencies`' table for a target machine) without
-/// touching the graph: only the `O(|E|)` latency-dependent facts are
-/// rebuilt, while every structural fact (SCCs, recurrence groups, cycle
-/// ratios, fingerprint) still comes from the shared core.
-#[derive(Debug, Default)]
-pub struct MachineView {
-    overlay: Option<LatencyOverlay>,
-}
-
-/// The rebuilt latency-resolved facts of a non-default [`MachineView`].
-#[derive(Debug)]
-struct LatencyOverlay {
-    dep_edges: Vec<DepEdge>,
-    placement: Arc<PlacementCsr>,
-    rec_mii: OnceLock<Option<u32>>,
-}
-
-impl MachineView {
-    /// The default view: the graph's node latencies are authoritative and
-    /// every fact delegates to the shared [`LoopCore`]. `O(1)`.
-    pub fn graph_latencies() -> Self {
-        Self::default()
-    }
-
-    /// A view resolving dependence latencies against `latencies[node]`
-    /// instead of the graph's node latencies (anti and output dependences
-    /// keep their issue-order latency of 1, as in [`dependence_latency`]).
-    /// `O(|V| + |E|)` — the per-machine cost the core/overlay split bounds
-    /// the re-analysis to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latencies.len() != ddg.num_nodes()`.
-    pub fn with_node_latencies(ddg: &Ddg, latencies: &[u32]) -> Self {
-        assert_eq!(
-            latencies.len(),
-            ddg.num_nodes(),
-            "one latency per node required"
-        );
-        let resolve = |e: &Edge| match e.kind() {
-            DepKind::RegAnti | DepKind::RegOutput => 1,
-            _ => latencies[e.source().index()],
-        };
-        let dep_edges = ddg
-            .edges()
-            .map(|(_, e)| DepEdge {
-                source: e.source().0,
-                target: e.target().0,
-                latency: resolve(e),
-                distance: e.distance(),
-            })
-            .collect();
-        MachineView {
-            overlay: Some(LatencyOverlay {
-                dep_edges,
-                placement: Arc::new(PlacementCsr::from_graph_with(ddg, resolve)),
-                rec_mii: OnceLock::new(),
-            }),
-        }
-    }
-
-    /// Whether this is the default delegating view (no rebuilt overlay).
-    pub fn is_graph_latencies(&self) -> bool {
-        self.overlay.is_none()
-    }
-}
-
-/// Every graph analysis of one loop body, computed at most once: a thin
-/// composition of a shareable machine-independent [`LoopCore`] and a
-/// per-machine [`MachineView`] overlay.
+/// Every graph analysis of one loop body, computed at most once: the
+/// analysed graph paired with a shareable machine-independent
+/// [`LoopCore`].
 ///
 /// Construction ([`LoopAnalysis::analyze`]) is free: every fact is
 /// materialised lazily on first access and cached, so each consumer pays
@@ -843,7 +739,6 @@ impl MachineView {
 pub struct LoopAnalysis<'a> {
     ddg: &'a Ddg,
     core: Arc<LoopCore>,
-    view: MachineView,
 }
 
 impl<'a> LoopAnalysis<'a> {
@@ -853,16 +748,10 @@ impl<'a> LoopAnalysis<'a> {
         Self::with_core(ddg, Arc::new(LoopCore::new()))
     }
 
-    /// Composes `ddg` with a shared machine-independent core and the
-    /// default (graph-latency) machine view. `O(1)`. The core must have
-    /// been created for this same graph (or be empty).
+    /// Composes `ddg` with a shared machine-independent core. `O(1)`. The
+    /// core must have been created for this same graph (or be empty).
     pub fn with_core(ddg: &'a Ddg, core: Arc<LoopCore>) -> Self {
-        Self::with_view(ddg, core, MachineView::graph_latencies())
-    }
-
-    /// Composes `ddg`, a shared core and an explicit machine view. `O(1)`.
-    pub fn with_view(ddg: &'a Ddg, core: Arc<LoopCore>, view: MachineView) -> Self {
-        LoopAnalysis { ddg, core, view }
+        LoopAnalysis { ddg, core }
     }
 
     /// The analysed graph.
@@ -876,12 +765,6 @@ impl<'a> LoopAnalysis<'a> {
     #[inline]
     pub fn core(&self) -> &Arc<LoopCore> {
         &self.core
-    }
-
-    /// The per-machine overlay this analysis resolves latencies through.
-    #[inline]
-    pub fn view(&self) -> &MachineView {
-        &self.view
     }
 
     /// The loop's structural fingerprint, cached in the shared core (see
@@ -904,23 +787,15 @@ impl<'a> LoopAnalysis<'a> {
 
     /// The flat dependence-constraint edges with resolved latencies, in
     /// edge-id order (self-loops included); `O(|E|)` on first access.
-    /// Resolved through the machine view's overlay when one is present.
     pub fn dep_edges(&self) -> &[DepEdge] {
-        match &self.view.overlay {
-            Some(o) => &o.dep_edges,
-            None => self.core.dep_edges(self.ddg),
-        }
+        self.core.dep_edges(self.ddg)
     }
 
     /// The placement CSR (per-node arcs with precomputed latencies), shared
     /// via `Arc` so partial schedules can hold it without re-borrowing the
-    /// analysis. `O(|V| + |E|)` on first access. Resolved through the
-    /// machine view's overlay when one is present.
+    /// analysis. `O(|V| + |E|)` on first access.
     pub fn placement(&self) -> &Arc<PlacementCsr> {
-        match &self.view.overlay {
-            Some(o) => &o.placement,
-            None => self.core.placement(self.ddg),
-        }
+        self.core.placement(self.ddg)
     }
 
     /// The full (deduplicated, self-loop-free) adjacency CSR;
@@ -933,12 +808,6 @@ impl<'a> LoopAnalysis<'a> {
     /// graph of the pre-ordering phase. `O(|V| + |E|)` on first access.
     pub fn csr_work(&self) -> &Csr {
         self.core.csr_work(self.ddg)
-    }
-
-    /// The recurrence-circuit analysis oracle (see
-    /// [`LoopCore::recurrences`]).
-    pub fn recurrences(&self) -> &RecurrenceInfo {
-        self.core.recurrences(self.ddg)
     }
 
     /// The per-node maximum cycle-ratio analysis (see
@@ -955,15 +824,9 @@ impl<'a> LoopAnalysis<'a> {
 
     /// The exact recurrence-constrained MII ([`exact_rec_mii`]); `None`
     /// means the loop has a zero-distance dependence cycle and no II is
-    /// feasible. Cached after the first binary search; resolved over the
-    /// machine view's edge list when an overlay is present.
+    /// feasible. Cached after the first binary search.
     pub fn rec_mii(&self) -> Option<u32> {
-        match &self.view.overlay {
-            Some(o) => *o
-                .rec_mii
-                .get_or_init(|| exact_rec_mii(self.ddg.num_nodes(), &o.dep_edges)),
-            None => self.core.rec_mii(self.ddg),
-        }
+        self.core.rec_mii(self.ddg)
     }
 
     /// Resource-free earliest start times at `ii` over the cached edge list
@@ -1155,11 +1018,9 @@ mod tests {
             "construction alone must not run Tarjan (everything is lazy)"
         );
         // Exercise every phase that historically re-ran Tarjan: the
-        // recurrence-circuit analysis (both the enumeration-free default
-        // and the Johnson oracle), the backward edges, the work CSR and
-        // the MII computation.
+        // recurrence analysis, the backward edges, the work CSR and the MII
+        // computation.
         let _ = la.recurrence_groups();
-        let _ = la.recurrences();
         let _ = la.backward_edges();
         let _ = la.csr_work();
         let _ = la.rec_mii();
@@ -1213,48 +1074,14 @@ mod tests {
     }
 
     #[test]
-    fn default_view_shares_the_core_caches() {
+    fn analyses_over_one_core_share_its_caches() {
         let g = accumulator_loop();
         let core = Arc::new(LoopCore::new());
         let a = LoopAnalysis::with_core(&g, Arc::clone(&core));
         let b = LoopAnalysis::with_core(&g, Arc::clone(&core));
-        assert!(a.view().is_graph_latencies());
         // The placement Arc is literally the same allocation.
         assert!(Arc::ptr_eq(a.placement(), b.placement()));
         assert_eq!(a.dep_edges(), b.dep_edges());
         assert_eq!(a.rec_mii(), b.rec_mii());
-    }
-
-    #[test]
-    fn overlay_view_with_graph_latencies_is_byte_identical() {
-        let g = accumulator_loop();
-        let core = Arc::new(LoopCore::new());
-        let latencies: Vec<u32> = g.nodes().map(|(_, n)| n.latency()).collect();
-        let view = MachineView::with_node_latencies(&g, &latencies);
-        assert!(!view.is_graph_latencies());
-        let overlaid = LoopAnalysis::with_view(&g, Arc::clone(&core), view);
-        let plain = LoopAnalysis::with_core(&g, core);
-        assert_eq!(overlaid.dep_edges(), plain.dep_edges());
-        assert_eq!(**overlaid.placement(), **plain.placement());
-        assert_eq!(overlaid.rec_mii(), plain.rec_mii());
-    }
-
-    #[test]
-    fn overlay_view_resolves_explicit_latencies() {
-        let g = accumulator_loop();
-        // Double every latency: flow edges double, the anti edge keeps its
-        // issue-order latency of 1.
-        let latencies: Vec<u32> = g.nodes().map(|(_, n)| n.latency() * 2).collect();
-        let view = MachineView::with_node_latencies(&g, &latencies);
-        let core = Arc::new(LoopCore::new());
-        let la = LoopAnalysis::with_view(&g, core, view);
-        // ld -> mul waits for the doubled load (4); acc -> ld stays anti (1).
-        assert_eq!(la.dep_edges()[0].latency, 4);
-        assert_eq!(la.dep_edges()[3].latency, 1);
-        // Binding circuit: acc->ld (1) + ld->mul (4) + mul->acc (4) over
-        // distance 1 -> RecMII 9 under the doubled latencies.
-        assert_eq!(la.rec_mii(), Some(9));
-        // Structural facts still come from the shared core.
-        assert_eq!(la.backward_edges().len(), 2);
     }
 }

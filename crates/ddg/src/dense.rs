@@ -12,8 +12,8 @@
 //! indices:
 //!
 //! * [`NodeSet`] — a fixed-capacity bitset over node indices with
-//!   deterministic ascending iteration (the dense analogue of the
-//!   `BTreeSet<NodeId>` used by the legacy work graph);
+//!   deterministic ascending iteration (the dense analogue of a
+//!   `BTreeSet<NodeId>`);
 //! * [`Csr`] — an immutable compressed-sparse-row view of a [`Ddg`] with
 //!   deduplicated, sorted neighbour slices, optionally excluding a set of
 //!   edges (the backward edges of recurrence circuits) — the representation

@@ -1,7 +1,7 @@
 //! Thread-local instrumentation counters for the expensive one-per-loop
 //! analyses.
 //!
-//! The core/overlay analysis split promises that however many machines a
+//! The shared [`crate::LoopCore`] promises that however many machines a
 //! loop is scheduled against, the machine-independent passes run **once**:
 //! one Tarjan SCC run and one cycle-ratio λ-search pass per loop body.
 //! These counters make that promise testable from outside the crate — the

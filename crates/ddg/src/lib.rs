@@ -75,8 +75,8 @@ pub mod textfmt;
 pub mod topo;
 
 pub use analysis::{
-    dependence_latency, DepArc, DepEdge, IncrementalStarts, LoopAnalysis, LoopCore, MachineView,
-    PerIiStarts, PlacementCsr,
+    dependence_latency, DepArc, DepEdge, IncrementalStarts, LoopAnalysis, LoopCore, PerIiStarts,
+    PlacementCsr,
 };
 pub use builder::DdgBuilder;
 pub use circuits::{Circuit, RecurrenceInfo, RecurrenceSubgraph};

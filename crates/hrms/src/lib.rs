@@ -22,27 +22,24 @@
 //! The scheduler implements [`hrms_modsched::ModuloScheduler`], so it is
 //! interchangeable with the baseline schedulers of `hrms-baselines`.
 //!
-//! # Dense fast path
+//! # Dense representation
 //!
 //! The pre-ordering phase runs on the dense bitset/CSR machinery of
-//! [`hrms_ddg::dense`] (see [`workgraph`]); the original hash-based
-//! implementation is preserved in [`legacy`] and produces byte-identical
-//! results. Building with the `verify-dense` feature cross-checks every
-//! ordering against the legacy path with a debug assertion (CI does this on
-//! the whole test suite).
+//! [`hrms_ddg::dense`] (see [`workgraph`]), and the scheduling step scans
+//! the per-node dependence arcs of the loop's
+//! [`hrms_ddg::LoopAnalysis::placement`]. Each phase has exactly one
+//! implementation; golden fingerprint pins and the independent certifier
+//! of `hrms-verify` guard their output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod legacy;
 pub mod preorder;
 pub mod scheduler;
 pub mod workgraph;
 
-pub use legacy::{pre_order_legacy, pre_order_legacy_with, LegacyWorkGraph};
 pub use preorder::{pre_order, pre_order_with, PreOrderOptions, PreOrdering, StartNodePolicy};
 pub use scheduler::{
-    phase_split, program_order_scheduler, schedule_at_ii_reference, schedule_at_ii_with,
-    HrmsOptions, HrmsScheduler, OrderingMode,
+    program_order_scheduler, schedule_at_ii_with, HrmsOptions, HrmsScheduler, OrderingMode,
 };
 pub use workgraph::WorkGraph;

@@ -15,14 +15,11 @@
 //! carved out of it, and every `Search_All_Paths` / `Sort_ASAP` /
 //! `Sort_PALA` / reduction step is a word-level operation — restoring the
 //! `O(|V| + |E|)` per-step footprint the paper claims in footnote 2. The
-//! original hash-based implementation is preserved in [`crate::legacy`] and
-//! produces byte-identical results; enabling the `verify-dense` feature
-//! cross-checks every ordering against it with a debug assertion.
-
-use std::collections::HashSet;
+//! orderings are pinned by golden fingerprints
+//! (`tests/golden/preorder_fingerprints.txt`).
 
 use hrms_ddg::dense::KahnScratch;
-use hrms_ddg::{analysis, dense, scc, Csr, Ddg, EdgeId, LoopAnalysis, NodeId, NodeSet};
+use hrms_ddg::{dense, Csr, LoopAnalysis, NodeId, NodeSet};
 
 use crate::workgraph::WorkGraph;
 
@@ -72,10 +69,10 @@ pub struct PreOrdering {
     /// Number of (non-trivial) recurrence subgraphs handled with priority.
     pub recurrence_subgraphs: usize,
     /// Whether the recurrence analysis behind this ordering was truncated
-    /// (its enumeration budget was hit), degrading the recurrence priority.
-    /// Always `false` on the default path — the SCC-derived analysis is
-    /// polynomial and complete by construction; only the preserved legacy
-    /// path (Johnson's enumeration) can report `true`.
+    /// (an enumeration budget was hit), degrading the recurrence priority.
+    /// Always `false`: the SCC-derived analysis is polynomial and complete
+    /// by construction. The field stays so that callers replicating the
+    /// scheduler's driver keep compiling.
     pub truncated: bool,
     /// Per-node recurrence criticality, indexed by [`NodeId`]: the exact
     /// `RecMII` of the most critical recurrence circuit through each node
@@ -106,9 +103,7 @@ pub fn pre_order(la: &LoopAnalysis<'_>) -> PreOrdering {
 pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOrdering {
     let ddg = la.ddg();
     // The enumeration-free recurrence analysis: polynomial in the graph
-    // size whatever the density of the SCCs, never truncated. (The legacy
-    // path keeps Johnson's enumeration; the differential suites pin the two
-    // producing identical orderings wherever the enumeration completes.)
+    // size whatever the density of the SCCs, never truncated.
     let rec_info = la.recurrence_groups();
     let simplified = rec_info.simplified_node_lists();
     let bound = ddg.num_nodes();
@@ -217,54 +212,13 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
         );
     }
 
-    let result = PreOrdering {
+    PreOrdering {
         order,
         components: num_components,
         recurrence_subgraphs,
         truncated: false,
         node_criticality: la.cycle_ratios().per_node().to_vec(),
-    };
-
-    // With the `verify-dense` feature on (CI runs the whole suite with it),
-    // every ordering is cross-checked against the preserved legacy
-    // implementation in debug builds. The legacy path still derives its
-    // recurrence subgraphs from Johnson's enumeration, so this doubles as
-    // an end-to-end check of the SCC-derived analysis — byte-equality is
-    // asserted whenever the enumeration completed and the recurrence
-    // cross-check reports the two analyses exactly interchangeable (since
-    // the cycle-ratio pair ranking, that is every reference and generated
-    // corpus loop, interleaved recurrences included; a truncated
-    // enumeration orders from a circuit subset and proves nothing).
-    #[cfg(feature = "verify-dense")]
-    {
-        let oracle = la.recurrences();
-        if !oracle.truncated
-            && hrms_ddg::recurrence::cross_check(rec_info, oracle)
-                .is_ok_and(|report| report.is_exact())
-        {
-            let legacy = crate::legacy::pre_order_legacy_with(ddg, options);
-            debug_assert!(
-                result == legacy,
-                "dense pre-ordering diverged from the legacy implementation on `{}`",
-                ddg.name()
-            );
-        }
     }
-
-    result
-}
-
-/// The backward edges of every recurrence circuit: loop-carried edges whose
-/// endpoints belong to the same strongly connected component. Removing them
-/// makes the work graph acyclic (any remaining cycle would have distance 0,
-/// which the MII computation rejects).
-///
-/// Standalone convenience that runs its own Tarjan pass; the pre-ordering
-/// itself reads the cached set from [`LoopAnalysis::backward_edges`]
-/// instead, so the single implementation lives in
-/// [`hrms_ddg::analysis::backward_edges_of`].
-pub fn backward_edges(ddg: &Ddg) -> HashSet<EdgeId> {
-    analysis::backward_edges_of(ddg, &scc::strongly_connected_components(ddg))
 }
 
 fn push(order: &mut Vec<NodeId>, ordered: &mut NodeSet, n: NodeId) {
@@ -387,7 +341,8 @@ fn neighbour_region(work: &WorkGraph, hi: usize, side: Side) -> NodeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrms_ddg::{DdgBuilder, DepKind, OpKind};
+    use hrms_ddg::{Ddg, DdgBuilder, DepKind, OpKind};
+    use std::collections::HashSet;
 
     /// The dependence graph of the paper's Figure 1 (motivating example),
     /// reconstructed from the scheduling walk-through of Section 2.1.
@@ -670,25 +625,6 @@ mod tests {
         );
         assert_eq!(p.order[0], ids[6]);
         assert_eq!(p.order.len(), 7);
-    }
-
-    #[test]
-    fn backward_edges_are_exactly_the_in_scc_loop_carried_edges() {
-        let mut b = DdgBuilder::new("be");
-        let a = b.node("a", OpKind::FpAdd, 1);
-        let c = b.node("c", OpKind::FpAdd, 1);
-        let d = b.node("d", OpKind::FpAdd, 1);
-        b.edge(a, c, DepKind::RegFlow, 0).unwrap();
-        b.edge(c, a, DepKind::RegFlow, 1).unwrap(); // backward
-        b.edge(c, d, DepKind::RegFlow, 2).unwrap(); // loop-carried but not in a cycle
-        let g = b.build().unwrap();
-        let be = backward_edges(&g);
-        assert_eq!(be.len(), 1);
-        let (eid, _) = g
-            .edges()
-            .find(|(_, e)| e.source() == c && e.target() == a)
-            .unwrap();
-        assert!(be.contains(&eid));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The scheduling step of HRMS (Section 3.3) and the top-level scheduler.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hrms_ddg::{Ddg, LoopAnalysis, NodeId, PlacementCsr};
 use hrms_machine::Machine;
@@ -10,7 +10,7 @@ use hrms_modsched::{
     SchedulerConfig, StartHint,
 };
 
-use crate::preorder::{pre_order_with, PreOrderOptions, PreOrdering, StartNodePolicy};
+use crate::preorder::{pre_order_with, PreOrderOptions, StartNodePolicy};
 
 /// How the node order handed to the scheduling step is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,12 +91,6 @@ impl HrmsScheduler {
     /// The options in use.
     pub fn options(&self) -> &HrmsOptions {
         &self.options
-    }
-
-    /// Runs only the pre-ordering phase (exposed for tests, the ablation
-    /// harness and the phase-time measurements of Section 4.2).
-    pub fn pre_order(&self, ddg: &Ddg) -> PreOrdering {
-        pre_order_with(&LoopAnalysis::analyze(ddg), &self.options.preorder)
     }
 }
 
@@ -202,10 +196,12 @@ fn earliest_start_order(la: &LoopAnalysis<'_>, ii: u32) -> Vec<NodeId> {
 
 /// One pass of the scheduling step (Section 3.3) at a fixed II, over
 /// prebuilt dense placement arcs (typically `analysis.placement()` of the
-/// loop's [`LoopAnalysis`]): every `Early_Start`/`Late_Start` evaluation
-/// scans flat arc slices with precomputed dependence latencies instead of
-/// walking [`Ddg`] edge lists. Returns the schedule, or `None` if some node
-/// found no free slot (the caller then increases the II).
+/// loop's [`LoopAnalysis`]): the paper's per-node case analysis (preds only
+/// → ASAP, succs only → ALAP, both → bounded forward scan, neither → ASAP
+/// from 0), with every `Early_Start`/`Late_Start` evaluation scanning flat
+/// arc slices with precomputed dependence latencies. Returns the schedule,
+/// or `None` if some node found no free slot (the caller then increases the
+/// II).
 pub fn schedule_at_ii_with(
     ddg: &Ddg,
     machine: &Machine,
@@ -213,43 +209,10 @@ pub fn schedule_at_ii_with(
     order: &[NodeId],
     ii: u32,
 ) -> Option<Schedule> {
-    place_in_order(
-        ddg,
-        machine,
-        PartialSchedule::with_placement(machine, ii, arcs.clone()),
-        order,
-    )
-}
-
-/// The pre-refactor placement path, kept callable for the differential
-/// suite and the placement micro-benchmark: identical scan logic, but every
-/// `Early_Start`/`Late_Start` walks the [`Ddg`] edge lists and resolves
-/// dependence latencies per edge. Produces byte-identical schedules to
-/// [`schedule_at_ii_with`] (asserted across the reference and generated
-/// workloads by `tests/placement_differential.rs`).
-pub fn schedule_at_ii_reference(
-    ddg: &Ddg,
-    machine: &Machine,
-    order: &[NodeId],
-    ii: u32,
-) -> Option<Schedule> {
-    place_in_order(ddg, machine, PartialSchedule::new(machine, ii), order)
-}
-
-/// The placement scan shared by the dense and reference paths: the paper's
-/// per-node case analysis (preds only → ASAP, succs only → ALAP, both →
-/// bounded forward scan, neither → ASAP from 0), driven by whichever
-/// start-time machinery `partial` was constructed with.
-fn place_in_order(
-    ddg: &Ddg,
-    machine: &Machine,
-    mut partial: PartialSchedule,
-    order: &[NodeId],
-) -> Option<Schedule> {
-    let ii = partial.ii();
+    let mut partial = PartialSchedule::with_placement(machine, ii, arcs.clone());
     for &u in order {
-        let early = partial.early_start(ddg, u);
-        let late = partial.late_start(ddg, u);
+        let early = partial.early_start(u);
+        let late = partial.late_start(u);
         let placed = match (early, late) {
             (Some(early), None) => partial.place_forward(ddg, machine, u, early, ii),
             (None, Some(late)) => partial.place_backward(ddg, machine, u, late, ii),
@@ -276,15 +239,6 @@ pub fn program_order_scheduler() -> HrmsScheduler {
         ordering: OrderingMode::ProgramOrder,
         ..HrmsOptions::default()
     })
-}
-
-/// Total time of an outcome split into ordering and scheduling parts — a tiny
-/// helper used by the Section 4.2 phase-time report.
-pub fn phase_split(outcome: &ScheduleOutcome) -> (Duration, Duration) {
-    (
-        outcome.ordering_time,
-        outcome.elapsed.saturating_sub(outcome.ordering_time),
-    )
 }
 
 #[cfg(test)]
@@ -484,9 +438,7 @@ mod tests {
         let outcome = HrmsScheduler::new()
             .schedule_loop(&g, &presets::general_purpose())
             .unwrap();
-        let (ordering, scheduling) = phase_split(&outcome);
-        assert!(ordering <= outcome.elapsed);
-        assert!(scheduling <= outcome.elapsed);
+        assert!(outcome.ordering_time <= outcome.elapsed);
     }
 
     #[test]

@@ -8,14 +8,11 @@
 //! no per-query allocation, and path search / topological sorts run on the
 //! index machinery of [`hrms_ddg::dense`] — the representation dense
 //! subgraph-extraction schedulers use to make repeated region queries scale.
-//! The public API and the deterministic (ascending node id) traversal order
-//! of the original implementation are preserved; the original itself
-//! survives as [`crate::legacy::LegacyWorkGraph`] for differential testing.
-
-use std::collections::BTreeSet;
+//! Traversal is deterministic: rows and the live set iterate in ascending
+//! node id order.
 
 use hrms_ddg::dense::DenseAdjacency;
-use hrms_ddg::{Csr, Ddg, GraphView, NodeId, NodeSet};
+use hrms_ddg::{Csr, Ddg, NodeId, NodeSet};
 
 /// A mutable directed graph over a subset of a [`Ddg`]'s nodes, supporting
 /// the *hypernode reduction* operation of the paper (Section 3.1):
@@ -126,11 +123,6 @@ impl WorkGraph {
         self.len == 0
     }
 
-    /// The live nodes, in ascending id order.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.live.to_node_ids()
-    }
-
     /// The live-node bitset (ascending iteration order).
     #[inline]
     pub fn live(&self) -> &NodeSet {
@@ -229,16 +221,6 @@ impl WorkGraph {
         true
     }
 
-    /// A read-only view of this graph that hides one node (the hypernode);
-    /// used by the path search so that paths running *through* the hypernode
-    /// are not reported.
-    pub fn without(&self, hidden: NodeId) -> HiddenNodeView<'_> {
-        HiddenNodeView {
-            graph: self,
-            hidden,
-        }
-    }
-
     /// A new work graph containing only `members` (those of them currently
     /// present) and the edges of this graph whose endpoints are both kept.
     ///
@@ -246,17 +228,6 @@ impl WorkGraph {
     /// recurrence-ordering procedure extracts the subgraph spanned by the
     /// hypernode, the next recurrence circuit and the paths connecting them,
     /// orders it in isolation, and then reduces it in the main graph.
-    pub fn restricted(&self, members: &BTreeSet<NodeId>) -> WorkGraph {
-        let mut set = NodeSet::new(self.bound);
-        for &m in members {
-            if m.index() < self.bound {
-                set.insert(m.index());
-            }
-        }
-        self.restricted_set(&set)
-    }
-
-    /// [`WorkGraph::restricted`] over a bitset of members.
     pub fn restricted_set(&self, members: &NodeSet) -> WorkGraph {
         let mut live = members.clone();
         live.intersect_with(&self.live);
@@ -285,30 +256,6 @@ impl WorkGraph {
     }
 }
 
-impl GraphView for WorkGraph {
-    fn node_bound(&self) -> usize {
-        self.bound
-    }
-
-    fn contains(&self, n: NodeId) -> bool {
-        self.live.contains(n.index())
-    }
-
-    fn successors_of(&self, n: NodeId) -> Vec<NodeId> {
-        if n.index() >= self.bound {
-            return Vec::new();
-        }
-        self.succs[n.index()].iter().map(|&t| NodeId(t)).collect()
-    }
-
-    fn predecessors_of(&self, n: NodeId) -> Vec<NodeId> {
-        if n.index() >= self.bound {
-            return Vec::new();
-        }
-        self.preds[n.index()].iter().map(|&s| NodeId(s)).collect()
-    }
-}
-
 impl DenseAdjacency for WorkGraph {
     fn node_bound(&self) -> usize {
         self.bound
@@ -331,50 +278,23 @@ impl DenseAdjacency for WorkGraph {
     }
 }
 
-/// A [`GraphView`] over a [`WorkGraph`] with one node hidden.
-#[derive(Debug, Clone, Copy)]
-pub struct HiddenNodeView<'a> {
-    graph: &'a WorkGraph,
-    hidden: NodeId,
-}
-
-impl GraphView for HiddenNodeView<'_> {
-    fn node_bound(&self) -> usize {
-        GraphView::node_bound(self.graph)
-    }
-
-    fn contains(&self, n: NodeId) -> bool {
-        n != self.hidden && self.graph.contains(n)
-    }
-
-    fn successors_of(&self, n: NodeId) -> Vec<NodeId> {
-        if n == self.hidden {
-            return Vec::new();
-        }
-        self.graph
-            .successors_of(n)
-            .into_iter()
-            .filter(|&s| s != self.hidden)
-            .collect()
-    }
-
-    fn predecessors_of(&self, n: NodeId) -> Vec<NodeId> {
-        if n == self.hidden {
-            return Vec::new();
-        }
-        self.graph
-            .predecessors_of(n)
-            .into_iter()
-            .filter(|&s| s != self.hidden)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hrms_ddg::{DdgBuilder, DepKind, OpKind};
     use std::collections::HashSet;
+
+    fn succs(wg: &WorkGraph, n: NodeId) -> Vec<NodeId> {
+        wg.succ_row(n.index()).iter().map(|&t| NodeId(t)).collect()
+    }
+
+    fn preds(wg: &WorkGraph, n: NodeId) -> Vec<NodeId> {
+        wg.pred_row(n.index()).iter().map(|&t| NodeId(t)).collect()
+    }
+
+    fn contains(wg: &WorkGraph, n: NodeId) -> bool {
+        wg.live().contains(n.index())
+    }
 
     /// a -> b -> c, a -> c
     fn triangle() -> (Ddg, Vec<NodeId>) {
@@ -394,9 +314,9 @@ mod tests {
         let (g, ids) = triangle();
         let wg = WorkGraph::new(&g, &[ids[0], ids[1]], &HashSet::new());
         assert_eq!(wg.len(), 2);
-        assert_eq!(wg.successors_of(ids[0]), vec![ids[1]]);
-        assert!(wg.successors_of(ids[1]).is_empty(), "edge to c is outside");
-        assert!(!wg.contains(ids[2]));
+        assert_eq!(succs(&wg, ids[0]), vec![ids[1]]);
+        assert!(succs(&wg, ids[1]).is_empty(), "edge to c is outside");
+        assert!(!contains(&wg, ids[2]));
     }
 
     #[test]
@@ -408,8 +328,8 @@ mod tests {
             .map(|(eid, _)| eid)
             .collect();
         let wg = WorkGraph::new(&g, &ids, &drop);
-        assert_eq!(wg.successors_of(ids[0]), vec![ids[1]]);
-        assert_eq!(wg.predecessors_of(ids[2]), vec![ids[1]]);
+        assert_eq!(succs(&wg, ids[0]), vec![ids[1]]);
+        assert_eq!(preds(&wg, ids[2]), vec![ids[1]]);
     }
 
     #[test]
@@ -419,8 +339,8 @@ mod tests {
         bld.edge(a, a, DepKind::RegFlow, 1).unwrap();
         let g = bld.build().unwrap();
         let wg = WorkGraph::new(&g, &[a], &HashSet::new());
-        assert!(wg.successors_of(a).is_empty());
-        assert!(wg.predecessors_of(a).is_empty());
+        assert!(succs(&wg, a).is_empty());
+        assert!(preds(&wg, a).is_empty());
     }
 
     #[test]
@@ -430,9 +350,9 @@ mod tests {
         let mut wg = WorkGraph::new(&g, &ids, &HashSet::new());
         wg.reduce(&[ids[1]], ids[0]);
         assert_eq!(wg.len(), 2);
-        assert_eq!(wg.successors_of(ids[0]), vec![ids[2]]);
-        assert_eq!(wg.predecessors_of(ids[2]), vec![ids[0]]);
-        assert!(!wg.contains(ids[1]));
+        assert_eq!(succs(&wg, ids[0]), vec![ids[2]]);
+        assert_eq!(preds(&wg, ids[2]), vec![ids[0]]);
+        assert!(!contains(&wg, ids[1]));
     }
 
     #[test]
@@ -442,8 +362,8 @@ mod tests {
         let (g, ids) = triangle();
         let mut wg = WorkGraph::new(&g, &ids, &HashSet::new());
         wg.reduce(&[ids[1]], ids[2]);
-        assert_eq!(wg.successors_of(ids[0]), vec![ids[2]]);
-        assert_eq!(wg.predecessors_of(ids[2]), vec![ids[0]]);
+        assert_eq!(succs(&wg, ids[0]), vec![ids[2]]);
+        assert_eq!(preds(&wg, ids[2]), vec![ids[0]]);
     }
 
     #[test]
@@ -453,8 +373,8 @@ mod tests {
         // Reducing both b and c into a leaves a alone with no self edges.
         wg.reduce(&[ids[1], ids[2]], ids[0]);
         assert_eq!(wg.len(), 1);
-        assert!(wg.successors_of(ids[0]).is_empty());
-        assert!(wg.predecessors_of(ids[0]).is_empty());
+        assert!(succs(&wg, ids[0]).is_empty());
+        assert!(preds(&wg, ids[0]).is_empty());
     }
 
     #[test]
@@ -476,25 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn hidden_view_skips_the_hypernode() {
-        let (g, ids) = triangle();
-        let wg = WorkGraph::new(&g, &ids, &HashSet::new());
-        let view = wg.without(ids[1]);
-        assert!(!view.contains(ids[1]));
-        assert!(view.successors_of(ids[0]).contains(&ids[2]));
-        assert!(!view.successors_of(ids[0]).contains(&ids[1]));
-        assert!(view.successors_of(ids[1]).is_empty());
-        assert_eq!(view.predecessors_of(ids[2]), vec![ids[0]]);
-    }
-
-    #[test]
     fn ensure_node_inserts_isolated_nodes() {
         let (g, ids) = triangle();
         let mut wg = WorkGraph::new(&g, &[ids[0]], &HashSet::new());
         assert!(wg.ensure_node(ids[2]));
         assert!(!wg.ensure_node(ids[2]));
-        assert!(wg.contains(ids[2]));
-        assert!(wg.successors_of(ids[2]).is_empty());
+        assert!(contains(&wg, ids[2]));
+        assert!(succs(&wg, ids[2]).is_empty());
     }
 
     #[test]
@@ -515,11 +423,11 @@ mod tests {
         let g = bld.build().unwrap();
         let mut wg = WorkGraph::new(&g, &g.node_ids().collect::<Vec<_>>(), &HashSet::new());
 
-        assert_eq!(wg.successors_of(a), vec![c]);
+        assert_eq!(succs(&wg, a), vec![c]);
         wg.reduce(&[c], a);
-        assert_eq!(wg.successors_of(a), vec![g_, h]);
+        assert_eq!(succs(&wg, a), vec![g_, h]);
         wg.reduce(&[g_, h], a);
-        assert_eq!(wg.predecessors_of(a), vec![d]);
+        assert_eq!(preds(&wg, a), vec![d]);
         wg.reduce(&[d], a);
         assert_eq!(wg.len(), 1);
     }
@@ -533,8 +441,8 @@ mod tests {
         keep.insert(ids[2].index());
         let sub = wg.restricted_set(&keep);
         assert_eq!(sub.len(), 2);
-        assert_eq!(sub.successors_of(ids[0]), vec![ids[2]]);
-        assert!(!sub.contains(ids[1]));
+        assert_eq!(succs(&sub, ids[0]), vec![ids[2]]);
+        assert!(!contains(&sub, ids[1]));
         // The original is untouched.
         assert_eq!(wg.len(), 3);
     }

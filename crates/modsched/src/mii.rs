@@ -1,16 +1,13 @@
 //! Minimum initiation interval: `MII = max(ResMII, RecMII)`.
 //!
 //! The Bellman-Ford cores (longest paths, positive-cycle detection, the
-//! exact RecMII binary search) live in [`hrms_ddg::analysis`] so they can
-//! run over the flat, latency-resolved edge list a [`LoopAnalysis`] caches
-//! once per loop. The free start-time functions here keep the historical
-//! `(ddg, ii)`-shaped API — each of them flattens the edge list on every
-//! call; callers holding a `LoopAnalysis` use its `earliest_starts` /
-//! `latest_starts` / `rec_mii` methods (or [`zero_slack_nodes`]) to reuse
-//! the shared cache instead.
+//! exact RecMII binary search) live in [`hrms_ddg::analysis`] so they run
+//! over the flat, latency-resolved edge list a [`LoopAnalysis`] caches once
+//! per loop; its `earliest_starts` / `latest_starts` / `rec_mii` methods
+//! (and [`zero_slack_nodes`] here) are the only entry points.
 
-use hrms_ddg::analysis::{collect_dep_edges, latest_starts_from, longest_paths};
-use hrms_ddg::{Ddg, LoopAnalysis, NodeId};
+use hrms_ddg::analysis::{latest_starts_from, longest_paths};
+use hrms_ddg::{LoopAnalysis, NodeId};
 use hrms_machine::{res_mii, Machine};
 
 use crate::error::SchedError;
@@ -66,45 +63,6 @@ impl MiiInfo {
     }
 }
 
-/// Computes the exact recurrence-constrained minimum initiation interval.
-///
-/// `RecMII` is the smallest II for which the dependence constraints
-/// `t(v) ≥ t(u) + latency(u,v) − δ(u,v)·II` admit a solution, i.e. the
-/// smallest II such that no dependence cycle has positive total weight when
-/// each edge weighs `latency − δ·II`. We find it by binary search on II,
-/// using a Bellman-Ford longest-path pass for the positive-cycle check; this
-/// is exact and does not rely on enumerating every elementary circuit.
-///
-/// Returns 0 for acyclic graphs.
-///
-/// # Errors
-///
-/// Returns [`SchedError::ZeroDistanceCycle`] if a cycle of distance zero
-/// exists (the constraint system is infeasible for every II).
-pub fn rec_mii(ddg: &Ddg) -> Result<u32, SchedError> {
-    hrms_ddg::analysis::exact_rec_mii(ddg.num_nodes(), &collect_dep_edges(ddg))
-        .ok_or(SchedError::ZeroDistanceCycle)
-}
-
-/// Latency-weighted earliest start times for a *given* II, ignoring
-/// resources: the longest-path solution of the dependence constraints. Used
-/// by the baseline schedulers as priorities and by the slack computation.
-///
-/// Returns `None` if the constraints are infeasible at this II (i.e. `ii <
-/// RecMII`).
-pub fn earliest_starts(ddg: &Ddg, ii: u32) -> Option<Vec<i64>> {
-    longest_paths(ddg.num_nodes(), &collect_dep_edges(ddg), ii)
-}
-
-/// Latest start times relative to the critical-path length `horizon`, for a
-/// given II, ignoring resources. `latest[v]` is the largest start cycle of
-/// `v` such that every transitive successor can still finish by `horizon`.
-///
-/// Returns `None` if the constraints are infeasible at this II.
-pub fn latest_starts(ddg: &Ddg, ii: u32, horizon: i64) -> Option<Vec<i64>> {
-    latest_starts_from(ddg.num_nodes(), &collect_dep_edges(ddg), ii, horizon)
-}
-
 /// Convenience: the set of nodes whose earliest and latest start coincide at
 /// `ii` (zero slack), i.e. the nodes on the binding recurrence/critical
 /// path, over a shared per-loop analysis (the cached edge list drives both
@@ -135,8 +93,12 @@ pub fn zero_slack_nodes(analysis: &LoopAnalysis<'_>, ii: u32) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrms_ddg::{DdgBuilder, DepKind, OpKind};
+    use hrms_ddg::{Ddg, DdgBuilder, DepKind, OpKind};
     use hrms_machine::presets;
+
+    fn rec_mii(g: &Ddg) -> Option<u32> {
+        LoopAnalysis::analyze(g).rec_mii()
+    }
 
     fn accumulator_loop() -> Ddg {
         // load -> mul -> acc(+), acc has a self-dependence of distance 1.
@@ -153,7 +115,7 @@ mod tests {
     #[test]
     fn acyclic_graph_has_zero_rec_mii() {
         let g = hrms_ddg::chain("c", 5, OpKind::FpAdd, 1);
-        assert_eq!(rec_mii(&g).unwrap(), 0);
+        assert_eq!(rec_mii(&g), Some(0));
         let info = MiiInfo::compute(&presets::govindarajan(), &LoopAnalysis::analyze(&g)).unwrap();
         assert_eq!(info.rec_mii, 0);
         assert_eq!(info.mii(), info.res_mii);
@@ -163,12 +125,12 @@ mod tests {
     #[test]
     fn self_loop_rec_mii_equals_latency_over_distance() {
         let g = accumulator_loop();
-        assert_eq!(rec_mii(&g).unwrap(), 1);
+        assert_eq!(rec_mii(&g), Some(1));
         let mut b = DdgBuilder::new("slow_acc");
         let acc = b.node("acc", OpKind::FpAdd, 4);
         b.edge(acc, acc, DepKind::RegFlow, 1).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(rec_mii(&g).unwrap(), 4);
+        assert_eq!(rec_mii(&g), Some(4));
     }
 
     #[test]
@@ -180,7 +142,7 @@ mod tests {
         b.edge(a, c, DepKind::RegFlow, 0).unwrap();
         b.edge(c, a, DepKind::RegFlow, 2).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(rec_mii(&g).unwrap(), 9);
+        assert_eq!(rec_mii(&g), Some(9));
     }
 
     #[test]
@@ -198,8 +160,11 @@ mod tests {
         b.edge(a, c, DepKind::RegFlow, 0).unwrap();
         b.edge(c, a, DepKind::RegFlow, 0).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(rec_mii(&g), Err(SchedError::ZeroDistanceCycle));
-        assert!(MiiInfo::compute(&presets::govindarajan(), &LoopAnalysis::analyze(&g)).is_err());
+        assert_eq!(rec_mii(&g), None);
+        assert_eq!(
+            MiiInfo::compute(&presets::govindarajan(), &LoopAnalysis::analyze(&g)),
+            Err(SchedError::ZeroDistanceCycle)
+        );
     }
 
     #[test]
@@ -238,23 +203,25 @@ mod tests {
     #[test]
     fn earliest_starts_respect_latencies() {
         let g = accumulator_loop();
-        let est = earliest_starts(&g, 1).unwrap();
+        let est = LoopAnalysis::analyze(&g).earliest_starts(1).unwrap();
         assert_eq!(est, vec![0, 2, 4]);
         // Infeasible II returns None.
         let mut b = DdgBuilder::new("tight");
         let a = b.node("a", OpKind::FpAdd, 4);
         b.edge(a, a, DepKind::RegFlow, 1).unwrap();
         let g = b.build().unwrap();
-        assert!(earliest_starts(&g, 3).is_none());
-        assert!(earliest_starts(&g, 4).is_some());
+        let la = LoopAnalysis::analyze(&g);
+        assert!(la.earliest_starts(3).is_none());
+        assert!(la.earliest_starts(4).is_some());
     }
 
     #[test]
     fn latest_starts_are_consistent_with_earliest() {
         let g = accumulator_loop();
-        let est = earliest_starts(&g, 2).unwrap();
+        let la = LoopAnalysis::analyze(&g);
+        let est = la.earliest_starts(2).unwrap();
         let horizon = 10;
-        let lst = latest_starts(&g, 2, horizon).unwrap();
+        let lst = la.latest_starts(2, horizon).unwrap();
         for i in 0..g.num_nodes() {
             assert!(lst[i] >= est[i], "slack must be non-negative");
         }

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use hrms_ddg::{Ddg, NodeId, PlacementCsr};
 use hrms_machine::Machine;
 
-use crate::mii::dependence_latency;
 use crate::mrt::ModuloReservationTable;
 use crate::schedule::Schedule;
 
@@ -22,61 +21,43 @@ const UNPLACED: i64 = i64::MIN;
 ///
 /// # Dense placement path
 ///
-/// Placed cycles live in a dense `Vec<i64>` indexed by node id (grown
-/// lazily), so `cycle_of`/`is_scheduled` are array reads instead of hash
-/// lookups. A partial schedule created with
-/// [`PartialSchedule::with_placement`] additionally holds the loop's
-/// [`PlacementCsr`] — per-node dependence arcs with precomputed
-/// [`dependence_latency`] values — and computes `Early_Start`/`Late_Start`
-/// by scanning those flat slices (`O(degree)` with no per-edge latency
-/// dispatch). Without it, the same computations walk the [`Ddg`] edge lists
-/// and resolve latencies on the fly; both paths produce identical results
-/// (pinned by the workspace differential suite).
+/// Placed cycles live in a dense `Vec<i64>` indexed by node id, so
+/// `cycle_of`/`is_scheduled` are array reads instead of hash lookups. The
+/// schedule holds the loop's [`PlacementCsr`] — per-node dependence arcs
+/// with precomputed [`hrms_ddg::dependence_latency`] values — and computes
+/// `Early_Start`/`Late_Start` by scanning those flat slices (`O(degree)`
+/// with no per-edge latency dispatch).
 #[derive(Debug, Clone)]
 pub struct PartialSchedule {
     ii: u32,
-    /// Cycle per node index, [`UNPLACED`] when absent; grown on demand.
+    /// Cycle per node index, [`UNPLACED`] when absent.
     cycles: Vec<i64>,
     /// Number of placed operations (kept incrementally).
     placed: usize,
     mrt: ModuloReservationTable,
-    /// Dense dependence arcs of the loop being scheduled, if provided.
-    /// Shared via [`Arc`]: cloning a partial schedule (the branch-and-bound
-    /// search does this on every leaf) must not copy the arc arrays.
-    arcs: Option<Arc<PlacementCsr>>,
+    /// Dense dependence arcs of the loop being scheduled. Shared via
+    /// [`Arc`]: cloning a partial schedule (the branch-and-bound search
+    /// does this on every leaf) must not copy the arc arrays.
+    arcs: Arc<PlacementCsr>,
 }
 
 impl PartialSchedule {
-    /// Creates an empty partial schedule for the given II. Start-time
-    /// bounds fall back to walking the [`Ddg`] passed to each call; prefer
-    /// [`PartialSchedule::with_placement`] on hot paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii` is 0.
-    pub fn new(machine: &Machine, ii: u32) -> Self {
-        PartialSchedule {
-            ii,
-            cycles: Vec::new(),
-            placed: 0,
-            mrt: ModuloReservationTable::new(machine, ii),
-            arcs: None,
-        }
-    }
-
-    /// Creates an empty partial schedule that computes `Early_Start` /
-    /// `Late_Start` over the given dense placement arcs (typically
-    /// `analysis.placement().clone()` from a
+    /// Creates an empty partial schedule for the given II that computes
+    /// `Early_Start` / `Late_Start` over the loop's dense placement arcs
+    /// (typically `analysis.placement().clone()` from a
     /// [`hrms_ddg::LoopAnalysis`]).
     ///
     /// # Panics
     ///
     /// Panics if `ii` is 0.
     pub fn with_placement(machine: &Machine, ii: u32, arcs: Arc<PlacementCsr>) -> Self {
-        let mut ps = PartialSchedule::new(machine, ii);
-        ps.cycles = vec![UNPLACED; arcs.node_bound()];
-        ps.arcs = Some(arcs);
-        ps
+        PartialSchedule {
+            ii,
+            cycles: vec![UNPLACED; arcs.node_bound()],
+            placed: 0,
+            mrt: ModuloReservationTable::new(machine, ii),
+            arcs,
+        }
     }
 
     /// The initiation interval being scheduled for.
@@ -106,13 +87,10 @@ impl PartialSchedule {
         }
     }
 
-    /// Records `cycle` for `node`, growing the dense array as needed.
+    /// Records `cycle` for `node`.
     #[inline]
     fn set_cycle(&mut self, node: NodeId, cycle: i64) {
         let i = node.index();
-        if i >= self.cycles.len() {
-            self.cycles.resize(i + 1, UNPLACED);
-        }
         debug_assert_eq!(self.cycles[i], UNPLACED, "node {node} placed twice");
         self.cycles[i] = cycle;
         self.placed += 1;
@@ -161,31 +139,17 @@ impl PartialSchedule {
     /// `max over scheduled predecessors v of t(v) + λ(v) − δ(v,u)·II`.
     ///
     /// Returns `None` when no predecessor has been scheduled. `O(in-degree)`
-    /// over the dense arc slice when the schedule was created with
-    /// [`PartialSchedule::with_placement`]; otherwise walks `ddg.in_edges`.
-    pub fn early_start(&self, ddg: &Ddg, u: NodeId) -> Option<i64> {
+    /// over the dense arc slice (self-dependences excluded: they only bound
+    /// the II, never a placement).
+    pub fn early_start(&self, u: NodeId) -> Option<i64> {
         let ii = i64::from(self.ii);
         let mut best: Option<i64> = None;
-        if let Some(arcs) = &self.arcs {
-            for a in arcs.in_arcs(u.index()) {
-                let Some(tv) = self.cycle_at(a.other as usize) else {
-                    continue;
-                };
-                let bound = tv + i64::from(a.latency) - i64::from(a.distance) * ii;
-                best = Some(best.map_or(bound, |b: i64| b.max(bound)));
-            }
-        } else {
-            for (_, e) in ddg.in_edges(u) {
-                if e.source() == u {
-                    continue; // self-dependences only bound II, not placement
-                }
-                let Some(tv) = self.cycle_of(e.source()) else {
-                    continue;
-                };
-                let bound =
-                    tv + i64::from(dependence_latency(ddg, e)) - i64::from(e.distance()) * ii;
-                best = Some(best.map_or(bound, |b: i64| b.max(bound)));
-            }
+        for a in self.arcs.in_arcs(u.index()) {
+            let Some(tv) = self.cycle_at(a.other as usize) else {
+                continue;
+            };
+            let bound = tv + i64::from(a.latency) - i64::from(a.distance) * ii;
+            best = Some(best.map_or(bound, |b: i64| b.max(bound)));
         }
         best
     }
@@ -194,31 +158,16 @@ impl PartialSchedule {
     /// `min over scheduled successors v of t(v) − λ(u) + δ(u,v)·II`.
     ///
     /// Returns `None` when no successor has been scheduled. `O(out-degree)`
-    /// over the dense arc slice when the schedule was created with
-    /// [`PartialSchedule::with_placement`]; otherwise walks `ddg.out_edges`.
-    pub fn late_start(&self, ddg: &Ddg, u: NodeId) -> Option<i64> {
+    /// over the dense arc slice.
+    pub fn late_start(&self, u: NodeId) -> Option<i64> {
         let ii = i64::from(self.ii);
         let mut best: Option<i64> = None;
-        if let Some(arcs) = &self.arcs {
-            for a in arcs.out_arcs(u.index()) {
-                let Some(tv) = self.cycle_at(a.other as usize) else {
-                    continue;
-                };
-                let bound = tv - i64::from(a.latency) + i64::from(a.distance) * ii;
-                best = Some(best.map_or(bound, |b: i64| b.min(bound)));
-            }
-        } else {
-            for (_, e) in ddg.out_edges(u) {
-                if e.target() == u {
-                    continue;
-                }
-                let Some(tv) = self.cycle_of(e.target()) else {
-                    continue;
-                };
-                let bound =
-                    tv - i64::from(dependence_latency(ddg, e)) + i64::from(e.distance()) * ii;
-                best = Some(best.map_or(bound, |b: i64| b.min(bound)));
-            }
+        for a in self.arcs.out_arcs(u.index()) {
+            let Some(tv) = self.cycle_at(a.other as usize) else {
+                continue;
+            };
+            let bound = tv - i64::from(a.latency) + i64::from(a.distance) * ii;
+            best = Some(best.map_or(bound, |b: i64| b.min(bound)));
         }
         best
     }
@@ -319,6 +268,11 @@ mod tests {
     use hrms_ddg::{DdgBuilder, DepKind, OpKind};
     use hrms_machine::presets;
 
+    /// An empty partial schedule over `g`'s placement arcs.
+    fn partial(g: &Ddg, m: &Machine, ii: u32) -> PartialSchedule {
+        PartialSchedule::with_placement(m, ii, Arc::new(PlacementCsr::from_graph(g)))
+    }
+
     fn simple() -> (Ddg, Vec<NodeId>) {
         // a -> b (flow, dist 0), b -> c (flow, dist 1)
         let mut bld = DdgBuilder::new("p");
@@ -335,26 +289,26 @@ mod tests {
     fn early_start_uses_latency_and_distance() {
         let (g, ids) = simple();
         let m = presets::govindarajan();
-        let mut ps = PartialSchedule::new(&m, 2);
-        assert!(ps.early_start(&g, ids[1]).is_none());
+        let mut ps = partial(&g, &m, 2);
+        assert!(ps.early_start(ids[1]).is_none());
         ps.place_at(&g, &m, ids[0], 0);
-        assert_eq!(ps.early_start(&g, ids[1]), Some(2), "t(a) + λ(a)");
+        assert_eq!(ps.early_start(ids[1]), Some(2), "t(a) + λ(a)");
         ps.place_at(&g, &m, ids[1], 2);
         // c depends on b with distance 1: early start = 2 + 2 - 1*2 = 2.
-        assert_eq!(ps.early_start(&g, ids[2]), Some(2));
+        assert_eq!(ps.early_start(ids[2]), Some(2));
     }
 
     #[test]
     fn late_start_mirrors_early_start() {
         let (g, ids) = simple();
         let m = presets::govindarajan();
-        let mut ps = PartialSchedule::new(&m, 2);
+        let mut ps = partial(&g, &m, 2);
         ps.place_at(&g, &m, ids[2], 6);
         // b must finish before c (+ distance 1): late = 6 - 2 + 2 = 6.
-        assert_eq!(ps.late_start(&g, ids[1]), Some(6));
+        assert_eq!(ps.late_start(ids[1]), Some(6));
         ps.place_at(&g, &m, ids[1], 4);
-        assert_eq!(ps.late_start(&g, ids[0]), Some(2));
-        assert!(ps.late_start(&g, ids[2]).is_none());
+        assert_eq!(ps.late_start(ids[0]), Some(2));
+        assert!(ps.late_start(ids[2]).is_none());
     }
 
     #[test]
@@ -364,17 +318,17 @@ mod tests {
         bld.edge(a, a, DepKind::RegFlow, 1).unwrap();
         let g = bld.build().unwrap();
         let m = presets::govindarajan();
-        let mut ps = PartialSchedule::new(&m, 1);
+        let mut ps = partial(&g, &m, 1);
         ps.place_at(&g, &m, a, 0);
-        assert_eq!(ps.early_start(&g, a), None);
-        assert_eq!(ps.late_start(&g, a), None);
+        assert_eq!(ps.early_start(a), None);
+        assert_eq!(ps.late_start(a), None);
     }
 
     #[test]
     fn forward_scan_skips_busy_slots() {
         let (g, ids) = simple();
         let m = presets::govindarajan();
-        let mut ps = PartialSchedule::new(&m, 2);
+        let mut ps = partial(&g, &m, 2);
         // Fill the load/store unit's slot 0 with node a.
         assert_eq!(ps.place_forward(&g, &m, ids[0], 0, 2), Some(0));
         // b is a multiply: unaffected, goes at its requested cycle.
@@ -392,7 +346,7 @@ mod tests {
         let l1 = bld.node("l1", OpKind::Load, 2);
         let l2 = bld.node("l2", OpKind::Load, 2);
         let g = bld.build().unwrap();
-        let mut ps = PartialSchedule::new(&m, 2);
+        let mut ps = partial(&g, &m, 2);
         assert!(ps.place_forward(&g, &m, l0, 0, 2).is_some());
         assert!(ps.place_forward(&g, &m, l1, 0, 2).is_some());
         assert!(
@@ -408,7 +362,7 @@ mod tests {
         let first = bld.node("first", OpKind::Load, 2);
         let extra = bld.node("extra", OpKind::Load, 2);
         let g = bld.build().unwrap();
-        let mut ps = PartialSchedule::new(&m, 2);
+        let mut ps = partial(&g, &m, 2);
         assert_eq!(ps.place_backward(&g, &m, first, 5, 2), Some(5));
         // Second load: slot 5 mod 2 = 1 is taken, so it lands on 4.
         assert_eq!(ps.place_backward(&g, &m, extra, 5, 2), Some(4));
@@ -418,7 +372,7 @@ mod tests {
     fn unplace_restores_resources() {
         let (g, ids) = simple();
         let m = presets::govindarajan();
-        let mut ps = PartialSchedule::new(&m, 1);
+        let mut ps = partial(&g, &m, 1);
         assert!(ps.place_at(&g, &m, ids[0], 0));
         assert!(!ps.place_at(&g, &m, ids[0], 1), "already placed");
         assert!(ps.unplace(ids[0]));
@@ -430,7 +384,7 @@ mod tests {
     fn into_schedule_collects_all_cycles() {
         let (g, ids) = simple();
         let m = presets::govindarajan();
-        let mut ps = PartialSchedule::new(&m, 2);
+        let mut ps = partial(&g, &m, 2);
         ps.place_at(&g, &m, ids[0], 0);
         ps.place_at(&g, &m, ids[1], 2);
         ps.place_at(&g, &m, ids[2], 4);
@@ -440,32 +394,26 @@ mod tests {
     }
 
     #[test]
-    fn dense_placement_matches_ddg_walking_bounds() {
+    fn unplacing_a_node_drops_the_bounds_it_imposed() {
         let (g, ids) = simple();
         let m = presets::govindarajan();
-        let arcs = std::sync::Arc::new(hrms_ddg::PlacementCsr::from_graph(&g));
-        let mut dense = PartialSchedule::with_placement(&m, 2, arcs);
-        let mut sparse = PartialSchedule::new(&m, 2);
+        let mut ps = partial(&g, &m, 2);
         for (u, c) in [(ids[0], 0i64), (ids[2], 6)] {
-            assert!(dense.place_at(&g, &m, u, c));
-            assert!(sparse.place_at(&g, &m, u, c));
+            assert!(ps.place_at(&g, &m, u, c));
         }
-        for &u in &ids {
-            assert_eq!(dense.early_start(&g, u), sparse.early_start(&g, u));
-            assert_eq!(dense.late_start(&g, u), sparse.late_start(&g, u));
-            assert_eq!(dense.cycle_of(u), sparse.cycle_of(u));
-        }
-        assert_eq!(dense.len(), 2);
-        assert!(dense.unplace(ids[2]));
-        assert_eq!(dense.len(), 1);
-        assert_eq!(dense.late_start(&g, ids[1]), None);
+        assert_eq!(ps.early_start(ids[1]), Some(2));
+        assert_eq!(ps.late_start(ids[1]), Some(6));
+        assert_eq!(ps.len(), 2);
+        assert!(ps.unplace(ids[2]));
+        assert_eq!(ps.len(), 1);
+        assert_eq!(ps.late_start(ids[1]), None);
     }
 
     #[test]
     fn placements_iterate_in_node_order() {
         let (g, ids) = simple();
         let m = presets::govindarajan();
-        let mut ps = PartialSchedule::new(&m, 2);
+        let mut ps = partial(&g, &m, 2);
         ps.place_at(&g, &m, ids[2], 4);
         ps.place_at(&g, &m, ids[0], 0);
         let got: Vec<(NodeId, i64)> = ps.placements().collect();
@@ -477,7 +425,7 @@ mod tests {
     fn into_schedule_panics_on_missing_nodes() {
         let (g, ids) = simple();
         let m = presets::govindarajan();
-        let mut ps = PartialSchedule::new(&m, 2);
+        let mut ps = partial(&g, &m, 2);
         ps.place_at(&g, &m, ids[0], 0);
         let _ = ps.into_schedule(&g);
     }

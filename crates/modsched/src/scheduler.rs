@@ -131,10 +131,10 @@ pub struct ScheduleOutcome {
     pub ordering_time: Duration,
     /// Whether the recurrence analysis feeding the scheduler was truncated
     /// (a circuit-enumeration budget was hit), silently degrading the
-    /// ordering's recurrence priority. Always `false` for schedulers on the
-    /// default enumeration-free recurrence path; surfaced so harnesses can
-    /// flag results whose pre-ordering ran on partial recurrence
-    /// information instead of hiding the degradation.
+    /// ordering's recurrence priority. Always `false`: every scheduler
+    /// reads the enumeration-free recurrence analysis, which cannot
+    /// truncate. The field stays so that code replicating a scheduler's
+    /// driver can still pass a flag through.
     pub recurrence_truncated: bool,
     /// Machine-readable record of the feedback-guided rescheduling run that
     /// produced this schedule; `None` for one-shot schedulers. Attached by

@@ -14,8 +14,8 @@
 //!   one record per loop × machine cell, loop-major in input order, no
 //!   matter how the cells were interleaved across the worker pool.
 //! * **Each loop is analysed once per request.** All machines a request
-//!   names share one [`hrms_ddg::LoopCore`] per loop; only the cheap
-//!   per-machine overlay differs between cells.
+//!   names share one [`hrms_ddg::LoopCore`] per loop; only the
+//!   resource-dependent placement differs between cells.
 //! * **Each distinct loop is paid for once.** Results are cached under
 //!   the content-addressed [`hrms_ddg::cache_key`]; duplicate entries —
 //!   within one batch or across requests — are served from cache, and

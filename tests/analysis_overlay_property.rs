@@ -1,4 +1,4 @@
-//! Property suite for the core/overlay analysis split: scheduling a loop
+//! Property suite for the shared analysis core: scheduling a loop
 //! through a shared [`LoopCore`] must be indistinguishable — byte for
 //! byte — from scheduling it from scratch, on every machine preset, and
 //! the machine-independent analysis must run exactly once per loop no
@@ -94,10 +94,10 @@ fn overlay_analysis_fingerprints_match_from_scratch_analysis() {
     }
 }
 
-// The differential verify features run extra analyses (legacy pre-order
-// cross-checks, circuit-enumeration oracles) that move the instrumentation
-// counters, so the exact once-per-loop pin only holds in the default build.
-#[cfg(not(any(feature = "verify-dense", feature = "verify-recurrence")))]
+// The verify-recurrence feature runs an extra circuit-enumeration oracle
+// that moves the instrumentation counters, so the exact once-per-loop pin
+// only holds in the default build.
+#[cfg(not(feature = "verify-recurrence"))]
 #[test]
 fn the_machine_independent_analysis_runs_once_per_loop_across_all_presets() {
     use hrms_repro::ddg::instrument;

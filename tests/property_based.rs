@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use hrms_repro::ddg::LoopAnalysis;
-use hrms_repro::hrms::{pre_order, preorder::backward_edges};
+use hrms_repro::hrms::pre_order;
 use hrms_repro::prelude::*;
 use hrms_repro::workloads::GeneratorConfig;
 
@@ -79,8 +79,9 @@ proptest! {
         size in 3usize..40,
     ) {
         let ddg = generated_loop(seed, size, true);
-        let dropped = backward_edges(&ddg);
-        let order = pre_order(&LoopAnalysis::analyze(&ddg)).order;
+        let la = LoopAnalysis::analyze(&ddg);
+        let dropped = la.backward_edges();
+        let order = pre_order(&la).order;
         let mut placed: HashSet<NodeId> = HashSet::new();
         for &n in &order {
             let mut preds_in = false;

@@ -10,7 +10,8 @@
 //!    multi-component merges and the interleaved-recurrence suite, the
 //!    SCC-derived recurrence groups are **exactly interchangeable** with
 //!    Johnson's circuit enumeration — identical subgraphs, identical
-//!    simplified node lists, identical pre-orderings, with the
+//!    simplified node lists, identical ranked recurrence lists fed to the
+//!    pre-ordering (whose output the golden pre-order pins freeze), with the
 //!    multi-backward-edge coarsening *counted and proven zero* (the old
 //!    "1 in 200" documented exception is gone). Circuits threading three
 //!    or more backward edges (absent from those corpora; present in the
@@ -39,7 +40,7 @@ use hrms_repro::ddg::{
     scc, CycleRatios, Ddg, DdgBuilder, IncrementalStarts, LoopAnalysis, NodeId, RecurrenceGroups,
     RecurrenceInfo,
 };
-use hrms_repro::hrms::{pre_order, pre_order_legacy, HrmsScheduler};
+use hrms_repro::hrms::{pre_order, HrmsScheduler};
 use hrms_repro::machine::presets;
 use hrms_repro::modsched::{validate_schedule, ModuloScheduler};
 use hrms_repro::workloads::{reference24, synthetic, GeneratorConfig, LoopGenerator};
@@ -92,24 +93,24 @@ fn check_against_enumeration(g: &Ddg) -> Option<CrossCheckReport> {
 }
 
 /// Asserts that `g`'s analyses are exactly interchangeable with the
-/// enumeration **and** that the two pre-ordering paths are byte-identical
-/// — the end-to-end form of "the cycle-ratio ranking matches Johnson's
-/// ordering". Returns the report for corpus-wide accounting.
-fn assert_exact_and_order_identical(g: &Ddg) -> CrossCheckReport {
+/// enumeration, down to the pre-ordering's entire input: the ranked
+/// recurrence lists built once from the groups and once from Johnson's
+/// circuits must match ([`CrossCheckReport::ordering_match`]) — the form
+/// of "the cycle-ratio ranking matches Johnson's ordering" that needs no
+/// second pre-ordering implementation. (The orderings themselves are
+/// pinned in `tests/golden/preorder_fingerprints.txt`.) Returns the report
+/// for corpus-wide accounting.
+fn assert_exact_and_ordering_match(g: &Ddg) -> CrossCheckReport {
     let report = check_against_enumeration(g)
         .unwrap_or_else(|| panic!("`{}`: enumeration truncated", g.name()));
     assert!(
-        report.is_exact(),
-        "`{}`: coarsening left over: {report:?}",
+        report.ordering_match,
+        "`{}`: cycle-ratio ranking diverges from Johnson's ordering: {report:?}",
         g.name()
     );
-    let dense = pre_order(&hrms_repro::ddg::LoopAnalysis::analyze(g));
-    let legacy = pre_order_legacy(g);
-    assert!(!legacy.truncated, "`{}`: legacy budget hit", g.name());
-    assert_eq!(
-        dense,
-        legacy,
-        "`{}`: cycle-ratio ranking diverges from Johnson's ordering",
+    assert!(
+        report.is_exact(),
+        "`{}`: coarsening left over: {report:?}",
         g.name()
     );
     report
@@ -170,7 +171,7 @@ fn assert_full_coverage(g: &Ddg, groups: &RecurrenceGroups) {
 #[test]
 fn reference24_grouping_matches_the_enumeration_exactly() {
     for g in reference24::all() {
-        let report = assert_exact_and_order_identical(&g);
+        let report = assert_exact_and_ordering_match(&g);
         assert_eq!(
             report.interleaved_subgraphs, 0,
             "every reference loop is in the single-backward-edge regime"
@@ -181,8 +182,8 @@ fn reference24_grouping_matches_the_enumeration_exactly() {
 #[test]
 fn generated_corpus_has_no_coarsening_carve_out() {
     // The acceptance bar of the cycle-ratio analysis: the grouping, the
-    // simplified node lists AND the pre-ordering match Johnson's
-    // enumeration on every corpus loop — including the interleaved
+    // simplified node lists AND the pre-ordering's ranked input match
+    // Johnson's enumeration on every corpus loop — including the interleaved
     // multi-backward-edge one that used to be the "1 in 200" documented
     // exception. The coarsening statistic must come out exactly zero.
     let mut checked = 0usize;
@@ -195,7 +196,7 @@ fn generated_corpus_has_no_coarsening_carve_out() {
         let size = 4 + (seed as usize * 7) % 44;
         for rec_prob in [0.0, 0.8] {
             let g = generated(seed, size, rec_prob, 0);
-            let report = assert_exact_and_order_identical(&g);
+            let report = assert_exact_and_ordering_match(&g);
             interleaved_loops += usize::from(report.interleaved_subgraphs > 0);
             total.absorb(&report);
             checked += 1;
@@ -215,9 +216,9 @@ fn interleaved_suite_matches_johnson_ordering_exactly() {
     // Loops that *force* circuits threading two backward edges — the
     // regime the pre-cycle-ratio analysis coarsened into one residual
     // group per SCC. Grouping, node lists, per-subgraph RecMII and the
-    // full pre-ordering must now all match the enumeration.
+    // pre-ordering's ranked input must now all match the enumeration.
     for g in synthetic::interleaved_recurrence_suite() {
-        let report = assert_exact_and_order_identical(&g);
+        let report = assert_exact_and_ordering_match(&g);
         assert!(
             report.interleaved_subgraphs > 0,
             "`{}` must contain a multi-backward-edge subgraph",
@@ -233,7 +234,7 @@ fn multi_component_grouping_matches_the_enumeration() {
         let a = generated(seed, 6 + (seed as usize % 20), 0.7, 0);
         let b = generated(seed + 1000, 4 + (seed as usize % 14), 0.0, 0);
         let g = merged(&a, &b);
-        assert_exact_and_order_identical(&g);
+        assert_exact_and_ordering_match(&g);
     }
 }
 
@@ -391,7 +392,7 @@ fn recurrence_heavy_suite_needs_no_budget_while_the_enumeration_truncates() {
         );
 
         // And the pre-ordering built on the groups is a valid permutation.
-        let p = pre_order(&hrms_repro::ddg::LoopAnalysis::analyze(&g));
+        let p = pre_order(&LoopAnalysis::analyze(&g));
         assert!(!p.truncated);
         let mut sorted = p.order.clone();
         sorted.sort();
@@ -417,10 +418,10 @@ fn recurrence_heavy_loop_schedules_end_to_end() {
 }
 
 #[test]
-fn legacy_preordering_surfaces_enumeration_truncation() {
-    // A dense SCC past the default circuit budget: the legacy (Johnson)
-    // path must report the truncation it used to swallow, while the dense
-    // path has nothing to truncate.
+fn johnson_truncates_on_k9_while_hrms_orders_and_schedules_cleanly() {
+    // A dense SCC past the default circuit budget: Johnson's enumeration
+    // truncates, while the pre-ordering and the scheduler, which read the
+    // enumeration-free groups, have nothing to truncate.
     let mut bld = DdgBuilder::new("k9");
     let ids: Vec<NodeId> = (0..9)
         .map(|i| bld.node(format!("n{i}"), hrms_repro::ddg::OpKind::FpAdd, 1))
@@ -434,14 +435,17 @@ fn legacy_preordering_surfaces_enumeration_truncation() {
         }
     }
     let g = bld.build().unwrap();
-    let legacy = pre_order_legacy(&g);
-    assert!(legacy.truncated, "K9 has ~125k elementary circuits");
-    let dense = pre_order(&hrms_repro::ddg::LoopAnalysis::analyze(&g));
-    assert!(!dense.truncated);
-    assert_eq!(dense.order.len(), g.num_nodes());
+    assert!(
+        RecurrenceInfo::analyze(&g).truncated,
+        "K9 has ~125k elementary circuits"
+    );
+    let p = pre_order(&LoopAnalysis::analyze(&g));
+    assert!(!p.truncated);
+    let mut sorted = p.order.clone();
+    sorted.sort();
+    sorted.dedup();
+    assert_eq!(sorted.len(), g.num_nodes());
 
-    // The truncation flows through to the scheduler outcome only via the
-    // legacy analysis; the default scheduler reports a clean run.
     let m = presets::govindarajan();
     let outcome = HrmsScheduler::new().schedule_loop(&g, &m).unwrap();
     assert!(!outcome.recurrence_truncated);
