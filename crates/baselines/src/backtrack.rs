@@ -15,6 +15,13 @@ use hrms_ddg::{Ddg, LoopAnalysis, NodeId, PerIiStarts, PlacementCsr};
 use hrms_machine::Machine;
 use hrms_modsched::{PartialSchedule, Schedule};
 
+/// The per-II placement budget of the Slack and Iterative schedulers:
+/// `min(50·|V| + 200, 200 000)` placements. Huff bounds the placements of
+/// one II attempt to a small multiple of the operation count.
+pub fn placement_budget(ddg: &Ddg) -> u64 {
+    (50 * ddg.num_nodes() as u64 + 200).min(200_000)
+}
+
 /// Which heuristic drives node selection and placement direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flavor {

@@ -10,23 +10,18 @@
 
 use hrms_ddg::LoopAnalysis;
 use hrms_machine::Machine;
-use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome, SchedulerConfig};
+use hrms_modsched::{escalate_ii, ModuloScheduler, Perturbation, SchedError, ScheduleOutcome};
 
-use crate::common::{
-    boost_order, bottomup_order, escalate_ii, schedule_directional_at_ii, Direction,
-};
+use crate::common::{boost_order, bottomup_order, schedule_directional_at_ii, Direction};
 
 /// Bottom-Up (ALAP) modulo scheduler.
 #[derive(Debug, Clone, Default)]
-pub struct BottomUpScheduler {
-    /// Shared scheduler configuration.
-    pub config: SchedulerConfig,
-}
+pub struct BottomUpScheduler;
 
 impl BottomUpScheduler {
-    /// Creates a Bottom-Up scheduler with default configuration.
+    /// Creates a Bottom-Up scheduler.
     pub fn new() -> Self {
-        Self::default()
+        BottomUpScheduler
     }
 }
 
@@ -43,8 +38,8 @@ impl ModuloScheduler for BottomUpScheduler {
     ) -> Result<ScheduleOutcome, SchedError> {
         let mut order = bottomup_order(analysis.ddg());
         boost_order(&mut order, perturbation);
-        escalate_ii(analysis, machine, &self.config, |ii, _, la, _starts| {
-            schedule_directional_at_ii(la, machine, &order, ii, Direction::BottomUp)
+        escalate_ii(analysis, machine, |ii, _| {
+            schedule_directional_at_ii(analysis, machine, &order, ii, Direction::BottomUp)
         })
     }
 }

@@ -1,13 +1,12 @@
-//! Shared machinery of the baseline schedulers: priority orders, the
-//! II-escalation driver, and directional (top-down / bottom-up) placement.
+//! Shared machinery of the baseline schedulers: priority orders and
+//! directional (top-down / bottom-up) placement. The II-escalation driver
+//! they run through is [`hrms_modsched::escalate_ii`].
 
-use std::time::Instant;
+use std::cmp::Reverse;
 
-use hrms_ddg::{Ddg, LoopAnalysis, NodeId, PerIiStarts, TopoLevels};
+use hrms_ddg::{Ddg, LoopAnalysis, NodeId, TopoLevels};
 use hrms_machine::Machine;
-use hrms_modsched::{
-    MiiInfo, PartialSchedule, Perturbation, SchedError, Schedule, ScheduleOutcome, SchedulerConfig,
-};
+use hrms_modsched::{PartialSchedule, Perturbation, Schedule};
 
 /// Direction of a one-pass list scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,40 +21,28 @@ pub enum Direction {
 /// latency-weighted longest path from any source), breaking ties by larger
 /// height (more critical first) and finally program order. All a node's
 /// intra-iteration predecessors precede it in this order.
+///
+/// An invalid (zero-distance-cyclic) graph has no levels and keeps program
+/// order. That order is never used: [`hrms_modsched::escalate_ii`] rejects
+/// such a loop at the MII, before any attempt.
 pub fn topdown_order(ddg: &Ddg) -> Vec<NodeId> {
-    let levels = TopoLevels::compute(ddg).unwrap_or_else(|_| {
-        // Invalid (zero-distance-cyclic) graphs are rejected later by the
-        // MII computation; fall back to program order so ordering never
-        // fails.
-        TopoLevels::compute(&trivial_copy(ddg)).expect("trivial graph is acyclic")
-    });
     let mut order: Vec<NodeId> = ddg.node_ids().collect();
-    order.sort_by_key(|&n| {
-        (
-            levels.depth(n),
-            std::cmp::Reverse(levels.height(n)),
-            n.index(),
-        )
-    });
+    if let Ok(levels) = TopoLevels::compute(ddg) {
+        order.sort_by_key(|&n| (levels.depth(n), Reverse(levels.height(n)), n.index()));
+    }
     order
 }
 
 /// The node order used by the Bottom-Up scheduler: by increasing height (the
 /// latency-weighted longest path to any sink), i.e. sinks first, breaking
 /// ties by larger depth and finally program order. All a node's
-/// intra-iteration successors precede it in this order.
+/// intra-iteration successors precede it in this order. Invalid graphs keep
+/// program order, as in [`topdown_order`].
 pub fn bottomup_order(ddg: &Ddg) -> Vec<NodeId> {
-    let levels = TopoLevels::compute(ddg).unwrap_or_else(|_| {
-        TopoLevels::compute(&trivial_copy(ddg)).expect("trivial graph is acyclic")
-    });
     let mut order: Vec<NodeId> = ddg.node_ids().collect();
-    order.sort_by_key(|&n| {
-        (
-            levels.height(n),
-            std::cmp::Reverse(levels.depth(n)),
-            n.index(),
-        )
-    });
+    if let Ok(levels) = TopoLevels::compute(ddg) {
+        order.sort_by_key(|&n| (levels.height(n), Reverse(levels.depth(n)), n.index()));
+    }
     order
 }
 
@@ -66,18 +53,7 @@ pub fn bottomup_order(ddg: &Ddg) -> Vec<NodeId> {
 /// so the identity perturbation leaves the order untouched — the guarantee
 /// `feedback`-wrapped baselines rely on for their attempt-0 baseline.
 pub fn boost_order(order: &mut [NodeId], perturbation: &Perturbation) {
-    order.sort_by_key(|&n| std::cmp::Reverse(perturbation.boost_of(n)));
-}
-
-/// A copy of `ddg` with every edge removed — used only as a fallback when the
-/// level computation rejects an invalid graph (those graphs are rejected by
-/// the MII computation before scheduling anyway).
-fn trivial_copy(ddg: &Ddg) -> Ddg {
-    let mut b = hrms_ddg::DdgBuilder::new(ddg.name());
-    for (_, n) in ddg.nodes() {
-        b.node(n.name(), n.kind(), n.latency());
-    }
-    b.build().expect("node-only copy of a valid graph")
+    order.sort_by_key(|&n| Reverse(perturbation.boost_of(n)));
 }
 
 /// One pass of directional list scheduling at a fixed II, over the loop's
@@ -127,73 +103,6 @@ pub fn schedule_directional_at_ii(
         placed?;
     }
     Some(partial.into_schedule(ddg))
-}
-
-/// The II-escalation driver shared by every baseline: computes the MII
-/// from the loop's analysis, then tries
-/// `attempt(ii, mii, analysis, &mut starts)` for II = MII, MII+1, ... up
-/// to the configured cap. The analysis handed to every attempt carries the
-/// dense placement arcs and the cached dependence-edge list (shared across
-/// machines when the caller built it over a shared `LoopCore`), and the
-/// [`PerIiStarts`] cache updates the resource-free earliest/latest start
-/// times **incrementally** from one II to the next (the loop-carried edge
-/// weights shift by one per unit of distance), so per-II passes neither
-/// rebuild per-loop structures nor rerun the Bellman-Ford passes from
-/// scratch.
-pub fn escalate_ii<F>(
-    analysis: &LoopAnalysis<'_>,
-    machine: &Machine,
-    config: &SchedulerConfig,
-    mut attempt: F,
-) -> Result<ScheduleOutcome, SchedError>
-where
-    F: FnMut(u32, MiiInfo, &LoopAnalysis<'_>, &mut PerIiStarts) -> Option<Schedule>,
-{
-    let start = Instant::now();
-    let ddg = analysis.ddg();
-    let mii = MiiInfo::compute(machine, analysis)?;
-    // Under the verify-recurrence feature, every loop the escalation
-    // driver schedules also cross-checks the cycle-ratio analysis against
-    // the exact scheduling RecMII: the paper-metric per-node maximum
-    // (operation-latency sums) can never undershoot the
-    // dependence-latency bound the MII is built from, and the two agree
-    // exactly on flow-only recurrences.
-    #[cfg(feature = "verify-recurrence")]
-    {
-        let bound = analysis.cycle_ratios().rec_mii_lower_bound();
-        let exact = analysis.rec_mii().map_or(u64::MAX, u64::from);
-        assert!(
-            bound >= exact,
-            "`{}`: cycle-ratio bound {bound} undershoots the exact RecMII {exact}",
-            ddg.name()
-        );
-    }
-    let max_ii = config.effective_max_ii(ddg, mii.mii());
-    if max_ii < mii.mii() {
-        return Err(SchedError::NoValidSchedule {
-            max_ii_tried: max_ii,
-        });
-    }
-    let mut starts = PerIiStarts::new();
-    let mut attempts = 0;
-    let mut ii = mii.mii();
-    loop {
-        attempts += 1;
-        if let Some(schedule) = attempt(ii, mii, analysis, &mut starts) {
-            return Ok(ScheduleOutcome::new(
-                ddg,
-                schedule,
-                mii,
-                attempts,
-                start.elapsed(),
-                std::time::Duration::ZERO,
-            ));
-        }
-        if ii >= max_ii {
-            return Err(SchedError::NoValidSchedule { max_ii_tried: ii });
-        }
-        ii += 1;
-    }
 }
 
 #[cfg(test)]
@@ -273,35 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn escalation_stops_at_the_cap() {
-        let g = diamond();
-        let m = presets::govindarajan();
-        let config = SchedulerConfig {
-            max_ii: Some(3),
-            ..SchedulerConfig::default()
-        };
-        // An attempt that always fails must exhaust the cap.
-        let la = LoopAnalysis::analyze(&g);
-        let err = escalate_ii(&la, &m, &config, |_, _, _, _| None).unwrap_err();
-        assert_eq!(err, SchedError::NoValidSchedule { max_ii_tried: 3 });
-    }
-
-    #[test]
-    fn escalation_reports_attempts() {
-        let g = diamond();
-        let m = presets::govindarajan();
-        let config = SchedulerConfig::default();
-        let order = topdown_order(&g);
-        let la = LoopAnalysis::analyze(&g);
-        let outcome = escalate_ii(&la, &m, &config, |ii, _, la, _starts| {
-            if ii < 4 {
-                None
-            } else {
-                schedule_directional_at_ii(la, &m, &order, ii, Direction::TopDown)
-            }
-        })
-        .unwrap();
-        assert_eq!(outcome.metrics.ii, 4);
-        assert_eq!(outcome.attempts, 3, "II 2 and 3 failed, 4 succeeded");
+    fn invalid_graphs_keep_program_order() {
+        let mut b = DdgBuilder::new("bad");
+        let a = b.node("a", OpKind::FpAdd, 1);
+        let c = b.node("c", OpKind::FpMul, 2);
+        b.edge(a, c, DepKind::RegFlow, 0).unwrap();
+        b.edge(c, a, DepKind::RegFlow, 0).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(topdown_order(&g), [a, c]);
+        assert_eq!(bottomup_order(&g), [a, c]);
     }
 }

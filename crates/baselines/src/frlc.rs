@@ -21,21 +21,18 @@
 use hrms_ddg::{LoopAnalysis, NodeId, PerIiStarts};
 use hrms_machine::Machine;
 use hrms_modsched::{
-    validate_schedule, ModuloScheduler, PartialSchedule, Perturbation, SchedError, Schedule,
-    ScheduleOutcome, SchedulerConfig,
+    escalate_ii, validate_schedule, ModuloScheduler, PartialSchedule, Perturbation, SchedError,
+    Schedule, ScheduleOutcome,
 };
 
 /// FRLC-style decomposed software-pipelining scheduler.
 #[derive(Debug, Clone, Default)]
-pub struct FrlcScheduler {
-    /// Shared scheduler configuration.
-    pub config: SchedulerConfig,
-}
+pub struct FrlcScheduler;
 
 impl FrlcScheduler {
-    /// Creates an FRLC-style scheduler with default configuration.
+    /// Creates an FRLC-style scheduler.
     pub fn new() -> Self {
-        Self::default()
+        FrlcScheduler
     }
 }
 
@@ -50,8 +47,8 @@ impl ModuloScheduler for FrlcScheduler {
         machine: &Machine,
         _perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        crate::common::escalate_ii(analysis, machine, &self.config, |ii, _, la, starts| {
-            schedule_frlc_at_ii(la, starts, machine, ii)
+        escalate_ii(analysis, machine, |ii, starts| {
+            schedule_frlc_at_ii(analysis, starts, machine, ii)
         })
     }
 }

@@ -7,30 +7,21 @@
 //! tighter IIs on resource- and recurrence-constrained loops thanks to its
 //! force-place/eviction mechanism.
 
-use hrms_ddg::{Ddg, LoopAnalysis};
+use hrms_ddg::LoopAnalysis;
 use hrms_machine::Machine;
-use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome, SchedulerConfig};
+use hrms_modsched::{escalate_ii, ModuloScheduler, Perturbation, SchedError, ScheduleOutcome};
 
-use crate::backtrack::{schedule_with_backtracking, Flavor};
-use crate::common::escalate_ii;
+use crate::backtrack::{placement_budget, schedule_with_backtracking, Flavor};
 
-/// Iterative modulo scheduler (Rau, MICRO-27).
+/// Iterative modulo scheduler (Rau, MICRO-27; per-II budget:
+/// [`placement_budget`]).
 #[derive(Debug, Clone, Default)]
-pub struct IterativeScheduler {
-    /// Shared scheduler configuration.
-    pub config: SchedulerConfig,
-}
+pub struct IterativeScheduler;
 
 impl IterativeScheduler {
-    /// Creates an iterative scheduler with default configuration.
+    /// Creates an iterative scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn budget(&self, ddg: &Ddg) -> u64 {
-        self.config
-            .budget_per_ii
-            .min(50 * ddg.num_nodes() as u64 + 200)
+        IterativeScheduler
     }
 }
 
@@ -45,9 +36,9 @@ impl ModuloScheduler for IterativeScheduler {
         machine: &Machine,
         _perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let budget = self.budget(analysis.ddg());
-        escalate_ii(analysis, machine, &self.config, |ii, _, la, starts| {
-            schedule_with_backtracking(la, starts, machine, ii, Flavor::Iterative, budget)
+        let budget = placement_budget(analysis.ddg());
+        escalate_ii(analysis, machine, |ii, starts| {
+            schedule_with_backtracking(analysis, starts, machine, ii, Flavor::Iterative, budget)
         })
     }
 }

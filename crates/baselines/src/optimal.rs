@@ -29,8 +29,8 @@ use std::collections::{HashSet, VecDeque};
 use hrms_ddg::{Ddg, LoopAnalysis, NodeId, OpKind};
 use hrms_machine::Machine;
 use hrms_modsched::{
-    LifetimeAnalysis, ModuloScheduler, PartialSchedule, Perturbation, SchedError, Schedule,
-    ScheduleOutcome, SchedulerConfig,
+    escalate_ii, LifetimeAnalysis, ModuloScheduler, PartialSchedule, Perturbation, SchedError,
+    Schedule, ScheduleOutcome, SchedulerConfig,
 };
 
 /// Branch-and-bound buffer-minimising scheduler (SPILP stand-in).
@@ -83,49 +83,48 @@ impl BranchAndBoundScheduler {
         };
         let order = bfs_order(ddg);
         let greedy_order = crate::common::topdown_order(ddg);
-        let outcome =
-            crate::common::escalate_ii(analysis, machine, &self.config, |ii, _, la, _starts| {
-                // Seed the incumbent with a greedy top-down schedule at this II.
-                // This bounds the search from the start (better pruning) and
-                // guarantees graceful degradation: even if the budget runs out
-                // before the branch-and-bound completes a single leaf, the
-                // scheduler still returns a valid schedule no worse than the
-                // heuristic instead of escalating the II forever.
-                let (seed, seed_cost) = match crate::common::schedule_directional_at_ii(
-                    la,
-                    machine,
-                    &greedy_order,
-                    ii,
-                    crate::common::Direction::TopDown,
-                ) {
-                    Some(s) => {
-                        let cost = LifetimeAnalysis::analyze(ddg, &s).buffers();
-                        (Some(s), cost)
-                    }
-                    None => (None, u64::MAX),
-                };
-                let mut search = Search {
-                    ddg,
-                    machine,
-                    ii,
-                    order: &order,
-                    best: seed,
-                    best_cost: seed_cost,
-                    explored: 0,
-                    budget: self.config.budget_per_ii,
-                };
-                // Dense placement arcs: the exhaustive search evaluates
-                // Early/Late_Start at every tree node, the hottest path in this
-                // crate.
-                let mut partial =
-                    PartialSchedule::with_placement(machine, ii, la.placement().clone());
-                search.explore(0, &mut partial);
-                stats.explored += search.explored;
-                if search.explored >= search.budget {
-                    stats.exhaustive = false;
+        let outcome = escalate_ii(analysis, machine, |ii, _| {
+            // Seed the incumbent with a greedy top-down schedule at this II.
+            // This bounds the search from the start (better pruning) and
+            // guarantees graceful degradation: even if the budget runs out
+            // before the branch-and-bound completes a single leaf, the
+            // scheduler still returns a valid schedule no worse than the
+            // heuristic instead of escalating the II forever.
+            let (seed, seed_cost) = match crate::common::schedule_directional_at_ii(
+                analysis,
+                machine,
+                &greedy_order,
+                ii,
+                crate::common::Direction::TopDown,
+            ) {
+                Some(s) => {
+                    let cost = LifetimeAnalysis::analyze(ddg, &s).buffers();
+                    (Some(s), cost)
                 }
-                search.best
-            })?;
+                None => (None, u64::MAX),
+            };
+            let mut search = Search {
+                ddg,
+                machine,
+                ii,
+                order: &order,
+                best: seed,
+                best_cost: seed_cost,
+                explored: 0,
+                budget: self.config.budget_per_ii,
+            };
+            // Dense placement arcs: the exhaustive search evaluates
+            // Early/Late_Start at every tree node, the hottest path in this
+            // crate.
+            let mut partial =
+                PartialSchedule::with_placement(machine, ii, analysis.placement().clone());
+            search.explore(0, &mut partial);
+            stats.explored += search.explored;
+            if search.explored >= search.budget {
+                stats.exhaustive = false;
+            }
+            search.best
+        })?;
         Ok((outcome, stats))
     }
 }
@@ -347,10 +346,7 @@ mod tests {
         let g = small_loop();
         let m = presets::govindarajan();
         let scheduler = BranchAndBoundScheduler {
-            config: SchedulerConfig {
-                budget_per_ii: 5,
-                ..SchedulerConfig::default()
-            },
+            config: SchedulerConfig { budget_per_ii: 5 },
         };
         // With a tiny budget the search may fail at low IIs and escalate,
         // but it must still return a valid schedule (or a clean error).

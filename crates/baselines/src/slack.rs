@@ -13,33 +13,20 @@
 //! description (see DESIGN.md, substitutions table); it shares the
 //! force-place/eviction core with the iterative scheduler.
 
-use hrms_ddg::{Ddg, LoopAnalysis};
+use hrms_ddg::LoopAnalysis;
 use hrms_machine::Machine;
-use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome, SchedulerConfig};
+use hrms_modsched::{escalate_ii, ModuloScheduler, Perturbation, SchedError, ScheduleOutcome};
 
-use crate::backtrack::{schedule_with_backtracking, Flavor};
-use crate::common::escalate_ii;
+use crate::backtrack::{placement_budget, schedule_with_backtracking, Flavor};
 
-/// Huff-style slack scheduler.
+/// Huff-style slack scheduler (per-II budget: [`placement_budget`]).
 #[derive(Debug, Clone, Default)]
-pub struct SlackScheduler {
-    /// Shared scheduler configuration (the per-II placement budget comes
-    /// from [`SchedulerConfig::budget_per_ii`]).
-    pub config: SchedulerConfig,
-}
+pub struct SlackScheduler;
 
 impl SlackScheduler {
-    /// Creates a slack scheduler with default configuration.
+    /// Creates a slack scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn budget(&self, ddg: &Ddg) -> u64 {
-        // Huff bounds the number of placements per II attempt to a small
-        // multiple of the operation count.
-        self.config
-            .budget_per_ii
-            .min(50 * ddg.num_nodes() as u64 + 200)
+        SlackScheduler
     }
 }
 
@@ -54,9 +41,9 @@ impl ModuloScheduler for SlackScheduler {
         machine: &Machine,
         _perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let budget = self.budget(analysis.ddg());
-        escalate_ii(analysis, machine, &self.config, |ii, _, la, starts| {
-            schedule_with_backtracking(la, starts, machine, ii, Flavor::Slack, budget)
+        let budget = placement_budget(analysis.ddg());
+        escalate_ii(analysis, machine, |ii, starts| {
+            schedule_with_backtracking(analysis, starts, machine, ii, Flavor::Slack, budget)
         })
     }
 }
@@ -64,7 +51,7 @@ impl ModuloScheduler for SlackScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrms_ddg::{DdgBuilder, DepKind, NodeId, OpKind};
+    use hrms_ddg::{Ddg, DdgBuilder, DepKind, NodeId, OpKind};
     use hrms_machine::presets;
     use hrms_modsched::validate_schedule;
 

@@ -11,23 +11,18 @@
 
 use hrms_ddg::LoopAnalysis;
 use hrms_machine::Machine;
-use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome, SchedulerConfig};
+use hrms_modsched::{escalate_ii, ModuloScheduler, Perturbation, SchedError, ScheduleOutcome};
 
-use crate::common::{
-    boost_order, escalate_ii, schedule_directional_at_ii, topdown_order, Direction,
-};
+use crate::common::{boost_order, schedule_directional_at_ii, topdown_order, Direction};
 
 /// Top-Down (ASAP) modulo scheduler.
 #[derive(Debug, Clone, Default)]
-pub struct TopDownScheduler {
-    /// Shared scheduler configuration.
-    pub config: SchedulerConfig,
-}
+pub struct TopDownScheduler;
 
 impl TopDownScheduler {
-    /// Creates a Top-Down scheduler with default configuration.
+    /// Creates a Top-Down scheduler.
     pub fn new() -> Self {
-        Self::default()
+        TopDownScheduler
     }
 }
 
@@ -44,8 +39,8 @@ impl ModuloScheduler for TopDownScheduler {
     ) -> Result<ScheduleOutcome, SchedError> {
         let mut order = topdown_order(analysis.ddg());
         boost_order(&mut order, perturbation);
-        escalate_ii(analysis, machine, &self.config, |ii, _, la, _starts| {
-            schedule_directional_at_ii(la, machine, &order, ii, Direction::TopDown)
+        escalate_ii(analysis, machine, |ii, _| {
+            schedule_directional_at_ii(analysis, machine, &order, ii, Direction::TopDown)
         })
     }
 }

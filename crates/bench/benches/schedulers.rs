@@ -53,7 +53,6 @@ fn bench_optimal_vs_hrms(c: &mut Criterion) {
     let bb = BranchAndBoundScheduler {
         config: SchedulerConfig {
             budget_per_ii: 20_000,
-            ..SchedulerConfig::default()
         },
     };
     let mut group = c.benchmark_group("optimal_vs_hrms");

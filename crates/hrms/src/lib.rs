@@ -17,7 +17,8 @@
 //!    soon as possible when their reference is a predecessor and as late as
 //!    possible when it is a successor, within a window of II cycles; if a
 //!    node cannot be placed the II is increased and the placement restarts
-//!    (the ordering is reused).
+//!    (the ordering is reused). The II escalation itself is
+//!    [`hrms_modsched::escalate_ii`], the driver every scheduler shares.
 //!
 //! The scheduler implements [`hrms_modsched::ModuloScheduler`], so it is
 //! interchangeable with the baseline schedulers of `hrms-baselines`.

@@ -1,13 +1,13 @@
 //! The scheduling step of HRMS (Section 3.3) and the top-level scheduler.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hrms_ddg::{Ddg, LoopAnalysis, NodeId, PlacementCsr};
 use hrms_machine::Machine;
 use hrms_modsched::{
-    MiiInfo, ModuloScheduler, PartialSchedule, Perturbation, SchedError, Schedule, ScheduleOutcome,
-    SchedulerConfig, StartHint,
+    escalate_ii, ModuloScheduler, PartialSchedule, Perturbation, SchedError, Schedule,
+    ScheduleOutcome, StartHint,
 };
 
 use crate::preorder::{pre_order_with, PreOrderOptions, StartNodePolicy};
@@ -27,8 +27,6 @@ pub enum OrderingMode {
 /// Configuration of the HRMS scheduler.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HrmsOptions {
-    /// Shared scheduler configuration (II caps, budgets).
-    pub config: SchedulerConfig,
     /// Pre-ordering options (initial hypernode selection).
     pub preorder: PreOrderOptions,
     /// Ordering mode (hypernode reduction or the program-order ablation).
@@ -113,70 +111,48 @@ impl ModuloScheduler for HrmsScheduler {
         machine: &Machine,
         perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let start = Instant::now();
         // One shared analysis for the whole loop: the MII, the pre-ordering
-        // and every placement pass below read from the same cache (Tarjan,
+        // and every placement pass read from the same cache (Tarjan,
         // backward edges, CSRs and dependence latencies are computed once
         // per core — shared across machines when the caller builds every
         // cell's analysis over one `Arc<LoopCore>`).
         let ddg = analysis.ddg();
-        let mii = MiiInfo::compute(machine, analysis)?;
-
-        let order_start = Instant::now();
-        let (order, recurrence_truncated) = match self.options.ordering {
-            OrderingMode::HypernodeReduction => {
-                let mut preorder = self.options.preorder;
-                match perturbation.start {
-                    StartHint::Default => {}
-                    StartHint::Last => preorder.start_node = StartNodePolicy::LastInProgramOrder,
-                    StartHint::Node(node) => preorder.start_node = StartNodePolicy::Fixed(node),
-                }
-                let p = pre_order_with(analysis, &preorder);
-                (p.order, p.truncated)
-            }
-            OrderingMode::ProgramOrder => (ddg.node_ids().collect(), false),
-        };
-        let ordering_time = order_start.elapsed();
-
-        let max_ii = self.options.config.effective_max_ii(ddg, mii.mii());
-        if max_ii < mii.mii() {
-            return Err(SchedError::NoValidSchedule {
-                max_ii_tried: max_ii,
-            });
+        let mut preorder = self.options.preorder;
+        match perturbation.start {
+            StartHint::Default => {}
+            StartHint::Last => preorder.start_node = StartNodePolicy::LastInProgramOrder,
+            StartHint::Node(node) => preorder.start_node = StartNodePolicy::Fixed(node),
         }
+        let mut ordering_time = Duration::ZERO;
+        let mut order: Option<Vec<NodeId>> = None;
         // Robustness fallback order: the HRMS order can, on rare pathological
         // graphs, leave an operation with an empty placement window that no
         // II increase can open (a purely intra-iteration path discovered
         // after both of its endpoints were placed). A plain earliest-start
         // order never has that problem, so each II is retried with it before
         // escalating; the fallback almost never fires on real loop bodies.
-        let mut fallback_order: Option<Vec<NodeId>> = None;
-        let mut attempts = 0;
-        let mut ii = mii.mii();
-        loop {
-            attempts += 1;
-            let placed = schedule_at_ii_with(ddg, machine, analysis.placement(), &order, ii)
-                .or_else(|| {
-                    let fallback = fallback_order
-                        .get_or_insert_with(|| earliest_start_order(analysis, mii.mii()));
-                    schedule_at_ii_with(ddg, machine, analysis.placement(), fallback, ii)
-                });
-            if let Some(schedule) = placed {
-                return Ok(ScheduleOutcome::new(
-                    ddg,
-                    schedule,
-                    mii,
-                    attempts,
-                    start.elapsed(),
-                    ordering_time,
-                )
-                .with_recurrence_truncated(recurrence_truncated));
-            }
-            if ii >= max_ii {
-                return Err(SchedError::NoValidSchedule { max_ii_tried: ii });
-            }
-            ii += 1;
-        }
+        let mut fallback: Option<Vec<NodeId>> = None;
+        let mut outcome = escalate_ii(analysis, machine, |ii, _| {
+            // The first attempt orders the nodes, once: by then the driver
+            // has computed the MII, which rejects an invalid loop.
+            let order = order.get_or_insert_with(|| {
+                let order_start = Instant::now();
+                let order = match self.options.ordering {
+                    OrderingMode::HypernodeReduction => pre_order_with(analysis, &preorder).order,
+                    OrderingMode::ProgramOrder => ddg.node_ids().collect(),
+                };
+                ordering_time = order_start.elapsed();
+                order
+            });
+            schedule_at_ii_with(ddg, machine, analysis.placement(), order, ii).or_else(|| {
+                // The HRMS order runs first and the first attempt is at the
+                // MII, so the fallback is always ordered at the MII.
+                let fallback = fallback.get_or_insert_with(|| earliest_start_order(analysis, ii));
+                schedule_at_ii_with(ddg, machine, analysis.placement(), fallback, ii)
+            })
+        })?;
+        outcome.ordering_time = ordering_time;
+        Ok(outcome)
     }
 }
 
@@ -352,23 +328,6 @@ mod tests {
         assert_eq!(outcome.metrics.ii, 5);
         assert!(outcome.attempts >= 1);
         validate_schedule(&g, &m, &outcome.schedule).unwrap();
-    }
-
-    #[test]
-    fn impossible_budget_reports_no_valid_schedule() {
-        let (g, _) = figure1();
-        let m = presets::general_purpose();
-        let scheduler = HrmsScheduler::with_options(HrmsOptions {
-            config: SchedulerConfig {
-                max_ii: Some(1), // below MII = 2 and never enough
-                ..SchedulerConfig::default()
-            },
-            ..HrmsOptions::default()
-        });
-        // With max_ii = 1 < MII the first attempt is at II = 2 > max_ii, so
-        // the scheduler fails after one attempt.
-        let err = scheduler.schedule_loop(&g, &m).unwrap_err();
-        assert!(matches!(err, SchedError::NoValidSchedule { .. }));
     }
 
     #[test]

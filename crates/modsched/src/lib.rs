@@ -22,7 +22,8 @@
 //!   ([`validate`]),
 //! * feedback-guided iterative rescheduling around any scheduler
 //!   ([`feedback`]),
-//! * the [`ModuloScheduler`] trait implemented by HRMS and all baselines
+//! * the [`ModuloScheduler`] trait implemented by HRMS and all baselines,
+//!   and the II-escalation driver they all run through, [`escalate_ii`]
 //!   ([`scheduler`]).
 
 #![forbid(unsafe_code)]
@@ -52,5 +53,7 @@ pub use mrt::ModuloReservationTable;
 pub use partial::PartialSchedule;
 pub use report::{error_line, push_json_str, report_line, ReportOptions};
 pub use schedule::Schedule;
-pub use scheduler::{ModuloScheduler, ScheduleMetrics, ScheduleOutcome, SchedulerConfig};
+pub use scheduler::{
+    escalate_ii, ModuloScheduler, ScheduleMetrics, ScheduleOutcome, SchedulerConfig,
+};
 pub use validate::{validate_schedule, ValidationError};

@@ -2,9 +2,9 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use hrms_ddg::{Ddg, LoopAnalysis, LoopCore};
+use hrms_ddg::{Ddg, LoopAnalysis, LoopCore, PerIiStarts};
 use hrms_machine::Machine;
 
 use crate::error::SchedError;
@@ -13,37 +13,95 @@ use crate::lifetime::LifetimeAnalysis;
 use crate::mii::MiiInfo;
 use crate::schedule::Schedule;
 
-/// Configuration shared by every scheduler.
+/// Scheduler configuration: the II cap of [`escalate_ii`], which every
+/// scheduler shares, and the per-II budget of the branch-and-bound search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Hard upper bound on the II to try before giving up. When `None`, the
-    /// bound defaults to `MII + sum of latencies + number of operations`,
-    /// which is always sufficient for a work-conserving scheduler.
-    pub max_ii: Option<u32>,
-    /// Generic per-II effort budget used by schedulers that backtrack
-    /// (Slack's ejection count, the branch-and-bound node count). Simple
-    /// one-pass schedulers ignore it.
+    /// Per-II effort budget of the branch-and-bound search (its explored
+    /// node count). The other schedulers have no settable budget.
     pub budget_per_ii: u64,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            max_ii: None,
             budget_per_ii: 200_000,
         }
     }
 }
 
 impl SchedulerConfig {
-    /// The default II cap for a given loop when [`SchedulerConfig::max_ii`]
-    /// is not set.
+    /// The highest II [`escalate_ii`] tries for a loop:
+    /// `MII + sum of latencies + number of operations`, which is always
+    /// sufficient for a work-conserving scheduler.
     pub fn effective_max_ii(&self, ddg: &Ddg, mii: u32) -> u32 {
-        self.max_ii.unwrap_or_else(|| {
-            let total: u64 = ddg.total_latency() + ddg.num_nodes() as u64;
-            mii.saturating_add(total.min(u64::from(u32::MAX)) as u32)
-        })
+        let total: u64 = ddg.total_latency() + ddg.num_nodes() as u64;
+        mii.saturating_add(total.min(u64::from(u32::MAX)) as u32)
     }
+}
+
+/// The II-escalation driver shared by every scheduler: computes the MII
+/// from the loop's analysis, then tries `attempt(ii, &mut starts)` for
+/// II = MII, MII+1, ... up to [`SchedulerConfig::effective_max_ii`], and
+/// bundles the first schedule an attempt returns into a
+/// [`ScheduleOutcome`] with a zero `ordering_time`.
+///
+/// A loop with a zero-distance dependence cycle is rejected with
+/// [`SchedError::ZeroDistanceCycle`] before `attempt` is ever called, so a
+/// scheduler may defer work that needs a valid loop (such as its node
+/// order) to its first attempt. Attempts read the caller's analysis (dense
+/// placement arcs, cached dependence edges), and the [`PerIiStarts`] cache
+/// updates the resource-free earliest/latest start times **incrementally**
+/// from one II to the next, so per-II passes neither rebuild per-loop
+/// structures nor rerun the Bellman-Ford passes from scratch.
+///
+/// # Errors
+///
+/// The MII's errors, or [`SchedError::NoValidSchedule`] when every II up
+/// to the cap fails.
+pub fn escalate_ii<F>(
+    analysis: &LoopAnalysis<'_>,
+    machine: &Machine,
+    mut attempt: F,
+) -> Result<ScheduleOutcome, SchedError>
+where
+    F: FnMut(u32, &mut PerIiStarts) -> Option<Schedule>,
+{
+    let start = Instant::now();
+    let ddg = analysis.ddg();
+    let mii = MiiInfo::compute(machine, analysis)?;
+    // Under the verify-recurrence feature, every scheduled loop also
+    // cross-checks the cycle-ratio analysis against the exact scheduling
+    // RecMII: the paper-metric per-node maximum (operation-latency sums)
+    // can never undershoot the dependence-latency bound the MII is built
+    // from, and the two agree exactly on flow-only recurrences.
+    #[cfg(feature = "verify-recurrence")]
+    {
+        let bound = analysis.cycle_ratios().rec_mii_lower_bound();
+        let exact = analysis.rec_mii().map_or(u64::MAX, u64::from);
+        assert!(
+            bound >= exact,
+            "`{}`: cycle-ratio bound {bound} undershoots the exact RecMII {exact}",
+            ddg.name()
+        );
+    }
+    let max_ii = SchedulerConfig::default().effective_max_ii(ddg, mii.mii());
+    let mut starts = PerIiStarts::new();
+    for (attempts, ii) in (1..).zip(mii.mii()..=max_ii) {
+        if let Some(schedule) = attempt(ii, &mut starts) {
+            return Ok(ScheduleOutcome::new(
+                ddg,
+                schedule,
+                mii,
+                attempts,
+                start.elapsed(),
+                Duration::ZERO,
+            ));
+        }
+    }
+    Err(SchedError::NoValidSchedule {
+        max_ii_tried: max_ii,
+    })
 }
 
 /// Summary metrics of a finished schedule; every number the paper's tables
@@ -288,11 +346,73 @@ mod tests {
         let g = hrms_ddg::chain("c", 3, OpKind::FpAdd, 1);
         let cfg = SchedulerConfig::default();
         assert!(cfg.effective_max_ii(&g, 2) >= 2 + 3 + 3);
-        let cfg = SchedulerConfig {
-            max_ii: Some(7),
-            ..SchedulerConfig::default()
-        };
-        assert_eq!(cfg.effective_max_ii(&g, 2), 7);
+    }
+
+    fn diamond() -> Ddg {
+        let mut b = DdgBuilder::new("diamond");
+        let a = b.node("a", OpKind::Load, 2);
+        let x = b.node("x", OpKind::FpMul, 2);
+        let y = b.node("y", OpKind::FpAdd, 1);
+        let d = b.node("d", OpKind::Store, 1);
+        b.edge(a, x, DepKind::RegFlow, 0).unwrap();
+        b.edge(a, y, DepKind::RegFlow, 0).unwrap();
+        b.edge(x, d, DepKind::RegFlow, 0).unwrap();
+        b.edge(y, d, DepKind::RegFlow, 0).unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn escalation_stops_at_the_cap() {
+        let g = diamond();
+        let m = presets::govindarajan();
+        let la = LoopAnalysis::analyze(&g);
+        let mii = MiiInfo::compute(&m, &la).unwrap().mii();
+        let cap = SchedulerConfig::default().effective_max_ii(&g, mii);
+        // An attempt that always fails must try every II up to the cap.
+        let mut tried = Vec::new();
+        let err = escalate_ii(&la, &m, |ii, _| {
+            tried.push(ii);
+            None
+        })
+        .unwrap_err();
+        assert_eq!(err, SchedError::NoValidSchedule { max_ii_tried: cap });
+        assert_eq!(tried, (mii..=cap).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn escalation_reports_attempts() {
+        let g = diamond();
+        let m = presets::govindarajan();
+        let la = LoopAnalysis::analyze(&g);
+        // A valid schedule that only fits from II = 4 on.
+        let outcome = escalate_ii(&la, &m, |ii, _| {
+            (ii >= 4).then(|| Schedule::new(ii, vec![0, 2, 2, 5]))
+        })
+        .unwrap();
+        crate::validate::validate_schedule(&g, &m, &outcome.schedule).unwrap();
+        assert_eq!(outcome.metrics.mii, 2);
+        assert_eq!(outcome.metrics.ii, 4);
+        assert_eq!(outcome.attempts, 3, "II 2 and 3 failed, 4 succeeded");
+        assert_eq!(outcome.ordering_time, Duration::ZERO);
+    }
+
+    #[test]
+    fn a_zero_distance_cycle_is_rejected_before_any_attempt() {
+        let mut b = DdgBuilder::new("bad");
+        let a = b.node("a", OpKind::FpAdd, 1);
+        let c = b.node("c", OpKind::FpAdd, 1);
+        b.edge(a, c, DepKind::RegFlow, 0).unwrap();
+        b.edge(c, a, DepKind::RegFlow, 0).unwrap();
+        let g = b.build().unwrap();
+        let la = LoopAnalysis::analyze(&g);
+        let mut called = false;
+        let err = escalate_ii(&la, &presets::govindarajan(), |_, _| {
+            called = true;
+            None
+        })
+        .unwrap_err();
+        assert_eq!(err, SchedError::ZeroDistanceCycle);
+        assert!(!called, "the attempt must never run on an invalid loop");
     }
 
     #[test]

@@ -16,7 +16,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let optimal = BranchAndBoundScheduler {
         config: SchedulerConfig {
             budget_per_ii: 20_000,
-            ..SchedulerConfig::default()
         },
     };
 

@@ -117,7 +117,6 @@ fn hrms_is_close_to_the_optimal_scheduler() {
     let optimal = BranchAndBoundScheduler {
         config: SchedulerConfig {
             budget_per_ii: 50_000,
-            ..SchedulerConfig::default()
         },
     };
     // The smallest eight loops keep the exhaustive search fast.
