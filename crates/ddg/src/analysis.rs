@@ -453,12 +453,6 @@ impl IncrementalStarts {
         &self.est
     }
 
-    /// The latest start times relative to horizon 0 (all ≤ 0).
-    #[inline]
-    pub fn latest_relative(&self) -> &[i64] {
-        &self.lst
-    }
-
     /// The latest start times relative to `horizon`.
     pub fn latest(&self, horizon: i64) -> Vec<i64> {
         self.lst.iter().map(|&v| v + horizon).collect()
@@ -513,8 +507,8 @@ impl IncrementalStarts {
 
 /// Lazily constructed [`IncrementalStarts`] for an II-escalation loop: the
 /// first II pays the two from-scratch passes, every later II a warm-started
-/// update. Handed by the baselines' escalation driver to each per-II
-/// attempt.
+/// update. Handed by the II-escalation driver (`hrms_modsched::escalate_ii`)
+/// to each per-II attempt.
 #[derive(Debug, Default)]
 pub struct PerIiStarts {
     inner: Option<IncrementalStarts>,
@@ -550,7 +544,8 @@ impl PerIiStarts {
 }
 
 /// The machine-independent analyses of one loop body, computed at most
-/// once and shareable across machines and threads.
+/// once and shareable across machines and threads: an opaque cache that
+/// only [`LoopAnalysis`] reads.
 ///
 /// Everything in here is a pure function of the [`Ddg`] — Tarjan SCCs,
 /// backward edges, adjacency CSRs, recurrence groups, cycle ratios, the
@@ -558,17 +553,13 @@ impl PerIiStarts {
 /// latencies, which are authoritative; see [`dependence_latency`]), the
 /// structural fingerprint. None of it depends on the target machine, which
 /// contributes only *resources* (ResMII, MRT occupancy) to scheduling. The
-/// struct is lifetime-free and every getter takes the graph it caches for,
-/// so an `Arc<LoopCore>` can be built once per loop and handed to N
-/// per-machine scheduling cells: each fact is computed by whichever cell
+/// struct is lifetime-free, so an `Arc<LoopCore>` can be built once per
+/// loop and handed to N per-machine scheduling cells through
+/// [`LoopAnalysis::with_core`]: each fact is computed by whichever cell
 /// asks first ([`OnceLock`] guarantees exactly-once under concurrency) and
 /// reused by all others. The `tarjan_runs_exactly_once` test and the
 /// workspace suite `tests/analysis_overlay_property.rs` pin the
 /// once-per-loop property.
-///
-/// Callers must pass the **same** graph to every getter; constructing the
-/// core through [`LoopAnalysis::analyze`] or
-/// [`LoopAnalysis::with_core`] enforces that by construction.
 #[derive(Debug, Default)]
 pub struct LoopCore {
     sccs: OnceLock<Vec<Vec<NodeId>>>,
@@ -589,137 +580,11 @@ impl LoopCore {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The strongly connected components — the core's single Tarjan run,
-    /// `O(|V| + |E|)` on first access.
-    pub fn sccs(&self, ddg: &Ddg) -> &[Vec<NodeId>] {
-        self.sccs
-            .get_or_init(|| scc::strongly_connected_components(ddg))
-    }
-
-    /// The backward edges of every recurrence circuit (loop-carried edges
-    /// internal to an SCC); `O(|E|)` from the cached SCCs on first access.
-    pub fn backward_edges(&self, ddg: &Ddg) -> &HashSet<EdgeId> {
-        self.backward
-            .get_or_init(|| backward_edges_of(ddg, self.sccs(ddg)))
-    }
-
-    /// The flat dependence-constraint edges with resolved latencies, in
-    /// edge-id order (self-loops included); `O(|E|)` on first access.
-    pub fn dep_edges(&self, ddg: &Ddg) -> &[DepEdge] {
-        self.dep_edges.get_or_init(|| collect_dep_edges(ddg))
-    }
-
-    /// The placement CSR (per-node arcs with precomputed latencies), shared
-    /// via `Arc` so partial schedules can hold it without re-borrowing the
-    /// core. `O(|V| + |E|)` on first access.
-    pub fn placement(&self, ddg: &Ddg) -> &Arc<PlacementCsr> {
-        self.placement
-            .get_or_init(|| Arc::new(PlacementCsr::from_graph(ddg)))
-    }
-
-    /// The full (deduplicated, self-loop-free) adjacency CSR;
-    /// `O(|V| + |E|)` on first access.
-    pub fn csr_full(&self, ddg: &Ddg) -> &Csr {
-        self.csr_full.get_or_init(|| Csr::from_graph(ddg))
-    }
-
-    /// The adjacency CSR with backward edges removed — the acyclic work
-    /// graph of the pre-ordering phase. `O(|V| + |E|)` on first access.
-    pub fn csr_work(&self, ddg: &Ddg) -> &Csr {
-        self.csr_work
-            .get_or_init(|| Csr::filtered(ddg, self.backward_edges(ddg)))
-    }
-
-    /// The per-node maximum cycle-ratio analysis
-    /// ([`crate::cycle_ratio::CycleRatios`]): for every node, the exact
-    /// `RecMII` of the most critical recurrence circuit through it,
-    /// derived from the cached SCCs in polynomial time. Feeds
-    /// [`LoopCore::recurrence_groups`] and the pre-ordering's per-node
-    /// criticality.
-    pub fn cycle_ratios(&self, ddg: &Ddg) -> &CycleRatios {
-        self.ratios
-            .get_or_init(|| CycleRatios::analyze_with_sccs(ddg, self.sccs(ddg)))
-    }
-
-    /// The enumeration-free recurrence analysis
-    /// ([`crate::recurrence::RecurrenceGroups`]), assembled from the
-    /// cached cycle-ratio analysis — never truncated, whatever the density
-    /// of the components. This is the default recurrence path of the
-    /// pre-ordering phase.
-    ///
-    /// With the `verify-recurrence` feature enabled, every analysed loop is
-    /// cross-checked against a (budgeted) circuit enumeration whenever that
-    /// enumeration completes; a hard divergence panics and any multi-edge
-    /// coarsening is counted and logged
-    /// ([`crate::recurrence::coarsening`]).
-    pub fn recurrence_groups(&self, ddg: &Ddg) -> &RecurrenceGroups {
-        self.rec_groups.get_or_init(|| {
-            let groups = RecurrenceGroups::from_cycle_ratios(ddg, self.cycle_ratios(ddg));
-            #[cfg(feature = "verify-recurrence")]
-            {
-                let oracle = crate::circuits::RecurrenceInfo::analyze_with_sccs(
-                    ddg,
-                    self.sccs(ddg),
-                    crate::circuits::DEFAULT_CIRCUIT_BUDGET,
-                );
-                if !oracle.truncated {
-                    match crate::recurrence::cross_check(&groups, &oracle) {
-                        Err(e) => panic!(
-                            "SCC-derived recurrence groups diverged from the \
-                             circuit enumeration on `{}`: {e}",
-                            ddg.name()
-                        ),
-                        Ok(report) => {
-                            crate::recurrence::coarsening::record(report.is_exact());
-                            if !report.is_exact() {
-                                // The ≥3-backward-edge fallback is the only
-                                // documented source of inexactness; anything
-                                // else diverging is a bug, not coarsening.
-                                assert!(
-                                    report.deep_subgraphs > 0,
-                                    "SCC-derived recurrence groups diverged from the \
-                                     circuit enumeration on `{}` without any \
-                                     deep (≥3-edge) subgraph to excuse it: {report:?}",
-                                    ddg.name()
-                                );
-                                eprintln!(
-                                    "verify-recurrence: `{}` coarsened: {report:?}",
-                                    ddg.name()
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            groups
-        })
-    }
-
-    /// The exact recurrence-constrained MII ([`exact_rec_mii`]); `None`
-    /// means the loop has a zero-distance dependence cycle and no II is
-    /// feasible. Cached after the first binary search.
-    pub fn rec_mii(&self, ddg: &Ddg) -> Option<u32> {
-        *self
-            .rec_mii
-            .get_or_init(|| exact_rec_mii(ddg.num_nodes(), self.dep_edges(ddg)))
-    }
-
-    /// The structural fingerprint of the loop
-    /// ([`crate::fingerprint::ddg_fingerprint`]), computed once per core
-    /// however many machine keys it is combined with
-    /// ([`crate::fingerprint::cache_key`] varies only the machine digest
-    /// across the cells of a multi-machine batch).
-    pub fn fingerprint(&self, ddg: &Ddg) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| crate::fingerprint::ddg_fingerprint(ddg))
-    }
 }
 
 /// Every graph analysis of one loop body, computed at most once: the
 /// analysed graph paired with a shareable machine-independent
-/// [`LoopCore`].
+/// [`LoopCore`], and the only way to read that core.
 ///
 /// Construction ([`LoopAnalysis::analyze`]) is free: every fact is
 /// materialised lazily on first access and cached, so each consumer pays
@@ -767,66 +632,139 @@ impl<'a> LoopAnalysis<'a> {
         &self.core
     }
 
-    /// The loop's structural fingerprint, cached in the shared core (see
-    /// [`LoopCore::fingerprint`]).
+    /// The structural fingerprint of the loop
+    /// ([`crate::fingerprint::ddg_fingerprint`]), computed once per core
+    /// however many machine keys it is combined with
+    /// ([`crate::fingerprint::cache_key`] varies only the machine digest
+    /// across the cells of a multi-machine batch).
     pub fn fingerprint(&self) -> u64 {
-        self.core.fingerprint(self.ddg)
+        *self
+            .core
+            .fingerprint
+            .get_or_init(|| crate::fingerprint::ddg_fingerprint(self.ddg))
     }
 
-    /// The strongly connected components — the analysis's single Tarjan
-    /// run, `O(|V| + |E|)` on first access.
+    /// The strongly connected components — the core's single Tarjan run,
+    /// `O(|V| + |E|)` on first access.
     pub fn sccs(&self) -> &[Vec<NodeId>] {
-        self.core.sccs(self.ddg)
+        self.core
+            .sccs
+            .get_or_init(|| scc::strongly_connected_components(self.ddg))
     }
 
     /// The backward edges of every recurrence circuit (loop-carried edges
     /// internal to an SCC); `O(|E|)` from the cached SCCs on first access.
     pub fn backward_edges(&self) -> &HashSet<EdgeId> {
-        self.core.backward_edges(self.ddg)
+        self.core
+            .backward
+            .get_or_init(|| backward_edges_of(self.ddg, self.sccs()))
     }
 
     /// The flat dependence-constraint edges with resolved latencies, in
     /// edge-id order (self-loops included); `O(|E|)` on first access.
     pub fn dep_edges(&self) -> &[DepEdge] {
-        self.core.dep_edges(self.ddg)
+        self.core
+            .dep_edges
+            .get_or_init(|| collect_dep_edges(self.ddg))
     }
 
     /// The placement CSR (per-node arcs with precomputed latencies), shared
     /// via `Arc` so partial schedules can hold it without re-borrowing the
     /// analysis. `O(|V| + |E|)` on first access.
     pub fn placement(&self) -> &Arc<PlacementCsr> {
-        self.core.placement(self.ddg)
+        self.core
+            .placement
+            .get_or_init(|| Arc::new(PlacementCsr::from_graph(self.ddg)))
     }
 
     /// The full (deduplicated, self-loop-free) adjacency CSR;
     /// `O(|V| + |E|)` on first access.
     pub fn csr_full(&self) -> &Csr {
-        self.core.csr_full(self.ddg)
+        self.core.csr_full.get_or_init(|| Csr::from_graph(self.ddg))
     }
 
     /// The adjacency CSR with backward edges removed — the acyclic work
     /// graph of the pre-ordering phase. `O(|V| + |E|)` on first access.
     pub fn csr_work(&self) -> &Csr {
-        self.core.csr_work(self.ddg)
+        self.core
+            .csr_work
+            .get_or_init(|| Csr::filtered(self.ddg, self.backward_edges()))
     }
 
-    /// The per-node maximum cycle-ratio analysis (see
-    /// [`LoopCore::cycle_ratios`]).
+    /// The per-node maximum cycle-ratio analysis
+    /// ([`crate::cycle_ratio::CycleRatios`]): for every node, the exact
+    /// `RecMII` of the most critical recurrence circuit through it,
+    /// derived from the cached SCCs in polynomial time. Feeds
+    /// [`LoopAnalysis::recurrence_groups`].
     pub fn cycle_ratios(&self) -> &CycleRatios {
-        self.core.cycle_ratios(self.ddg)
+        self.core
+            .ratios
+            .get_or_init(|| CycleRatios::analyze_with_sccs(self.ddg, self.sccs()))
     }
 
-    /// The enumeration-free recurrence analysis (see
-    /// [`LoopCore::recurrence_groups`]).
+    /// The enumeration-free recurrence analysis
+    /// ([`crate::recurrence::RecurrenceGroups`]), assembled from the
+    /// cached cycle-ratio analysis — never truncated, whatever the density
+    /// of the components. This is the default recurrence path of the
+    /// pre-ordering phase.
+    ///
+    /// With the `verify-recurrence` feature enabled, every analysed loop is
+    /// cross-checked against a (budgeted) circuit enumeration whenever that
+    /// enumeration completes; a hard divergence panics and any multi-edge
+    /// coarsening is counted and logged
+    /// ([`crate::recurrence::coarsening`]).
     pub fn recurrence_groups(&self) -> &RecurrenceGroups {
-        self.core.recurrence_groups(self.ddg)
+        self.core.rec_groups.get_or_init(|| {
+            let ddg = self.ddg;
+            let groups = RecurrenceGroups::from_cycle_ratios(ddg, self.cycle_ratios());
+            #[cfg(feature = "verify-recurrence")]
+            {
+                let oracle = crate::circuits::RecurrenceInfo::analyze_with_sccs(
+                    ddg,
+                    self.sccs(),
+                    crate::circuits::DEFAULT_CIRCUIT_BUDGET,
+                );
+                if !oracle.truncated {
+                    match crate::recurrence::cross_check(&groups, &oracle) {
+                        Err(e) => panic!(
+                            "SCC-derived recurrence groups diverged from the \
+                             circuit enumeration on `{}`: {e}",
+                            ddg.name()
+                        ),
+                        Ok(report) => {
+                            crate::recurrence::coarsening::record(report.is_exact());
+                            if !report.is_exact() {
+                                // The ≥3-backward-edge fallback is the only
+                                // documented source of inexactness; anything
+                                // else diverging is a bug, not coarsening.
+                                assert!(
+                                    report.deep_subgraphs > 0,
+                                    "SCC-derived recurrence groups diverged from the \
+                                     circuit enumeration on `{}` without any \
+                                     deep (≥3-edge) subgraph to excuse it: {report:?}",
+                                    ddg.name()
+                                );
+                                eprintln!(
+                                    "verify-recurrence: `{}` coarsened: {report:?}",
+                                    ddg.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            groups
+        })
     }
 
     /// The exact recurrence-constrained MII ([`exact_rec_mii`]); `None`
     /// means the loop has a zero-distance dependence cycle and no II is
     /// feasible. Cached after the first binary search.
     pub fn rec_mii(&self) -> Option<u32> {
-        self.core.rec_mii(self.ddg)
+        *self
+            .core
+            .rec_mii
+            .get_or_init(|| exact_rec_mii(self.ddg.num_nodes(), self.dep_edges()))
     }
 
     /// Resource-free earliest start times at `ii` over the cached edge list
@@ -1070,7 +1008,6 @@ mod tests {
         let g = accumulator_loop();
         let la = LoopAnalysis::analyze(&g);
         assert_eq!(la.fingerprint(), crate::fingerprint::ddg_fingerprint(&g));
-        assert_eq!(la.core().fingerprint(&g), la.fingerprint());
     }
 
     #[test]
