@@ -9,7 +9,6 @@ use hrms_ddg::Ddg;
 use hrms_engine::BatchEngine;
 use hrms_machine::{presets, Machine};
 use hrms_modsched::{ModuloScheduler, SchedulerConfig};
-use hrms_workloads::reference24;
 
 use crate::must_schedule;
 
@@ -98,8 +97,8 @@ pub fn table1_machine() -> Machine {
 }
 
 /// Runs the Table 1 experiment on the given loops (pass
-/// [`reference24::all`] for the full table). `bb_budget` caps the
-/// branch-and-bound search per II (the default of
+/// [`hrms_workloads::reference24::all`] for the full table). `bb_budget`
+/// caps the branch-and-bound search per II (the default of
 /// [`SchedulerConfig::default`] is exact for all 24 loops but slow; the
 /// quick harness uses a smaller cap).
 ///
@@ -119,7 +118,6 @@ pub fn run_table1_on(engine: &BatchEngine, loops: &[Ddg], bb_budget: u64) -> Tab
     let spilp = BranchAndBoundScheduler {
         config: SchedulerConfig {
             budget_per_ii: bb_budget,
-            ..SchedulerConfig::default()
         },
     };
     let slack = SlackScheduler::new();
@@ -152,12 +150,6 @@ pub fn run_table1_on(engine: &BatchEngine, loops: &[Ddg], bb_budget: u64) -> Tab
         }
     });
     Table1 { rows }
-}
-
-/// Runs Table 1 on the full 24-loop reference suite with the default
-/// branch-and-bound budget.
-pub fn run_table1_default() -> Table1 {
-    run_table1(&reference24::all(), 100_000)
 }
 
 impl Table1 {
@@ -296,6 +288,7 @@ impl Table3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hrms_workloads::reference24;
 
     /// A trimmed Table 1 run (first 6 loops, small search budget) keeps the
     /// test quick while still exercising every scheduler.

@@ -444,8 +444,8 @@ impl KahnScratch {
 /// node index — the dense port of [`crate::topo::sort_asap`]. Only edges
 /// with both endpoints in `subset` count. `O((V' + E') log V')` over the
 /// subset's `V'` nodes and `E'` induced edges (the log from the min-heap
-/// ready list); allocates a fresh [`KahnScratch`], so hot paths should use
-/// [`sort_asap_scratch`].
+/// ready list); the caller's [`KahnScratch`] is reused across calls, so a
+/// hot loop allocates nothing but the result.
 ///
 /// # Errors
 ///
@@ -453,44 +453,20 @@ impl KahnScratch {
 pub fn sort_asap<G: DenseAdjacency + ?Sized>(
     graph: &G,
     subset: &NodeSet,
-) -> Result<Vec<usize>, CycleError> {
-    kahn(graph, subset, Dir::Forward, &mut KahnScratch::new())
-}
-
-/// Kahn's topological sort of `subset` **sinks first** (the paper's
-/// `Sort_PALA`), ties broken by node index — the dense port of
-/// [`crate::topo::sort_pala`]. Same `O((V' + E') log V')` cost and scratch
-/// caveat as [`sort_asap`].
-///
-/// # Errors
-///
-/// Returns [`CycleError`] if the induced subgraph is cyclic.
-pub fn sort_pala<G: DenseAdjacency + ?Sized>(
-    graph: &G,
-    subset: &NodeSet,
-) -> Result<Vec<usize>, CycleError> {
-    kahn(graph, subset, Dir::Backward, &mut KahnScratch::new())
-}
-
-/// [`sort_asap`] with a caller-provided [`KahnScratch`] (hot-path variant).
-///
-/// # Errors
-///
-/// Returns [`CycleError`] if the induced subgraph is cyclic.
-pub fn sort_asap_scratch<G: DenseAdjacency + ?Sized>(
-    graph: &G,
-    subset: &NodeSet,
     scratch: &mut KahnScratch,
 ) -> Result<Vec<usize>, CycleError> {
     kahn(graph, subset, Dir::Forward, scratch)
 }
 
-/// [`sort_pala`] with a caller-provided [`KahnScratch`] (hot-path variant).
+/// Kahn's topological sort of `subset` **sinks first** (the paper's
+/// `Sort_PALA`), ties broken by node index — the dense port of
+/// [`crate::topo::sort_pala`]. Same cost and scratch reuse as
+/// [`sort_asap`].
 ///
 /// # Errors
 ///
 /// Returns [`CycleError`] if the induced subgraph is cyclic.
-pub fn sort_pala_scratch<G: DenseAdjacency + ?Sized>(
+pub fn sort_pala<G: DenseAdjacency + ?Sized>(
     graph: &G,
     subset: &NodeSet,
     scratch: &mut KahnScratch,
@@ -766,7 +742,7 @@ mod tests {
                 dropped: &dropped,
             };
             let asap_generic = topo::sort_asap(&view, &ids).unwrap();
-            let asap_dense = sort_asap(&csr, &set).unwrap();
+            let asap_dense = sort_asap(&csr, &set, &mut KahnScratch::new()).unwrap();
             assert_eq!(
                 asap_dense
                     .iter()
@@ -776,7 +752,7 @@ mod tests {
                 "asap over {subset:?}"
             );
             let pala_generic = topo::sort_pala(&view, &ids).unwrap();
-            let pala_dense = sort_pala(&csr, &set).unwrap();
+            let pala_dense = sort_pala(&csr, &set, &mut KahnScratch::new()).unwrap();
             assert_eq!(
                 pala_dense
                     .iter()
@@ -793,7 +769,7 @@ mod tests {
         let g = sample();
         let csr = Csr::from_graph(&g); // keeps the 6 -> 0 back edge
         let cycle_subset = NodeSet::from_indices(g.num_nodes(), [0, 2, 4, 6]);
-        let err = sort_asap(&csr, &cycle_subset).unwrap_err();
+        let err = sort_asap(&csr, &cycle_subset, &mut KahnScratch::new()).unwrap_err();
         assert_eq!(err.stuck.len(), 4);
     }
 

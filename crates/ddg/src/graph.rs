@@ -125,11 +125,6 @@ impl Ddg {
             .map(|(i, n)| (NodeId::from_index(i), n))
     }
 
-    /// Iterates over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.edges.len()).map(EdgeId::from_index)
-    }
-
     /// Iterates over all edges.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
         self.edges

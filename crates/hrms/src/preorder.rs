@@ -74,13 +74,6 @@ pub struct PreOrdering {
     /// by construction. The field stays so that callers replicating the
     /// scheduler's driver keep compiling.
     pub truncated: bool,
-    /// Per-node recurrence criticality, indexed by [`NodeId`]: the exact
-    /// `RecMII` of the most critical recurrence circuit through each node
-    /// (`0` for nodes on no recurrence), from
-    /// [`hrms_ddg::CycleRatios`]. The ordering seeds each component from
-    /// the most critical recurrence group; this surfaces the per-node
-    /// bound behind that priority to schedulers and harnesses.
-    pub node_criticality: Vec<u64>,
 }
 
 /// Pre-orders the nodes of the analysed loop with the default options.
@@ -217,7 +210,6 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
         components: num_components,
         recurrence_subgraphs,
         truncated: false,
-        node_criticality: la.cycle_ratios().per_node().to_vec(),
     }
 }
 
@@ -270,7 +262,7 @@ fn pre_order_connected(
     loop {
         if !work.pred_row(hi).is_empty() {
             let region = neighbour_region(work, hi, Side::Preds);
-            let sorted = dense::sort_pala_scratch(work, &region, scratch)
+            let sorted = dense::sort_pala(work, &region, scratch)
                 .expect("the work graph is acyclic once backward edges are removed");
             work.reduce_set(&region, h);
             for i in sorted {
@@ -280,7 +272,7 @@ fn pre_order_connected(
 
         if !work.succ_row(hi).is_empty() {
             let region = neighbour_region(work, hi, Side::Succs);
-            let sorted = dense::sort_asap_scratch(work, &region, scratch)
+            let sorted = dense::sort_asap(work, &region, scratch)
                 .expect("the work graph is acyclic once backward edges are removed");
             work.reduce_set(&region, h);
             for i in sorted {
