@@ -1,8 +1,8 @@
 //! Graphviz (DOT) export and import of dependence graphs.
 //!
-//! Export ([`to_dot`]) renders a graph for visualisation; with the default
-//! options it additionally embeds the full structure in `hrms_*` attributes
-//! so the importer ([`from_dot`]) can rebuild a
+//! Export ([`to_dot`]) renders a graph for visualisation and additionally
+//! embeds the full structure in `hrms_*` attributes so the importer
+//! ([`from_dot`]) can rebuild a
 //! [`crate::fingerprint::ddg_fingerprint`]-identical graph. The importer
 //! also accepts plain third-party DOT digraphs (nodes default to latency-1
 //! general operations, edges to intra-iteration flow dependences), which is
@@ -17,91 +17,53 @@ use crate::graph::Ddg;
 use crate::node::{NodeId, OpKind};
 use crate::textfmt::{LoopSpans, ParseError, Span};
 
-/// Options controlling [`to_dot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DotOptions {
-    /// Show the operation kind and latency inside each node label.
-    pub show_latency: bool,
-    /// Show the dependence distance on each edge (only non-zero distances
-    /// are shown when this is false).
-    pub show_all_distances: bool,
-    /// Render loop-carried edges dashed.
-    pub dash_loop_carried: bool,
-    /// Embed the full graph structure in `hrms_*` attributes so the export
-    /// re-imports losslessly through [`from_dot`]. Rendering tools ignore
-    /// the extra attributes. Disable only for minimal presentation output.
-    pub embed_metadata: bool,
-}
-
-impl Default for DotOptions {
-    fn default() -> Self {
-        DotOptions {
-            show_latency: true,
-            show_all_distances: false,
-            dash_loop_carried: true,
-            embed_metadata: true,
-        }
-    }
-}
-
 /// Renders the graph in Graphviz DOT syntax (digraph).
 ///
-/// The output is deterministic (nodes in id order, edges in insertion order)
-/// so it can be snapshot-tested, and with
-/// [`DotOptions::embed_metadata`] (the default) it round-trips losslessly
-/// through [`from_dot`].
-pub fn to_dot(ddg: &Ddg, options: &DotOptions) -> String {
+/// Each node label shows the operation's name, kind and latency; each edge
+/// label shows the dependence kind and, for loop-carried edges, the
+/// distance, and loop-carried edges are dashed. The full graph structure is
+/// also embedded in `hrms_*` attributes, which rendering tools ignore, so
+/// the output round-trips losslessly through [`from_dot`]. The output is
+/// deterministic (nodes in id order, edges in insertion order) so it can
+/// be snapshot-tested.
+pub fn to_dot(ddg: &Ddg) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", escape(ddg.name()));
     let _ = writeln!(out, "  rankdir=TB;");
     let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
-    if options.embed_metadata {
-        let _ = writeln!(
-            out,
-            "  graph [hrms_invariants={}, hrms_iterations={}];",
-            ddg.num_invariants(),
-            ddg.iteration_count()
-        );
-    }
+    let _ = writeln!(
+        out,
+        "  graph [hrms_invariants={}, hrms_iterations={}];",
+        ddg.num_invariants(),
+        ddg.iteration_count()
+    );
     for (id, node) in ddg.nodes() {
-        let label = if options.show_latency {
-            format!(
-                "{}\\n{} λ={}",
-                escape(node.name()),
-                node.kind(),
-                node.latency()
-            )
-        } else {
-            escape(node.name()).to_string()
-        };
-        let mut attrs = vec![format!("label=\"{label}\"")];
-        if options.embed_metadata {
-            attrs.push(format!("hrms_name=\"{}\"", escape(node.name())));
-            attrs.push(format!("hrms_kind={}", node.kind().mnemonic()));
-            attrs.push(format!("hrms_latency={}", node.latency()));
-            if !node.defines_value() && node.kind().defines_value() {
-                attrs.push("hrms_no_result=true".to_string());
-            }
-            if node.invariant_uses() > 0 {
-                attrs.push(format!("hrms_invariant_uses={}", node.invariant_uses()));
-            }
+        let name = escape(node.name());
+        let mut attrs = vec![
+            format!("label=\"{name}\\n{} λ={}\"", node.kind(), node.latency()),
+            format!("hrms_name=\"{name}\""),
+            format!("hrms_kind={}", node.kind().mnemonic()),
+            format!("hrms_latency={}", node.latency()),
+        ];
+        if !node.defines_value() && node.kind().defines_value() {
+            attrs.push("hrms_no_result=true".to_string());
+        }
+        if node.invariant_uses() > 0 {
+            attrs.push(format!("hrms_invariant_uses={}", node.invariant_uses()));
         }
         let _ = writeln!(out, "  {} [{}];", id, attrs.join(", "));
     }
     for (_, e) in ddg.edges() {
-        let mut attrs: Vec<String> = Vec::new();
-        if e.distance() > 0 || options.show_all_distances {
-            attrs.push(format!("label=\"{} δ={}\"", e.kind(), e.distance()));
+        let mut attrs = if e.distance() > 0 {
+            vec![format!("label=\"{} δ={}\"", e.kind(), e.distance())]
         } else {
-            attrs.push(format!("label=\"{}\"", e.kind()));
-        }
-        if options.dash_loop_carried && e.is_loop_carried() {
+            vec![format!("label=\"{}\"", e.kind())]
+        };
+        if e.is_loop_carried() {
             attrs.push("style=dashed".to_string());
         }
-        if options.embed_metadata {
-            attrs.push(format!("hrms_kind={}", e.kind().label()));
-            attrs.push(format!("hrms_distance={}", e.distance()));
-        }
+        attrs.push(format!("hrms_kind={}", e.kind().label()));
+        attrs.push(format!("hrms_distance={}", e.distance()));
         let _ = writeln!(
             out,
             "  {} -> {} [{}];",
@@ -112,11 +74,6 @@ pub fn to_dot(ddg: &Ddg, options: &DotOptions) -> String {
     }
     let _ = writeln!(out, "}}");
     out
-}
-
-/// Renders the graph with default options.
-pub fn to_dot_default(ddg: &Ddg) -> String {
-    to_dot(ddg, &DotOptions::default())
 }
 
 /// Escapes a string for inclusion in a double-quoted DOT attribute value.
@@ -768,8 +725,8 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
 
 /// Parses a DOT digraph into a dependence graph.
 ///
-/// Accepts the output of [`to_dot`] (lossless with the default options:
-/// re-importing yields a fingerprint-identical graph) and a pragmatic
+/// Accepts the output of [`to_dot`] (lossless: re-importing yields a
+/// fingerprint-identical graph) and a pragmatic
 /// subset of general DOT: `digraph` with node statements, edge statements,
 /// attribute lists, default `graph`/`node`/`edge` attribute statements
 /// (ignored except for `hrms_*` graph metadata) and comments. Nodes that
@@ -806,7 +763,7 @@ mod tests {
     #[test]
     fn dot_contains_nodes_and_edges() {
         let g = tiny();
-        let dot = to_dot_default(&g);
+        let dot = to_dot(&g);
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("n0 ["));
         assert!(dot.contains("n1 ["));
@@ -818,7 +775,7 @@ mod tests {
     #[test]
     fn loop_carried_edges_are_dashed_and_labelled() {
         let g = tiny();
-        let dot = to_dot_default(&g);
+        let dot = to_dot(&g);
         assert!(dot.contains("style=dashed"));
         assert!(dot.contains("δ=1"));
     }
@@ -826,7 +783,7 @@ mod tests {
     #[test]
     fn quotes_in_names_are_escaped() {
         let g = tiny();
-        let dot = to_dot_default(&g);
+        let dot = to_dot(&g);
         assert!(dot.contains("tiny \\\"loop\\\""));
     }
 
@@ -837,7 +794,7 @@ mod tests {
         let mut b = DdgBuilder::new("ends with backslash \\");
         b.node("weird\\name", OpKind::FpAdd, 1);
         let g = b.build().unwrap();
-        let dot = to_dot_default(&g);
+        let dot = to_dot(&g);
         assert!(dot.contains("ends with backslash \\\\"));
         assert!(dot.contains("weird\\\\name"));
         let back = from_dot(&dot).unwrap();
@@ -846,27 +803,9 @@ mod tests {
     }
 
     #[test]
-    fn options_toggle_latency_display() {
-        let g = tiny();
-        let dot = to_dot(
-            &g,
-            &DotOptions {
-                show_latency: false,
-                show_all_distances: true,
-                dash_loop_carried: false,
-                embed_metadata: false,
-            },
-        );
-        assert!(!dot.contains("λ="));
-        assert!(dot.contains("δ=0"));
-        assert!(!dot.contains("dashed"));
-        assert!(!dot.contains("hrms_"));
-    }
-
-    #[test]
     fn output_is_deterministic() {
         let g = tiny();
-        assert_eq!(to_dot_default(&g), to_dot_default(&g));
+        assert_eq!(to_dot(&g), to_dot(&g));
     }
 
     #[test]
@@ -885,25 +824,26 @@ mod tests {
         b.invariants(3).iteration_count(777);
         let g = b.build().unwrap();
 
-        let back = from_dot(&to_dot_default(&g)).unwrap();
+        let back = from_dot(&to_dot(&g)).unwrap();
         assert_eq!(back, g);
         assert_eq!(ddg_fingerprint(&back), ddg_fingerprint(&g));
     }
 
     #[test]
     fn label_fallback_reconstructs_kind_latency_and_distance() {
-        // embed_metadata off, but labels carry kind/latency/distance.
-        let g = tiny();
-        let dot = to_dot(
-            &g,
-            &DotOptions {
-                show_latency: true,
-                show_all_distances: true,
-                dash_loop_carried: true,
-                embed_metadata: false,
-            },
-        );
-        let back = from_dot(&dot).unwrap();
+        // A third-party export of `tiny()` without `hrms_*` metadata, whose
+        // labels still carry the kind, latency and distance.
+        let dot = r#"digraph "tiny \"loop\"" {
+  rankdir=TB;
+  node [shape=box, fontname="monospace"];
+  n0 [label="a\nload λ=2"];
+  n1 [label="c\nfadd λ=1"];
+  n0 -> n1 [label="flow δ=0"];
+  n1 -> n1 [label="flow δ=1", style=dashed];
+}
+"#;
+        let back = from_dot(dot).unwrap();
+        assert_eq!(back.name(), tiny().name());
         assert_eq!(back.node(NodeId(0)).kind(), OpKind::Load);
         assert_eq!(back.node(NodeId(0)).latency(), 2);
         assert_eq!(back.node(NodeId(0)).name(), "a");
@@ -986,7 +926,7 @@ mod tests {
         b.node("x", OpKind::FpMul, 2);
         b.invariants(4).iteration_count(9999);
         let g = b.build().unwrap();
-        let back = from_dot(&to_dot_default(&g)).unwrap();
+        let back = from_dot(&to_dot(&g)).unwrap();
         assert_eq!(back.num_invariants(), 4);
         assert_eq!(back.iteration_count(), 9999);
     }

@@ -213,7 +213,7 @@ fn cmd_schedule(args: &[String], stdin: &str) -> Result<String, CliError> {
 
     if emit == Emit::Dot {
         // DOT output is a property of the loops alone; no scheduling runs.
-        let rendered: Vec<String> = loops.iter().map(dot::to_dot_default).collect();
+        let rendered: Vec<String> = loops.iter().map(dot::to_dot).collect();
         return Ok(rendered.join("\n"));
     }
 
@@ -477,7 +477,7 @@ fn cmd_convert(args: &[String], stdin: &str) -> Result<String, CliError> {
     match to {
         Some("loop") => Ok(textfmt::write_loops(&loops)),
         Some("dot") => {
-            let rendered: Vec<String> = loops.iter().map(dot::to_dot_default).collect();
+            let rendered: Vec<String> = loops.iter().map(dot::to_dot).collect();
             Ok(rendered.join("\n"))
         }
         Some(other) => Err(CliError::usage(format!(

@@ -53,7 +53,7 @@ fn text_format_round_trips_every_corpus_loop() {
 #[test]
 fn dot_format_round_trips_every_corpus_loop() {
     for ddg in corpus() {
-        let rendered = dot::to_dot_default(&ddg);
+        let rendered = dot::to_dot(&ddg);
         let back = dot::from_dot(&rendered).unwrap_or_else(|e| {
             panic!("loop `{}` does not re-import: {e}\n{rendered}", ddg.name())
         });
@@ -106,7 +106,7 @@ fn imported_loops_schedule_byte_identically_for_all_schedulers() {
     let machine = presets::govindarajan();
     for ddg in reference24::all() {
         let via_text = parse_loop(&write_loop(&ddg)).unwrap();
-        let via_dot = dot::from_dot(&dot::to_dot_default(&ddg)).unwrap();
+        let via_dot = dot::from_dot(&dot::to_dot(&ddg)).unwrap();
         for scheduler in all_schedulers() {
             let original = scheduler.schedule_loop(&ddg, &machine).unwrap();
             let reference = original.schedule.kernel().render(&ddg);
