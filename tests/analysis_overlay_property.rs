@@ -19,9 +19,8 @@
 use std::sync::Arc;
 
 use hrms_repro::ddg::{Ddg, LoopAnalysis, LoopCore};
-use hrms_repro::hrms::HrmsScheduler;
 use hrms_repro::machine::presets;
-use hrms_repro::modsched::{report_line, ModuloScheduler, Perturbation, ReportOptions};
+use hrms_repro::modsched::{report_line, Perturbation, ReportOptions};
 use hrms_repro::registry::{scheduler_by_slug, SCHEDULER_SLUGS};
 use hrms_repro::workloads::{reference24, GeneratorConfig, LoopGenerator};
 
@@ -101,6 +100,8 @@ fn overlay_analysis_fingerprints_match_from_scratch_analysis() {
 #[test]
 fn the_machine_independent_analysis_runs_once_per_loop_across_all_presets() {
     use hrms_repro::ddg::instrument;
+    use hrms_repro::hrms::HrmsScheduler;
+    use hrms_repro::modsched::ModuloScheduler;
 
     let scheduler = HrmsScheduler::new();
     let loops = suite();
