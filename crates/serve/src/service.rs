@@ -23,11 +23,11 @@
 //! * **Cached and cold results are byte-identical.** The cache stores the
 //!   rendered report record; a hit replays exactly the bytes a cold run
 //!   would produce.
-//! * **Failure containment.** A malformed request is answered with a
-//!   structured error record (with source-span diagnostics where they
-//!   apply) and the connection lives on; a panicking scheduler cell is
-//!   contained by the engine and becomes a per-cell error record carrying
-//!   the panic message and location.
+//! * **Failure containment.** A malformed request — a line that is not
+//!   UTF-8 included — is answered with a structured error record (with
+//!   source-span diagnostics where they apply) and the connection lives
+//!   on; a panicking scheduler cell is contained by the engine and becomes
+//!   a per-cell error record carrying the panic message and location.
 //! * **Clean shutdown.** A `shutdown` request (or EOF) drains in-flight
 //!   work — requests are handled to completion in arrival order — then
 //!   closes.
@@ -401,14 +401,29 @@ impl Service {
     /// in, the response lines out, flushed after every request so pipe and
     /// socket clients see results as soon as they exist.
     ///
+    /// Lines are read as bytes: a line that is not valid UTF-8 is answered
+    /// with a `stage:"request"` error record with a `null` id, like any
+    /// other malformed request, and reading goes on.
+    ///
     /// Returns `Ok(true)` when the stream ended with a `shutdown` request,
     /// `Ok(false)` on EOF. Either way all received requests were answered
     /// in full before returning (drain semantics).
     pub fn run<R: BufRead, W: Write>(&mut self, reader: R, mut writer: W) -> io::Result<bool> {
-        for line in reader.lines() {
+        for line in reader.split(b'\n') {
             let line = line?;
+            let line = line.strip_suffix(b"\r").unwrap_or(&line);
             let mut responses: Vec<String> = Vec::new();
-            let shutdown = self.handle_line(&line, &mut |record| responses.push(record.into()));
+            let shutdown = match std::str::from_utf8(line) {
+                Ok(line) => self.handle_line(line, &mut |record| responses.push(record.into())),
+                Err(e) => {
+                    let message = format!("request is not valid UTF-8: {e}");
+                    responses.push(request_error_record(&RequestError::new(
+                        Value::Null,
+                        message,
+                    )));
+                    false
+                }
+            };
             for record in &responses {
                 writer.write_all(record.as_bytes())?;
                 writer.write_all(b"\n")?;

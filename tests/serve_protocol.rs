@@ -158,6 +158,33 @@ fn malformed_requests_answer_with_diagnostics_and_the_connection_survives() {
 }
 
 #[test]
+fn a_non_utf8_line_is_a_request_error_and_reading_goes_on() {
+    let mut service = Service::default();
+    let input = b"{\"req\":\"stats\",\"id\":1}\n\xff\n{\"req\":\"stats\",\"id\":3}\n".to_vec();
+    let mut out = Vec::new();
+    let shutdown = service
+        .run(std::io::Cursor::new(input), &mut out)
+        .expect("in-memory I/O cannot fail");
+    assert!(!shutdown, "EOF, not shutdown");
+    let out = String::from_utf8(out).expect("responses are UTF-8");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "stats, error, stats:\n{out}");
+    assert_eq!(str_field(&fields(lines[0]), "type"), "stats");
+    let bad = fields(lines[1]);
+    assert_eq!(str_field(&bad, "type"), "error");
+    assert_eq!(str_field(&bad, "stage"), "request");
+    assert_eq!(bad.get("id"), Some(&Value::Null));
+    assert!(
+        str_field(&bad, "error").contains("not valid UTF-8"),
+        "{}",
+        lines[1]
+    );
+    let last = fields(lines[2]);
+    assert_eq!(str_field(&last, "type"), "stats");
+    assert_eq!(num_field(&last, "id"), 3);
+}
+
+#[test]
 fn machines_resolve_as_presets_or_inline_text_but_never_files() {
     let mut service = Service::default();
     let inline = hrms_repro::machine::write_machine(&hrms_repro::machine::presets::perfect_club());
