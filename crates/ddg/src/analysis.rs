@@ -551,10 +551,11 @@ impl PerIiStarts {
 /// backward edges, adjacency CSRs, recurrence groups, cycle ratios, the
 /// flattened dependence edges (latencies resolved from the graph's node
 /// latencies, which are authoritative; see [`dependence_latency`]), the
-/// structural fingerprint. None of it depends on the target machine, which
-/// contributes only *resources* (ResMII, MRT occupancy) to scheduling. The
-/// struct is lifetime-free, so an `Arc<LoopCore>` can be built once per
-/// loop and handed to N per-machine scheduling cells through
+/// structural fingerprint, the default HRMS pre-ordering
+/// ([`LoopAnalysis::hrms_order`]). None of it depends on the target
+/// machine, which contributes only *resources* (ResMII, MRT occupancy) to
+/// scheduling. The struct is lifetime-free, so an `Arc<LoopCore>` can be
+/// built once per loop and handed to N per-machine scheduling cells through
 /// [`LoopAnalysis::with_core`]: each fact is computed by whichever cell
 /// asks first ([`OnceLock`] guarantees exactly-once under concurrency) and
 /// reused by all others. The `tarjan_runs_exactly_once` test and the
@@ -572,6 +573,7 @@ pub struct LoopCore {
     rec_groups: OnceLock<RecurrenceGroups>,
     rec_mii: OnceLock<Option<u32>>,
     fingerprint: OnceLock<u64>,
+    hrms_order: OnceLock<Vec<NodeId>>,
 }
 
 impl LoopCore {
@@ -765,6 +767,19 @@ impl<'a> LoopAnalysis<'a> {
             .core
             .rec_mii
             .get_or_init(|| exact_rec_mii(self.ddg.num_nodes(), self.dep_edges()))
+    }
+
+    /// The HRMS pre-ordering under its default options, cached in the core:
+    /// `order` computes it on the first call, and every later call on the
+    /// same core — from any machine or thread — returns that order without
+    /// running `order`. The ordering reads no machine, so the cells of one
+    /// loop share it.
+    ///
+    /// The slot holds one order only, so callers must fill it with the
+    /// default hypernode order and nothing else: a perturbed start node or
+    /// another ordering mode computes its own order and never calls this.
+    pub fn hrms_order(&self, order: impl FnOnce() -> Vec<NodeId>) -> &[NodeId] {
+        self.core.hrms_order.get_or_init(order)
     }
 
     /// Resource-free earliest start times at `ii` over the cached edge list

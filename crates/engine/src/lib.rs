@@ -13,8 +13,15 @@
 //! * **Work stealing via an atomic cursor.** Workers pull the next unclaimed
 //!   index, so a batch of wildly different loop sizes load-balances without
 //!   any up-front partitioning.
-//! * **No spawn overhead for trivial batches.** Batches of one item (or an
-//!   engine configured with one worker) run inline on the caller's thread.
+//! * **Workers claim loops.** [`BatchEngine::schedule_matrix`] hands out
+//!   whole loops, not cells: the worker that claims a loop runs all of its
+//!   scheduler × machine cells in order over one analysis core, so no two
+//!   workers wait on each other for one loop's analysis. Several slow
+//!   schedulers on a single loop no longer split its wall time across
+//!   workers.
+//! * **No spawn overhead for trivial batches.** Batches of one item — a
+//!   one-loop matrix included — and engines configured with one worker run
+//!   inline on the caller's thread.
 //!
 //! ```
 //! use hrms_engine::BatchEngine;
@@ -162,49 +169,53 @@ impl BatchEngine {
     ///
     /// Returns `matrix[s][l][m]`: scheduler `s` applied to loop `l` on
     /// machine `m`, in deterministic input order regardless of worker
-    /// interleaving. Every loop gets exactly **one** shared
-    /// [`LoopCore`] — the machine-independent half of the analysis
-    /// (Tarjan's SCCs, backward edges, the dense CSRs, the cycle-ratio
-    /// λ-search, the exact RecMII) is computed by whichever cell touches
-    /// the loop first and reused by every other `(scheduler, machine)`
-    /// cell via [`schedule_cell_with_core`], while the
-    /// per-machine resource facts (ResMII, MRT occupancy) are recomputed
-    /// per cell. The [`std::sync::OnceLock`]s inside the core make the
-    /// sharing race-free under the work-stealing pool.
+    /// interleaving.
     ///
-    /// All `schedulers.len() * loops.len() * machines.len()` cells are
-    /// claimed through the same atomic cursor, so a slow scheduler does not
-    /// serialise the batch. Each cell is an isolation boundary: a panicking
-    /// scheduler yields a [`SchedError::Internal`] in that cell instead of
-    /// unwinding through the pool and poisoning the other results. This is
-    /// the engine entry point behind `hrms schedule` and the benchmark
-    /// harness.
+    /// Workers claim **loops**, not cells. The worker that claims a loop
+    /// creates its one [`LoopCore`], runs all of the loop's cells on it in
+    /// order (scheduler by scheduler, each over every machine, through
+    /// [`schedule_cell_with_core`]) and drops the core before it claims
+    /// the next loop. The machine-independent analysis (Tarjan's SCCs,
+    /// backward edges, the dense CSRs, the cycle-ratio λ-search, the exact
+    /// RecMII, the default HRMS order) is therefore computed once per loop
+    /// and never contended for, while the per-machine resource facts
+    /// (ResMII, MRT occupancy) are recomputed per cell. A one-loop batch
+    /// runs inline on the caller's thread. The flip side: the cells of one
+    /// loop never run in parallel, so several slow schedulers on a single
+    /// loop no longer split its wall time across workers.
+    ///
+    /// Each cell is an isolation boundary: a panicking scheduler yields a
+    /// [`SchedError::Internal`] in that cell instead of unwinding through
+    /// the pool and poisoning the other results. This is the engine entry
+    /// point behind `hrms schedule` and the benchmark harness.
     pub fn schedule_matrix(
         &self,
         schedulers: &[&(dyn ModuloScheduler + Sync)],
         loops: &[Ddg],
         machines: &[Machine],
     ) -> Vec<Vec<Vec<Result<ScheduleOutcome, SchedError>>>> {
-        let cores: Vec<Arc<LoopCore>> = loops.iter().map(|_| Arc::new(LoopCore::new())).collect();
-        let cells: Vec<(usize, usize, usize)> = (0..schedulers.len())
-            .flat_map(|s| {
-                (0..loops.len()).flat_map(move |l| (0..machines.len()).map(move |m| (s, l, m)))
-            })
-            .collect();
-        let mut flat = self
-            .map(&cells, |_, &(s, l, m)| {
-                schedule_cell_with_core(schedulers[s], &loops[l], &machines[m], &cores[l])
-            })
-            .into_iter();
-        schedulers
+        let per_loop = self.map(loops, |_, ddg| {
+            let core = Arc::new(LoopCore::new());
+            schedulers
+                .iter()
+                .map(|&scheduler| {
+                    machines
+                        .iter()
+                        .map(|machine| schedule_cell_with_core(scheduler, ddg, machine, &core))
+                        .collect()
+                })
+                .collect::<Vec<Vec<_>>>()
+        });
+        let mut matrix: Vec<Vec<_>> = schedulers
             .iter()
-            .map(|_| {
-                loops
-                    .iter()
-                    .map(|_| flat.by_ref().take(machines.len()).collect())
-                    .collect()
-            })
-            .collect()
+            .map(|_| Vec::with_capacity(loops.len()))
+            .collect();
+        for per_scheduler in per_loop {
+            for (row, cells) in matrix.iter_mut().zip(per_scheduler) {
+                row.push(cells);
+            }
+        }
+        matrix
     }
 }
 

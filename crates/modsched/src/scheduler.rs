@@ -183,9 +183,12 @@ pub struct ScheduleOutcome {
     pub attempts: u32,
     /// Wall-clock time spent by the scheduler (total).
     pub elapsed: Duration,
-    /// Wall-clock time spent in the pre-ordering phase (zero for schedulers
-    /// without one); lets the harness reproduce the paper's "ordering is
-    /// only 9% of the time" measurement.
+    /// Wall-clock time this cell spent in the pre-ordering phase (zero for
+    /// schedulers without one); lets the harness reproduce the paper's
+    /// "ordering is only 9% of the time" measurement. HRMS keeps its
+    /// default order in the loop's shared analysis core, so a cell that
+    /// reuses an order another cell of the same loop computed reports ≈0
+    /// here.
     pub ordering_time: Duration,
     /// Whether the recurrence analysis feeding the scheduler was truncated
     /// (a circuit-enumeration budget was hit), silently degrading the

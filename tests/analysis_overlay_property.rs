@@ -6,21 +6,27 @@
 //!
 //! The suite sweeps all 24 reference loops plus a band of generated
 //! loops, across every preset and every registered scheduler except the
-//! budget-bound branch-and-bound search. Each schedule is produced three
-//! ways — from scratch, over a shared core, and through
-//! [`ModuloScheduler::schedule`] with the identity [`Perturbation`] — and
-//! all three must render the same report bytes. The third route pins that
-//! the feedback loop's attempt 0 (`Perturbation::baseline()`, the identity
-//! with a label) reproduces the one-shot schedule through every
-//! scheduler's one scheduling method; that the directional baselines'
-//! `boost_order` keeps an order unchanged under the identity is pinned by
-//! its unit test in `hrms-baselines`.
+//! budget-bound branch-and-bound search, with one core per loop shared by
+//! all of them. Each schedule is produced three ways — from scratch, over
+//! the shared core, and through [`ModuloScheduler::schedule`] with the
+//! identity [`Perturbation`] — and all three must render the same report
+//! bytes. The third route pins that the feedback loop's attempt 0
+//! (`Perturbation::baseline()`, the identity with a label) reproduces the
+//! one-shot schedule through every scheduler's one scheduling method; that
+//! the directional baselines' `boost_order` keeps an order unchanged under
+//! the identity is pinned by its unit test in `hrms-baselines`.
+//!
+//! The core also caches HRMS's default order. The cells that must not use
+//! it — the program-order ablation and HRMS under perturbed starts — run on
+//! the same core before and after the default HRMS cell, and must match
+//! their from-scratch runs.
 
 use std::sync::Arc;
 
 use hrms_repro::ddg::{Ddg, LoopAnalysis, LoopCore};
+use hrms_repro::hrms::{program_order_scheduler, HrmsScheduler};
 use hrms_repro::machine::presets;
-use hrms_repro::modsched::{report_line, Perturbation, ReportOptions};
+use hrms_repro::modsched::{report_line, ModuloScheduler, Perturbation, ReportOptions, StartHint};
 use hrms_repro::registry::{scheduler_by_slug, SCHEDULER_SLUGS};
 use hrms_repro::workloads::{reference24, GeneratorConfig, LoopGenerator};
 
@@ -48,35 +54,77 @@ fn shared_core_schedules_are_byte_identical_to_from_scratch_on_every_preset() {
         .filter(|&&slug| slug != "bnb")
         .map(|slug| scheduler_by_slug(slug).expect("listed slugs resolve"))
         .collect();
+    let hrms = HrmsScheduler::new();
+    let program_order = program_order_scheduler();
     let options = ReportOptions { timing: false };
-    let loops = suite();
-    for ddg in &loops {
+    let machines = presets::all();
+    for ddg in &suite() {
+        // One core serves every scheduler, start and machine of this loop,
+        // as in `BatchEngine::schedule_matrix`.
+        let core = Arc::new(LoopCore::new());
+        let render = |scheduler: &dyn ModuloScheduler, machine, result: Result<_, _>| {
+            result.map(|outcome| report_line(ddg, machine, scheduler.name(), &outcome, options))
+        };
+        // The cells that must neither read nor fill the core's HRMS order
+        // slot: the program-order ablation and HRMS under perturbed starts.
+        // They run before and after the default HRMS cell has filled it.
+        let last = ddg.node_ids().last().expect("non-empty loop");
+        let side_cells = [
+            (&program_order, Perturbation::default()),
+            (&hrms, perturbed(StartHint::Last)),
+            (&hrms, perturbed(StartHint::Node(last))),
+        ];
+        let check_side_cells = |when: &str| {
+            for (scheduler, perturbation) in &side_cells {
+                for machine in &machines {
+                    let run = |analysis: LoopAnalysis<'_>| {
+                        let result = scheduler.schedule(&analysis, machine, perturbation);
+                        render(*scheduler, machine, result)
+                    };
+                    assert_eq!(
+                        run(LoopAnalysis::analyze(ddg)),
+                        run(LoopAnalysis::with_core(ddg, Arc::clone(&core))),
+                        "shared core drifted {when} the default HRMS cell: loop `{}` x {} \
+                         ({}) x {}",
+                        ddg.name(),
+                        scheduler.name(),
+                        perturbation.label,
+                        machine.name()
+                    );
+                }
+            }
+        };
+        check_side_cells("before");
         for scheduler in &schedulers {
-            // One core serves every machine this loop is scheduled on.
-            let core = Arc::new(LoopCore::new());
-            for machine in presets::all() {
+            for machine in &machines {
                 let cell = format!(
                     "loop `{}` x {} x {}",
                     ddg.name(),
                     scheduler.name(),
                     machine.name()
                 );
-                let render = |result: Result<_, _>| {
-                    result.map(|outcome| {
-                        report_line(ddg, &machine, scheduler.name(), &outcome, options)
-                    })
-                };
-                let fresh = render(scheduler.schedule_loop(ddg, &machine));
-                let shared = render(scheduler.schedule_loop_with_core(ddg, &machine, &core));
-                let identity = render(scheduler.schedule(
+                let report = |result| render(&**scheduler, machine, result);
+                let fresh = report(scheduler.schedule_loop(ddg, machine));
+                let shared = report(scheduler.schedule_loop_with_core(ddg, machine, &core));
+                let identity = report(scheduler.schedule(
                     &LoopAnalysis::with_core(ddg, Arc::clone(&core)),
-                    &machine,
+                    machine,
                     &Perturbation::baseline(),
                 ));
                 assert_eq!(fresh, shared, "shared core drifted: {cell}");
                 assert_eq!(fresh, identity, "identity perturbation drifted: {cell}");
             }
         }
+        check_side_cells("after");
+    }
+}
+
+/// A feedback-style perturbation that only moves HRMS's start node.
+fn perturbed(start: StartHint) -> Perturbation {
+    Perturbation {
+        label: format!("{start:?}"),
+        start,
+        ..Perturbation::default()
     }
 }
 
@@ -100,17 +148,28 @@ fn overlay_analysis_fingerprints_match_from_scratch_analysis() {
 #[test]
 fn the_machine_independent_analysis_runs_once_per_loop_across_all_presets() {
     use hrms_repro::ddg::instrument;
-    use hrms_repro::hrms::HrmsScheduler;
-    use hrms_repro::modsched::ModuloScheduler;
+    use hrms_repro::hrms::pre_order;
 
     let scheduler = HrmsScheduler::new();
     let loops = suite();
     let machines = presets::all();
+    // Computed before the counters are reset: each runs on a private core.
+    let orders: Vec<_> = loops
+        .iter()
+        .map(|ddg| pre_order(&LoopAnalysis::analyze(ddg)).order)
+        .collect();
     instrument::reset();
-    for ddg in &loops {
+    for (ddg, order) in loops.iter().zip(&orders) {
         let core = Arc::new(LoopCore::new());
-        for machine in &machines {
+        for (i, machine) in machines.iter().enumerate() {
             let _ = scheduler.schedule_loop_with_core(ddg, machine, &core);
+            if i == 0 {
+                // The first cell stored the loop's order; the accessor must
+                // return it without running its closure again.
+                let analysis = LoopAnalysis::with_core(ddg, Arc::clone(&core));
+                let cached = analysis.hrms_order(|| panic!("`{}` was ordered twice", ddg.name()));
+                assert_eq!(cached, &order[..], "cached order of `{}`", ddg.name());
+            }
         }
     }
     assert_eq!(
