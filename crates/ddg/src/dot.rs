@@ -9,6 +9,7 @@
 //! how external/real loops enter the `hrms` CLI. The format contract is
 //! specified in `docs/FORMATS.md`.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::builder::DdgBuilder;
@@ -557,19 +558,19 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
     cur.expect_punct('{')?;
 
     let mut nodes: Vec<PendingNode> = Vec::new();
-    let mut ids: Vec<(String, usize)> = Vec::new(); // dot id -> node index
+    let mut ids: HashMap<String, usize> = HashMap::new(); // dot id -> node index
     let mut edges: Vec<(usize, usize, DepKind, u32, Span)> = Vec::new();
     let mut invariants: Option<u32> = None;
     let mut iterations: Option<u64> = None;
 
     // Creates-or-finds the node for a DOT id referenced by an edge.
     fn intern(
-        ids: &mut Vec<(String, usize)>,
+        ids: &mut HashMap<String, usize>,
         nodes: &mut Vec<PendingNode>,
         id: &str,
         span: Span,
     ) -> usize {
-        if let Some(&(_, i)) = ids.iter().find(|(n, _)| n == id) {
+        if let Some(&i) = ids.get(id) {
             return i;
         }
         let i = nodes.len();
@@ -581,7 +582,7 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
             invariant_uses: 0,
             span,
         });
-        ids.push((id.to_string(), i));
+        ids.insert(id.to_string(), i);
         i
     }
 

@@ -34,6 +34,7 @@
 //! downstream tooling (the `hrms-verify` lint pass) can point semantic
 //! diagnostics back at the input file.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -460,17 +461,14 @@ struct Block {
     builder: DdgBuilder,
     /// name → id, for edge endpoint resolution (duplicate names are
     /// rejected at `build` time; first wins for resolution here).
-    names: Vec<(String, NodeId)>,
+    names: HashMap<String, NodeId>,
     start_line: usize,
     spans: LoopSpans,
 }
 
 impl Block {
     fn lookup(&self, name: &str) -> Option<NodeId> {
-        self.names
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, id)| id)
+        self.names.get(name).copied()
     }
 }
 
@@ -565,7 +563,7 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                 }
                 *slot = Some(Block {
                     builder: DdgBuilder::new(name.text()),
-                    names: Vec::new(),
+                    names: HashMap::new(),
                     start_line: lineno,
                     spans: LoopSpans {
                         header: ctx.span_all(),
@@ -629,7 +627,7 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                 if invariant_uses > 0 {
                     b.builder.node_invariant_uses(id, invariant_uses);
                 }
-                b.names.push((name, id));
+                b.names.entry(name).or_insert(id);
                 b.spans.nodes.push(ctx.span_all());
             }
             ("edge", Some(b)) => {

@@ -52,6 +52,22 @@ mod tests {
     }
 
     #[test]
+    fn preset_digests_are_pinned() {
+        // Part of the on-disk format contract: cache keys and reports carry
+        // these digests, so they must not move.
+        let pinned = [
+            ("general-4xL2", 0xd4b3_973b_0e94_123b),
+            ("govindarajan-4fu", 0x423b_5487_74b1_bf4e),
+            ("perfect-club-8fu", 0x397f_d650_d205_e2ae),
+            ("perfect-club-16fu", 0x40e6_346c_4443_aeb0),
+        ];
+        for (machine, (name, digest)) in presets::all().iter().zip(pinned) {
+            assert_eq!(machine.name(), name);
+            assert_eq!(machine_fingerprint(machine), digest, "preset `{name}`");
+        }
+    }
+
+    #[test]
     fn digest_is_stable_across_round_trips() {
         for machine in presets::all() {
             let back = parse_machine(&write_machine(&machine)).unwrap();

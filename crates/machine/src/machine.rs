@@ -58,17 +58,27 @@ impl ResourceClass {
     }
 }
 
+/// Number of operation kinds, the length of the per-kind tables.
+const KINDS: usize = OpKind::ALL.len();
+
 /// A complete machine description.
 ///
 /// Built with [`MachineBuilder`]; immutable afterwards.
+///
+/// The per-kind facts are dense arrays indexed by `kind as usize` (the
+/// position of the kind in [`OpKind::ALL`]), filled once by
+/// [`MachineBuilder::build`]: the scheduling step asks for a kind's class
+/// and occupancy on every placement, so the getters are array reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     name: String,
     classes: Vec<ResourceClass>,
     /// op kind -> class index
-    op_class: HashMap<OpKind, u32>,
+    op_class: [u32; KINDS],
     /// op kind -> latency in cycles
-    op_latency: HashMap<OpKind, u32>,
+    op_latency: [u32; KINDS],
+    /// op kind -> cycles one unit of its class stays busy
+    op_occupancy: [u32; KINDS],
 }
 
 impl Machine {
@@ -103,25 +113,21 @@ impl Machine {
     /// The class that executes operations of kind `kind`.
     #[inline]
     pub fn class_of(&self, kind: OpKind) -> ClassId {
-        ClassId(self.op_class[&kind])
+        ClassId(self.op_class[kind as usize])
     }
 
     /// The latency of operations of kind `kind` on this machine.
     #[inline]
     pub fn latency_of(&self, kind: OpKind) -> u32 {
-        self.op_latency[&kind]
+        self.op_latency[kind as usize]
     }
 
     /// The number of cycles an operation of kind `kind` keeps one unit of
     /// its class busy: 1 for pipelined classes, the full latency for
     /// non-pipelined classes.
+    #[inline]
     pub fn occupancy_of(&self, kind: OpKind) -> u32 {
-        let class = self.class(self.class_of(kind));
-        if class.pipelined {
-            1
-        } else {
-            self.latency_of(kind)
-        }
+        self.op_occupancy[kind as usize]
     }
 
     /// Total number of functional units (all classes).
@@ -241,15 +247,18 @@ impl MachineBuilder {
                 });
             }
         }
+        let mut op_class = [0; KINDS];
+        let mut op_latency = [0; KINDS];
+        let mut op_occupancy = [0; KINDS];
         for kind in OpKind::ALL {
             let class = self
                 .op_class
                 .get(&kind)
                 .copied()
                 .ok_or(MachineError::UnmappedOp { kind })?;
-            if class as usize >= self.classes.len() {
+            let Some(resource) = self.classes.get(class as usize) else {
                 return Err(MachineError::UnmappedOp { kind });
-            }
+            };
             let lat = self
                 .op_latency
                 .get(&kind)
@@ -258,12 +267,17 @@ impl MachineBuilder {
             if lat == 0 {
                 return Err(MachineError::ZeroLatency { kind });
             }
+            let k = kind as usize;
+            op_class[k] = class;
+            op_latency[k] = lat;
+            op_occupancy[k] = if resource.pipelined { 1 } else { lat };
         }
         Ok(Machine {
             name: self.name,
             classes: self.classes,
-            op_class: self.op_class,
-            op_latency: self.op_latency,
+            op_class,
+            op_latency,
+            op_occupancy,
         })
     }
 }
@@ -289,6 +303,36 @@ mod tests {
         assert_eq!(m.occupancy_of(OpKind::FpAdd), 1, "pipelined");
         assert_eq!(m.total_units(), 3);
         assert_eq!(m.name(), "toy");
+    }
+
+    #[test]
+    fn kind_indices_follow_op_kind_all() {
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn getters_read_the_builders_mapping_for_every_kind() {
+        // Every kind gets its own latency and one of three classes, so a
+        // table read at the wrong index returns a wrong answer.
+        let mut b = MachineBuilder::new("mixed")
+            .class(ResourceClass::pipelined("p", 2))
+            .class(ResourceClass::unpipelined("np", 1))
+            .class(ResourceClass::unpipelined("np2", 3));
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            b = b.map(kind, (i * 5 % 3) as u32, 10 + i as u32);
+        }
+        let expected = (b.op_class.clone(), b.op_latency.clone());
+        let m = b.build().unwrap();
+        for kind in OpKind::ALL {
+            let class = expected.0[&kind];
+            let latency = expected.1[&kind];
+            assert_eq!(m.class_of(kind), ClassId(class), "{kind:?}");
+            assert_eq!(m.latency_of(kind), latency, "{kind:?}");
+            let occupancy = if class == 0 { 1 } else { latency };
+            assert_eq!(m.occupancy_of(kind), occupancy, "{kind:?}");
+        }
     }
 
     #[test]

@@ -181,6 +181,56 @@ mod tests {
     }
 
     #[test]
+    fn getters_match_the_preset_mappings_before_and_after_a_round_trip() {
+        use crate::textfmt::{parse_machine, write_machine};
+        // (class, latency) per kind, in `OpKind::ALL` order:
+        // fadd fmul fdiv fsqrt load store ialu copy op.
+        let perfect_club = [
+            (1, 4),
+            (2, 4),
+            (3, 17),
+            (3, 30),
+            (0, 2),
+            (0, 1),
+            (1, 1),
+            (1, 1),
+            (1, 1),
+        ];
+        let expected: [[(u32, u32); 9]; 4] = [
+            [(0, 2); 9],
+            [
+                (0, 1),
+                (1, 2),
+                (2, 17),
+                (2, 17),
+                (3, 2),
+                (3, 1),
+                (0, 1),
+                (0, 1),
+                (0, 1),
+            ],
+            perfect_club,
+            perfect_club,
+        ];
+        for (machine, mapping) in all().into_iter().zip(expected) {
+            let back = parse_machine(&write_machine(&machine)).unwrap();
+            for m in [&machine, &back] {
+                for (kind, (class, latency)) in OpKind::ALL.into_iter().zip(mapping) {
+                    let what = format!("{} {kind:?}", m.name());
+                    assert_eq!(m.class_of(kind), ClassId(class), "{what}");
+                    assert_eq!(m.latency_of(kind), latency, "{what}");
+                    let occupancy = if m.class(ClassId(class)).pipelined {
+                        1
+                    } else {
+                        latency
+                    };
+                    assert_eq!(m.occupancy_of(kind), occupancy, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn wide_machine_doubles_units() {
         let m = perfect_club_wide();
         assert_eq!(m.total_units(), 16);

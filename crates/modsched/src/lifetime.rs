@@ -70,6 +70,46 @@ impl ValueLifetime {
     }
 }
 
+/// The number of live instances at every kernel row, summed over
+/// `lifetimes`: row `r` holds `Σ live_instances_at(ii, r)`.
+///
+/// Each cycle of a lifetime `[start, end)` makes one instance live at row
+/// `cycle mod II`, so a lifetime adds `len / II` to every row plus 1 to the
+/// `len mod II` rows from `start mod II` on (wrapping). The per-row counts
+/// are the prefix sums of a circular difference array: `O(lifetimes + II)`
+/// instead of `O(lifetimes · II)` calls of the closed form.
+fn live_per_row(ii: u32, lifetimes: &[ValueLifetime]) -> Vec<u64> {
+    let n = ii as usize;
+    let ii = i64::from(ii);
+    let mut every_row = 0u64;
+    let mut diff = vec![0i64; n + 1];
+    for l in lifetimes {
+        let len = l.length();
+        if len <= 0 {
+            continue;
+        }
+        every_row += (len / ii) as u64;
+        let rem = (len % ii) as usize;
+        let first = l.start.rem_euclid(ii) as usize;
+        let stop = first + rem;
+        diff[first] += 1;
+        if stop <= n {
+            diff[stop] -= 1;
+        } else {
+            diff[0] += 1;
+            diff[stop - n] -= 1;
+        }
+    }
+    let mut live = 0i64;
+    diff[..n]
+        .iter()
+        .map(|d| {
+            live += d;
+            every_row + live as u64
+        })
+        .collect()
+}
+
 /// Lifetime analysis of one schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LifetimeAnalysis {
@@ -111,9 +151,7 @@ impl LifetimeAnalysis {
                 });
             }
         }
-        let live_per_row: Vec<u64> = (0..ii)
-            .map(|row| lifetimes.iter().map(|l| l.live_instances_at(ii, row)).sum())
-            .collect();
+        let live_per_row = live_per_row(ii, &lifetimes);
         let num_stores = ddg
             .nodes()
             .filter(|(_, n)| n.kind() == OpKind::Store)
@@ -187,6 +225,8 @@ impl LifetimeAnalysis {
 mod tests {
     use super::*;
     use hrms_ddg::{DdgBuilder, DepKind};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// load(λ2)@0 -> add(λ1)@2 -> store@3 ; value of load lives [0,2),
     /// value of add lives [2,3).
@@ -317,5 +357,77 @@ mod tests {
         let lt = LifetimeAnalysis::analyze(&g, &s);
         assert_eq!(lt.total_lifetime(), 3);
         assert!((lt.mean_lifetime() - 1.5).abs() < 1e-9);
+    }
+
+    /// `Σ live_instances_at(ii, row)` over `lifetimes`, the definition the
+    /// per-row counts must match.
+    fn by_definition(ii: u32, lifetimes: &[ValueLifetime], row: u32) -> u64 {
+        lifetimes.iter().map(|l| l.live_instances_at(ii, row)).sum()
+    }
+
+    #[test]
+    fn per_row_counts_match_the_closed_form_on_seeded_lifetimes() {
+        let mut rng = StdRng::seed_from_u64(0x11FE);
+        for trial in 0..2000 {
+            let ii = if trial % 5 == 0 {
+                1
+            } else {
+                rng.gen_range(1..=12u32)
+            };
+            let span = 4 * i64::from(ii);
+            let lifetimes: Vec<ValueLifetime> = (0..rng.gen_range(0..=8))
+                .map(|_| {
+                    let start = rng.gen_range(-span..=span);
+                    let len = match rng.gen_range(0..4) {
+                        0 => rng.gen_range(-span..=0),
+                        1 => i64::from(ii) * rng.gen_range(1..=4),
+                        _ => rng.gen_range(1..=span),
+                    };
+                    ValueLifetime {
+                        producer: NodeId(0),
+                        start,
+                        end: start + len,
+                    }
+                })
+                .collect();
+            let rows = live_per_row(ii, &lifetimes);
+            assert_eq!(rows.len(), ii as usize);
+            for row in 0..ii {
+                assert_eq!(
+                    rows[row as usize],
+                    by_definition(ii, &lifetimes, row),
+                    "ii={ii} row={row} lifetimes={lifetimes:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn live_at_row_matches_the_closed_form_on_seeded_schedules() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for _ in 0..300 {
+            let mut b = DdgBuilder::new("random");
+            let n = rng.gen_range(1..=10);
+            let ids: Vec<NodeId> = (0..n)
+                .map(|i| b.node(format!("n{i}"), OpKind::FpAdd, 1))
+                .collect();
+            for _ in 0..rng.gen_range(0..=2 * n) {
+                let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let kind = if rng.gen_bool(0.8) {
+                    DepKind::RegFlow
+                } else {
+                    DepKind::Memory
+                };
+                b.edge(ids[src], ids[dst], kind, rng.gen_range(0..=3))
+                    .unwrap();
+            }
+            let g = b.build().unwrap();
+            let ii = rng.gen_range(1..=8u32);
+            let cycles = (0..n).map(|_| rng.gen_range(-20..=20)).collect();
+            let lt = LifetimeAnalysis::analyze(&g, &Schedule::new(ii, cycles));
+            for row in 0..ii {
+                assert_eq!(lt.live_at_row(row), by_definition(ii, lt.lifetimes(), row));
+            }
+        }
     }
 }

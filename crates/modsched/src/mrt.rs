@@ -86,35 +86,83 @@ impl ModuloReservationTable {
     /// overlaps the next iteration's instance), so the check accumulates the
     /// operation's per-slot demand before comparing against the capacity.
     ///
-    /// This runs once per *candidate cycle* of every placement scan — the
-    /// innermost loop of the scheduling step — so it is allocation-free:
-    /// `O(occupancy)` when the operation fits inside one table period (the
-    /// overwhelmingly common case), `O(II)` with a closed-form per-slot
-    /// demand when it wraps.
+    /// Allocation-free: `O(occupancy)` when the operation fits inside one
+    /// table period (the overwhelmingly common case), `O(II)` with a
+    /// closed-form per-slot demand when it wraps. The placement scans of
+    /// [`crate::PartialSchedule`] do not call it per candidate cycle: they
+    /// scan the table once, with the same check, and accept exactly the
+    /// cycles it accepts.
     pub fn can_place(&self, machine: &Machine, kind: OpKind, cycle: i64) -> bool {
-        let class = machine.class_of(kind);
+        self.first_fit(machine, kind, cycle, 1, true).is_some()
+    }
+
+    /// Scans at most `span` cycles from `from` (inclusive), forward or
+    /// backward, for the first cycle at which an operation of kind `kind`
+    /// fits, or `None`. The table is left untouched: the caller commits
+    /// with [`ModuloReservationTable::place`].
+    ///
+    /// The class is looked up once and the modulo slot is stepped, not
+    /// recomputed, from one candidate to the next. When an operation that
+    /// fits inside one period (`occupancy ≤ II`) is refused, the scan jumps
+    /// past the refused window's last saturated slot (forward) or before
+    /// its first one (backward): every start it skips covers that slot, so
+    /// the cycle returned is the first one a candidate-by-candidate
+    /// [`ModuloReservationTable::can_place`] scan accepts.
+    pub(crate) fn first_fit(
+        &self,
+        machine: &Machine,
+        kind: OpKind,
+        from: i64,
+        span: u32,
+        forward: bool,
+    ) -> Option<i64> {
+        let class = machine.class_of(kind).index();
+        let usage = &self.usage[class];
+        let capacity = self.capacity[class];
         let occupancy = machine.occupancy_of(kind) as usize;
         let ii = self.ii as usize;
-        let usage = &self.usage[class.index()];
-        let capacity = self.capacity[class.index()];
-        let start = self.slot(cycle);
-        if occupancy <= ii {
-            // Demand is exactly 1 in `occupancy` consecutive modulo slots.
-            (0..occupancy).all(|k| {
-                let s = start + k;
-                let s = if s >= ii { s - ii } else { s };
-                usage[s] < capacity
-            })
-        } else {
-            // The operation wraps the whole table `occupancy / II` times and
-            // covers `occupancy mod II` further slots starting at `start`.
-            let base = (occupancy / ii) as u32;
-            let rem = occupancy % ii;
-            (0..ii).all(|s| {
-                let extra = u32::from((s + ii - start) % ii < rem);
-                usage[s] + base + extra <= capacity
-            })
+        // Window offsets stay below `II`, so one subtraction wraps a slot.
+        let full = |s: usize| usage[if s >= ii { s - ii } else { s }] >= capacity;
+        let mut slot = self.slot(from);
+        let mut k = 0;
+        while k < span as usize {
+            // How many candidates the refusal at `slot` rules out.
+            let refused = if occupancy > ii {
+                // The operation covers every slot `occupancy / II` times and
+                // `occupancy mod II` further slots from `slot` on.
+                let base = (occupancy / ii) as u32;
+                let rem = occupancy % ii;
+                let fits = (0..ii).all(|s| {
+                    let extra = u32::from((s + ii - slot) % ii < rem);
+                    usage[s] + base + extra <= capacity
+                });
+                (!fits).then_some(1)
+            } else if forward {
+                (0..occupancy)
+                    .rev()
+                    .find(|&j| full(slot + j))
+                    .map(|j| j + 1)
+            } else {
+                (0..occupancy)
+                    .find(|&j| full(slot + j))
+                    .map(|j| occupancy - j)
+            };
+            let Some(step) = refused else {
+                let k = k as i64;
+                return Some(if forward { from + k } else { from - k });
+            };
+            k += step;
+            // `step ≤ II`, so one correction keeps the slot in `0..II`.
+            slot = if forward {
+                slot + step
+            } else {
+                slot + ii - step
+            };
+            if slot >= ii {
+                slot -= ii;
+            }
         }
+        None
     }
 
     /// Places `node` (of kind `kind`) at `cycle`. Returns `false` (and leaves

@@ -174,11 +174,18 @@ impl PartialSchedule {
 
     /// Scans forward from `from` (inclusive) over at most `span` cycles for
     /// the first cycle where `u` fits in the reservation table, and places it
-    /// there. Returns the chosen cycle, or `None` if no slot was free.
+    /// there. Returns the chosen cycle, or `None` if no slot was free or `u`
+    /// is already placed.
     ///
     /// Scanning more than II cycles is pointless because of the modulo
     /// constraint; the schedulers pass `span = II` (or the distance to a
     /// deadline if smaller).
+    ///
+    /// The cycle is the first `from + k` that
+    /// [`ModuloReservationTable::can_place`] accepts, but the scan does not
+    /// test each candidate: it looks the operation's class up once, steps
+    /// the modulo slot instead of dividing, and skips every start whose
+    /// window covers a saturated slot it has already seen.
     pub fn place_forward(
         &mut self,
         ddg: &Ddg,
@@ -187,19 +194,12 @@ impl PartialSchedule {
         from: i64,
         span: u32,
     ) -> Option<i64> {
-        let kind = ddg.node(u).kind();
-        for k in 0..i64::from(span) {
-            let cycle = from + k;
-            if self.mrt.place(machine, u, kind, cycle) {
-                self.set_cycle(u, cycle);
-                return Some(cycle);
-            }
-        }
-        None
+        self.place_first_fit(ddg, machine, u, from, span, true)
     }
 
     /// Scans backward from `from` (inclusive) over at most `span` cycles for
-    /// the first cycle where `u` fits, and places it there.
+    /// the first cycle where `u` fits, and places it there. The mirror image
+    /// of [`PartialSchedule::place_forward`].
     pub fn place_backward(
         &mut self,
         ddg: &Ddg,
@@ -208,15 +208,27 @@ impl PartialSchedule {
         from: i64,
         span: u32,
     ) -> Option<i64> {
-        let kind = ddg.node(u).kind();
-        for k in 0..i64::from(span) {
-            let cycle = from - k;
-            if self.mrt.place(machine, u, kind, cycle) {
-                self.set_cycle(u, cycle);
-                return Some(cycle);
-            }
+        self.place_first_fit(ddg, machine, u, from, span, false)
+    }
+
+    fn place_first_fit(
+        &mut self,
+        ddg: &Ddg,
+        machine: &Machine,
+        u: NodeId,
+        from: i64,
+        span: u32,
+        forward: bool,
+    ) -> Option<i64> {
+        if self.is_scheduled(u) {
+            return None;
         }
-        None
+        let kind = ddg.node(u).kind();
+        let cycle = self.mrt.first_fit(machine, kind, from, span, forward)?;
+        let placed = self.mrt.place(machine, u, kind, cycle);
+        debug_assert!(placed, "the scan returned a cycle the table refuses");
+        self.set_cycle(u, cycle);
+        Some(cycle)
     }
 
     /// Places `u` exactly at `cycle` if the reservation table allows it.
@@ -266,7 +278,9 @@ impl PartialSchedule {
 mod tests {
     use super::*;
     use hrms_ddg::{DdgBuilder, DepKind, OpKind};
-    use hrms_machine::presets;
+    use hrms_machine::{presets, ClassId, MachineBuilder, ResourceClass};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// An empty partial schedule over `g`'s placement arcs.
     fn partial(g: &Ddg, m: &Machine, ii: u32) -> PartialSchedule {
@@ -428,5 +442,109 @@ mod tests {
         let mut ps = partial(&g, &m, 2);
         ps.place_at(&g, &m, ids[0], 0);
         let _ = ps.into_schedule(&g);
+    }
+
+    /// A machine with one non-pipelined unit whose kinds keep it busy for
+    /// fewer, exactly II and more cycles than `ii`, next to a non-pipelined
+    /// class of two units (where an operation longer than II can fit) and a
+    /// pipelined one.
+    fn scan_machine(ii: u32, rng: &mut StdRng) -> Machine {
+        let below = ii.saturating_sub(1).max(1);
+        let above = ii + rng.gen_range(1..=2 * ii);
+        MachineBuilder::new("scan")
+            .class(ResourceClass::unpipelined("np1", 1))
+            .class(ResourceClass::unpipelined("np2", 2))
+            .class(ResourceClass::pipelined("p", 2))
+            .map(OpKind::FpAdd, 0, 1)
+            .map(OpKind::FpMul, 0, below)
+            .map(OpKind::FpDiv, 0, ii)
+            .map(OpKind::FpSqrt, 0, above)
+            .map(OpKind::IntAlu, 1, rng.gen_range(1..=2 * ii))
+            .map_all_remaining_to(2, 2)
+            .build()
+            .unwrap()
+    }
+
+    /// The per-candidate scan the placement scans replace: the first
+    /// `from ± k`, `k < span`, that the table accepts.
+    fn reference_scan(
+        mrt: &ModuloReservationTable,
+        machine: &Machine,
+        kind: OpKind,
+        from: i64,
+        span: u32,
+        forward: bool,
+    ) -> Option<i64> {
+        (0..i64::from(span))
+            .map(|k| if forward { from + k } else { from - k })
+            .find(|&c| mrt.can_place(machine, kind, c))
+    }
+
+    #[test]
+    fn scans_pick_the_first_slot_the_table_accepts() {
+        let kinds = [
+            OpKind::FpAdd,
+            OpKind::FpMul,
+            OpKind::FpDiv,
+            OpKind::FpSqrt,
+            OpKind::IntAlu,
+            OpKind::Load,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5CA7);
+        let mut scans = [0usize; 2];
+        for _ in 0..400 {
+            let ii = rng.gen_range(1..=9u32);
+            let m = scan_machine(ii, &mut rng);
+            let mut b = DdgBuilder::new("scan");
+            let nodes: Vec<NodeId> = (0..10)
+                .map(|i| b.node(format!("n{i}"), kinds[rng.gen_range(0..kinds.len())], 1))
+                .collect();
+            let g = b.build().unwrap();
+            let mut ps = partial(&g, &m, ii);
+            for _ in 0..40 {
+                let u = nodes[rng.gen_range(0..nodes.len())];
+                if ps.is_scheduled(u) && rng.gen_bool(0.5) {
+                    // Free some slots so the table's fill keeps varying.
+                    ps.unplace(u);
+                    continue;
+                }
+                let kind = g.node(u).kind();
+                let ii = i64::from(ii);
+                let from = rng.gen_range(-3 * ii..=3 * ii);
+                let span = rng.gen_range(0..=2 * ii as u32 + 2);
+                let forward = rng.gen_bool(0.5);
+                let expected = if ps.is_scheduled(u) {
+                    None
+                } else {
+                    reference_scan(&ps.mrt, &m, kind, from, span, forward)
+                };
+                let mut reference = ps.mrt.clone();
+                if let Some(c) = expected {
+                    assert!(reference.place(&m, u, kind, c));
+                }
+                let got = if forward {
+                    ps.place_forward(&g, &m, u, from, span)
+                } else {
+                    ps.place_backward(&g, &m, u, from, span)
+                };
+                assert_eq!(
+                    got,
+                    expected,
+                    "{kind:?} (occupancy {}) at II {ii}, from {from}, span {span}, \
+                     forward {forward}",
+                    m.occupancy_of(kind)
+                );
+                scans[usize::from(got.is_some())] += 1;
+                for class in 0..m.num_classes() as u32 {
+                    for slot in 0..ii as usize {
+                        let class = ClassId(class);
+                        assert_eq!(ps.mrt.usage(class, slot), reference.usage(class, slot));
+                    }
+                }
+                assert_eq!((ps.len(), ps.mrt.len()), (reference.len(), reference.len()));
+            }
+        }
+        // Both outcomes are common, so neither path is tested vacuously.
+        assert!(scans.iter().all(|&n| n > 3000), "{scans:?}");
     }
 }
