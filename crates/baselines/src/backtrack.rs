@@ -91,7 +91,7 @@ pub fn schedule_with_backtracking(
                 } else {
                     // No scheduled neighbour: prefer the direction of the
                     // fewer stretchable flow dependences (Huff's tie-break).
-                    ddg.consumers(u).len() < ddg.predecessors(u).len()
+                    ddg.consumers(u).count() < ddg.predecessors(u).len()
                 }
             }
         };

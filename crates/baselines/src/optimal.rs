@@ -249,8 +249,8 @@ impl Search<'_> {
             if !node.defines_value() {
                 continue;
             }
-            let consumers = self.ddg.consumers(id);
-            if consumers.is_empty() {
+            let mut consumers = self.ddg.consumers(id).peekable();
+            if consumers.peek().is_none() {
                 continue;
             }
             let Some(tp) = partial.cycle_of(id) else {

@@ -2,9 +2,10 @@
 //! enumeration, path search and MII computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hrms_ddg::{scc, search_all_paths, NodeId, RecurrenceInfo};
+use hrms_ddg::{scc, NodeId};
 use hrms_machine::presets;
 use hrms_modsched::MiiInfo;
+use hrms_oracle::{search_all_paths, RecurrenceInfo};
 use hrms_workloads::{GeneratorConfig, LoopGenerator};
 
 fn graphs() -> Vec<hrms_ddg::Ddg> {

@@ -6,9 +6,10 @@
 //! loops, where the order runs out of slots, so most of the escalation's
 //! passes look like this) and `ScheduleOutcome::new` (the lifetime and
 //! `MaxLive` metrics of a finished schedule). The analysis-construction
-//! group measures the one-off cost of building the shared cache so the
-//! placement cost can be judged net of it. CI runs this bench with
-//! `-- --test` as a single-sample smoke check.
+//! group measures the one-off cost of the shared per-loop facts the
+//! scheduling step reads (SCCs, backward edges, dependence edges and the
+//! placement CSR), so the placement cost can be judged net of it. CI runs
+//! this bench with `-- --test` as a single-sample smoke check.
 
 use std::time::Duration;
 
@@ -120,7 +121,15 @@ fn bench_loop_analysis_construction(c: &mut Criterion) {
     for ddg in synthetic::stress_suite() {
         let ops = ddg.num_nodes();
         group.bench_with_input(BenchmarkId::new("analyze", ops), &ddg, |b, ddg| {
-            b.iter(|| LoopAnalysis::analyze(std::hint::black_box(ddg)))
+            b.iter(|| {
+                // `analyze` is lazy, so each fact is forced explicitly.
+                let la = LoopAnalysis::analyze(std::hint::black_box(ddg));
+                la.sccs();
+                la.backward_edges();
+                la.dep_edges();
+                la.placement();
+                la
+            })
         });
     }
     group.finish();

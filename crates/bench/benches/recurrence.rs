@@ -12,7 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hrms_core::pre_order;
-use hrms_ddg::{CycleRatios, IncrementalStarts, LoopAnalysis, RecurrenceGroups, RecurrenceInfo};
+use hrms_ddg::{CycleRatios, IncrementalStarts, LoopAnalysis, RecurrenceGroups};
+use hrms_oracle::RecurrenceInfo;
 use hrms_workloads::synthetic;
 
 fn bench_recurrence_analysis(c: &mut Criterion) {

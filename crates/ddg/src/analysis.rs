@@ -1,15 +1,15 @@
 //! Shared per-loop graph analyses: compute once, reuse in every phase.
 //!
 //! Before this module existed, each scheduling phase re-derived the same
-//! structural facts about a loop body: the pre-ordering ran Tarjan once in
-//! [`crate::circuits`] (to restrict Johnson's circuit search to each SCC)
-//! and once more to find the backward edges, the MII computation repeated
-//! the recurrence analysis as a Bellman-Ford binary search, and every
-//! `Early_Start`/`Late_Start` evaluation re-resolved dependence latencies
-//! edge by edge. [`LoopAnalysis`] computes each of these **at most once**
-//! per [`Ddg`] — lazily, on first access, so every consumer pays only for
-//! the facts it actually touches — and hands cached references to all
-//! phases:
+//! structural facts about a loop body: the pre-ordering ran Tarjan once to
+//! restrict Johnson's circuit search to each SCC (the enumeration is now a
+//! test oracle only) and once more to find the backward edges, the MII
+//! computation repeated the recurrence analysis as a Bellman-Ford binary
+//! search, and every `Early_Start`/`Late_Start` evaluation re-resolved
+//! dependence latencies edge by edge. [`LoopAnalysis`] computes each of
+//! these **at most once** per [`Ddg`] — lazily, on first access, so every
+//! consumer pays only for the facts it actually touches — and hands cached
+//! references to all phases:
 //!
 //! * Tarjan SCCs ([`LoopAnalysis::sccs`]) — one run, shared with the
 //!   cycle-ratio analysis and the backward-edge computation
@@ -707,56 +707,12 @@ impl<'a> LoopAnalysis<'a> {
     /// The enumeration-free recurrence analysis
     /// ([`crate::recurrence::RecurrenceGroups`]), assembled from the
     /// cached cycle-ratio analysis — never truncated, whatever the density
-    /// of the components. This is the default recurrence path of the
+    /// of the components. This is the only recurrence path of the
     /// pre-ordering phase.
-    ///
-    /// With the `verify-recurrence` feature enabled, every analysed loop is
-    /// cross-checked against a (budgeted) circuit enumeration whenever that
-    /// enumeration completes; a hard divergence panics and any multi-edge
-    /// coarsening is counted and logged
-    /// ([`crate::recurrence::coarsening`]).
     pub fn recurrence_groups(&self) -> &RecurrenceGroups {
-        self.core.rec_groups.get_or_init(|| {
-            let ddg = self.ddg;
-            let groups = RecurrenceGroups::from_cycle_ratios(ddg, self.cycle_ratios());
-            #[cfg(feature = "verify-recurrence")]
-            {
-                let oracle = crate::circuits::RecurrenceInfo::analyze_with_sccs(
-                    ddg,
-                    self.sccs(),
-                    crate::circuits::DEFAULT_CIRCUIT_BUDGET,
-                );
-                if !oracle.truncated {
-                    match crate::recurrence::cross_check(&groups, &oracle) {
-                        Err(e) => panic!(
-                            "SCC-derived recurrence groups diverged from the \
-                             circuit enumeration on `{}`: {e}",
-                            ddg.name()
-                        ),
-                        Ok(report) => {
-                            crate::recurrence::coarsening::record(report.is_exact());
-                            if !report.is_exact() {
-                                // The ≥3-backward-edge fallback is the only
-                                // documented source of inexactness; anything
-                                // else diverging is a bug, not coarsening.
-                                assert!(
-                                    report.deep_subgraphs > 0,
-                                    "SCC-derived recurrence groups diverged from the \
-                                     circuit enumeration on `{}` without any \
-                                     deep (≥3-edge) subgraph to excuse it: {report:?}",
-                                    ddg.name()
-                                );
-                                eprintln!(
-                                    "verify-recurrence: `{}` coarsened: {report:?}",
-                                    ddg.name()
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            groups
-        })
+        self.core
+            .rec_groups
+            .get_or_init(|| RecurrenceGroups::from_cycle_ratios(self.ddg, self.cycle_ratios()))
     }
 
     /// The exact recurrence-constrained MII ([`exact_rec_mii`]); `None`

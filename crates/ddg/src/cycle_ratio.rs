@@ -181,9 +181,10 @@ impl CycleRatios {
 
     /// Lower bound on the initiation interval imposed by the recurrences,
     /// in the paper's operation-latency metric: the maximum per-node
-    /// bound, i.e. the exact `RecMII` of the whole graph. Equals
-    /// [`crate::circuits::RecurrenceInfo::rec_mii_lower_bound`] whenever
-    /// the enumeration completes, with no budget in sight.
+    /// bound, i.e. the exact `RecMII` of the whole graph. Equals the
+    /// circuit enumeration's bound
+    /// (`hrms_oracle::RecurrenceInfo::rec_mii_lower_bound`) whenever the
+    /// enumeration completes, with no budget in sight.
     pub fn rec_mii_lower_bound(&self) -> u64 {
         self.per_node.iter().copied().max().unwrap_or(0)
     }
@@ -926,8 +927,6 @@ fn positive_cycle_nodes(n: usize, edges: &[DepEdge], lambda: u64) -> Vec<usize> 
 mod tests {
     use super::*;
     use crate::analysis::exact_rec_mii;
-    use crate::circuits::RecurrenceInfo;
-    use crate::recurrence::{cross_check, RecurrenceGroups};
     use crate::{DdgBuilder, DepKind, OpKind};
 
     /// The node-latency-metric exact RecMII of the whole graph, computed
@@ -1137,49 +1136,6 @@ mod tests {
         assert_eq!(r.scc_groups().len(), 2);
         // The hub carries the more restrictive of its two circuits.
         assert_eq!(r.bound(h), 4, "A-circuit: 4 latency over distance 1");
-    }
-
-    #[test]
-    fn avoidable_overlap_pair_is_trimmed_to_the_elementary_span() {
-        // Pair {6⇢0, 9⇢1} where the B segment (1 → 2 → 6) is forced
-        // through node 2, so valid A segments must avoid 2: the node 4
-        // (reachable only via 2) lies on unrestricted 0 ⇝ 9 paths but on
-        // no elementary pair circuit, and the fixpoint must trim it out
-        // of the span — matching the enumeration exactly.
-        let mut bld = DdgBuilder::new("trim");
-        let ids: Vec<NodeId> = (0..8)
-            .map(|i| bld.node(format!("n{i}"), OpKind::FpAdd, 1))
-            .collect();
-        let e = |bld: &mut DdgBuilder, s: usize, t: usize, d: u32| {
-            bld.edge(ids[s], ids[t], DepKind::RegFlow, d).unwrap();
-        };
-        // Indices: 0, 1, 2 (shared), 3 (=the trimmed node), 4..6 = bypass
-        // chain, 7 = sink of both segments.
-        e(&mut bld, 0, 2, 0); // 0 -> 2
-        e(&mut bld, 1, 2, 0); // 1 -> 2
-        e(&mut bld, 2, 3, 0); // 2 -> 3
-        e(&mut bld, 3, 7, 0); // 3 -> 7
-        e(&mut bld, 0, 4, 0); // bypass 0 -> 4 -> 5 -> 7
-        e(&mut bld, 4, 5, 0);
-        e(&mut bld, 5, 7, 0);
-        e(&mut bld, 2, 6, 0); // 2 -> 6 closes the B side
-        e(&mut bld, 6, 0, 1); // backward B: 6 ⇢ 0
-        e(&mut bld, 7, 1, 1); // backward A: 7 ⇢ 1
-        let g = bld.build().unwrap();
-        let groups = RecurrenceGroups::analyze(&g);
-        let oracle = RecurrenceInfo::analyze_with_budget(&g, usize::MAX);
-        let report = cross_check(&groups, &oracle).unwrap();
-        assert!(report.is_exact(), "{report:?}");
-        let pair = groups
-            .groups
-            .iter()
-            .find(|gr| gr.kind == RecurrenceGroupKind::Interleaved)
-            .expect("the pair closes through the bypass chain");
-        assert!(
-            !pair.nodes.contains(&ids[3]),
-            "node 3 is only on non-elementary pair walks: {:?}",
-            pair.nodes
-        );
     }
 
     #[test]

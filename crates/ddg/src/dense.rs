@@ -1,15 +1,14 @@
 //! Dense, allocation-light graph representations: a u64-word bitset
 //! ([`NodeSet`]), a compressed-sparse-row adjacency ([`Csr`]) and index-based
-//! ports of the graph routines the pre-ordering phase leans on
+//! versions of the graph routines the pre-ordering phase leans on
 //! ([`search_all_paths`], [`reachable`], [`sort_asap`], [`sort_pala`]).
 //!
-//! The generic routines in [`crate::paths`] and [`crate::topo`] work on any
-//! [`crate::GraphView`] but pay for it with per-call `HashMap`/`HashSet`
-//! allocations and `Vec<NodeId>` adjacency copies. The pre-ordering phase of
-//! HRMS calls them once per hypernode-reduction step, so on large loop bodies
-//! the hashing dominates the paper's claimed `O(|V| + |E|)` footprint
-//! (footnote 2). This module provides the same semantics over dense node
-//! indices:
+//! The routines began as generic versions over an adjacency trait, with
+//! per-call `HashMap`/`HashSet` allocations and `Vec<NodeId>` adjacency
+//! copies. The pre-ordering phase of HRMS calls them once per
+//! hypernode-reduction step, so on large loop bodies the hashing dominated
+//! the paper's claimed `O(|V| + |E|)` footprint (footnote 2). This module
+//! provides the same semantics over dense node indices:
 //!
 //! * [`NodeSet`] — a fixed-capacity bitset over node indices with
 //!   deterministic ascending iteration (the dense analogue of a
@@ -27,9 +26,10 @@
 //!   order (sources first / sinks first, ties by node id) as the generic
 //!   sorts.
 //!
-//! Every routine here is checked against its generic counterpart by the
-//! equivalence tests at the bottom of this file and by the differential
-//! pre-ordering suite in the workspace-level tests.
+//! The generic versions live on in the dev-only `hrms-oracle` crate, whose
+//! equivalence tests check every routine here against its generic
+//! counterpart; the golden pre-order fingerprints of the workspace tests
+//! pin the orders these routines produce.
 
 use std::collections::HashSet;
 
@@ -343,8 +343,8 @@ pub enum Dir {
 
 /// The set of nodes reachable from `seeds` in direction `dir`, **excluding**
 /// the seeds themselves unless they are re-reached (through a cycle or from
-/// another seed) — the dense port of the BFS in [`crate::paths`]. Duplicate
-/// and dead seeds are ignored. `O(|V| + |E|)` with two bitset insertions
+/// another seed) — the dense port of the generic BFS in
+/// `hrms_oracle::paths`. Duplicate and dead seeds are ignored. `O(|V| + |E|)` with two bitset insertions
 /// per visited node and no hashing.
 pub fn reachable<G: DenseAdjacency + ?Sized>(graph: &G, seeds: &[usize], dir: Dir) -> NodeSet {
     let bound = graph.node_bound();
@@ -374,8 +374,8 @@ pub fn reachable<G: DenseAdjacency + ?Sized>(graph: &G, seeds: &[usize], dir: Di
 }
 
 /// Every node lying on some directed path between two (not necessarily
-/// distinct) seeds, including the seeds themselves — the dense port of
-/// [`crate::paths::search_all_paths`], computed as
+/// distinct) seeds, including the seeds themselves — the dense port of the
+/// paper's `Search_All_Paths` (`hrms_oracle::search_all_paths`), computed as
 /// `reachable(seeds, forward) ∩ reachable(seeds, backward) ∪ seeds` with two
 /// bitset BFS sweeps in `O(|V| + |E|)`.
 pub fn search_all_paths<G: DenseAdjacency + ?Sized>(graph: &G, seeds: &[usize]) -> NodeSet {
@@ -441,7 +441,8 @@ impl KahnScratch {
 }
 
 /// Kahn's topological sort of `subset` **sources first**, ties broken by
-/// node index — the dense port of [`crate::topo::sort_asap`]. Only edges
+/// node index — the dense port of the paper's `Sort_ASAP`
+/// (`hrms_oracle::sort_asap`). Only edges
 /// with both endpoints in `subset` count. `O((V' + E') log V')` over the
 /// subset's `V'` nodes and `E'` induced edges (the log from the min-heap
 /// ready list); the caller's [`KahnScratch`] is reused across calls, so a
@@ -460,8 +461,7 @@ pub fn sort_asap<G: DenseAdjacency + ?Sized>(
 
 /// Kahn's topological sort of `subset` **sinks first** (the paper's
 /// `Sort_PALA`), ties broken by node index — the dense port of
-/// [`crate::topo::sort_pala`]. Same cost and scratch reuse as
-/// [`sort_asap`].
+/// `hrms_oracle::sort_pala`. Same cost and scratch reuse as [`sort_asap`].
 ///
 /// # Errors
 ///
@@ -546,7 +546,7 @@ fn kahn<G: DenseAdjacency + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{paths, topo, DdgBuilder, DepKind, GraphView, OpKind};
+    use crate::{DdgBuilder, DepKind, OpKind};
 
     #[test]
     fn nodeset_insert_remove_contains() {
@@ -680,28 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_search_all_paths_matches_generic() {
-        let g = sample();
-        let csr = Csr::from_graph(&g);
-        let seed_sets: Vec<Vec<usize>> = vec![
-            vec![0, 6],
-            vec![1, 4],
-            vec![0, 0, 6], // duplicate seeds
-            vec![7],
-            vec![2, 5, 8],
-            vec![],
-        ];
-        for seeds in seed_sets {
-            let ids: Vec<NodeId> = seeds.iter().map(|&i| NodeId::from_index(i)).collect();
-            let generic = paths::search_all_paths(&g, &ids);
-            let dense = search_all_paths(&csr, &seeds);
-            let mut generic: Vec<usize> = generic.into_iter().map(|n| n.index()).collect();
-            generic.sort_unstable();
-            assert_eq!(dense.iter().collect::<Vec<_>>(), generic, "seeds {seeds:?}");
-        }
-    }
-
-    #[test]
     fn dense_reachable_excludes_unreached_seeds() {
         let g = sample();
         let csr = Csr::from_graph(&g);
@@ -714,103 +692,11 @@ mod tests {
     }
 
     #[test]
-    fn dense_sorts_match_generic() {
-        let g = sample();
-        // Restrict to the acyclic part (drop the loop-carried edge).
-        let dropped: HashSet<EdgeId> = g
-            .edges()
-            .filter(|(_, e)| e.distance() > 0)
-            .map(|(eid, _)| eid)
-            .collect();
-        let csr = Csr::filtered(&g, &dropped);
-        let subsets: Vec<Vec<usize>> = vec![
-            vec![0, 2, 3, 4, 5, 6],
-            vec![1, 3, 5],
-            vec![7, 8],
-            (0..10).collect(),
-        ];
-        for subset in subsets {
-            let ids: Vec<NodeId> = subset.iter().map(|&i| NodeId::from_index(i)).collect();
-            let set = NodeSet::from_indices(g.num_nodes(), subset.iter().copied());
-            // The generic sorts see the full graph; give them a view with the
-            // same dropped edges by sorting over the filtered CSR semantics:
-            // both only count edges inside the subset, and the subsets above
-            // avoid the loop-carried edge's endpoints being co-members in a
-            // cycle, except the full set which is acyclic after filtering.
-            let view = FilteredView {
-                ddg: &g,
-                dropped: &dropped,
-            };
-            let asap_generic = topo::sort_asap(&view, &ids).unwrap();
-            let asap_dense = sort_asap(&csr, &set, &mut KahnScratch::new()).unwrap();
-            assert_eq!(
-                asap_dense
-                    .iter()
-                    .map(|&i| NodeId::from_index(i))
-                    .collect::<Vec<_>>(),
-                asap_generic,
-                "asap over {subset:?}"
-            );
-            let pala_generic = topo::sort_pala(&view, &ids).unwrap();
-            let pala_dense = sort_pala(&csr, &set, &mut KahnScratch::new()).unwrap();
-            assert_eq!(
-                pala_dense
-                    .iter()
-                    .map(|&i| NodeId::from_index(i))
-                    .collect::<Vec<_>>(),
-                pala_generic,
-                "pala over {subset:?}"
-            );
-        }
-    }
-
-    #[test]
     fn dense_sort_detects_cycles() {
         let g = sample();
         let csr = Csr::from_graph(&g); // keeps the 6 -> 0 back edge
         let cycle_subset = NodeSet::from_indices(g.num_nodes(), [0, 2, 4, 6]);
         let err = sort_asap(&csr, &cycle_subset, &mut KahnScratch::new()).unwrap_err();
         assert_eq!(err.stuck.len(), 4);
-    }
-
-    /// A [`GraphView`] over a [`Ddg`] with some edges hidden, mirroring the
-    /// filtering the CSR applies, so the generic sorts see the same graph.
-    struct FilteredView<'a> {
-        ddg: &'a Ddg,
-        dropped: &'a HashSet<EdgeId>,
-    }
-
-    impl GraphView for FilteredView<'_> {
-        fn node_bound(&self) -> usize {
-            self.ddg.num_nodes()
-        }
-
-        fn contains(&self, n: NodeId) -> bool {
-            n.index() < self.ddg.num_nodes()
-        }
-
-        fn successors_of(&self, n: NodeId) -> Vec<NodeId> {
-            let mut out: Vec<NodeId> = self
-                .ddg
-                .out_edges(n)
-                .filter(|(eid, e)| !self.dropped.contains(eid) && !e.is_self_loop())
-                .map(|(_, e)| e.target())
-                .collect();
-            out.sort();
-            out.dedup();
-            out
-        }
-
-        fn predecessors_of(&self, n: NodeId) -> Vec<NodeId> {
-            let mut out: Vec<NodeId> = self
-                .ddg
-                .in_edges(n)
-                .filter(|(eid, e)| !self.dropped.contains(eid) && !e.is_self_loop())
-                .map(|(_, e)| e.source())
-                .collect();
-            out.sort();
-            out.dedup();
-            out
-        }
     }
 }

@@ -6,8 +6,9 @@
 //! [`crate::fingerprint::ddg_fingerprint`]-identical graph. The importer
 //! also accepts plain third-party DOT digraphs (nodes default to latency-1
 //! general operations, edges to intra-iteration flow dependences), which is
-//! how external/real loops enter the `hrms` CLI. The format contract is
-//! specified in `docs/FORMATS.md`.
+//! how external/real loops enter the `hrms` CLI, and
+//! [`from_dot_graphs`] reads several digraphs written back to back, one
+//! loop per graph. The format contract is specified in `docs/FORMATS.md`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -327,7 +328,16 @@ struct Cursor<'a> {
     src: Src<'a>,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
+    /// Tokenizes `input` and places the cursor on its first token.
+    fn new(input: &'a str) -> Result<Self, ParseError> {
+        let src = Src {
+            lines: input.lines().collect(),
+        };
+        let toks = lex(input, &src)?;
+        Ok(Cursor { toks, pos: 0, src })
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos).map(|(t, _)| t)
     }
@@ -505,12 +515,48 @@ fn node_from_attrs(
 ///
 /// Same as [`from_dot`].
 pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> {
-    let src = Src {
-        lines: input.lines().collect(),
-    };
-    let toks = lex(input, &src)?;
-    let mut cur = Cursor { toks, pos: 0, src };
+    let mut cur = Cursor::new(input)?;
+    let graph = parse_graph(&mut cur)?;
+    if let Some(tok) = cur.next() {
+        return Err(ParseError::new(
+            cur.line(),
+            format!("trailing {} after closing `}}`", tok.describe()),
+        ));
+    }
+    Ok(graph)
+}
 
+/// Parses one or more DOT digraphs written back to back (as `hrms convert
+/// --to dot` writes a multi-loop input, and as Graphviz accepts them),
+/// one loop per graph in input order, each with its statement spans (see
+/// [`from_dot_with_spans`]).
+///
+/// # Errors
+///
+/// Same as [`from_dot`], for the first graph that fails; an input holding
+/// no graph at all is an error too.
+pub fn from_dot_graphs_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, ParseError> {
+    let mut cur = Cursor::new(input)?;
+    let mut graphs = vec![parse_graph(&mut cur)?];
+    while cur.peek().is_some() {
+        graphs.push(parse_graph(&mut cur)?);
+    }
+    Ok(graphs)
+}
+
+/// Parses one or more DOT digraphs written back to back into their loops,
+/// in input order (see [`from_dot_graphs_with_spans`]).
+///
+/// # Errors
+///
+/// Same as [`from_dot_graphs_with_spans`].
+pub fn from_dot_graphs(input: &str) -> Result<Vec<Ddg>, ParseError> {
+    from_dot_graphs_with_spans(input).map(|graphs| graphs.into_iter().map(|(g, _)| g).collect())
+}
+
+/// Parses one `[strict] digraph [name] { ... }` from the cursor, leaving it
+/// on the token after the closing brace.
+fn parse_graph(cur: &mut Cursor<'_>) -> Result<(Ddg, LoopSpans), ParseError> {
     // Header: [strict] digraph [name] {
     let header_span = cur.span();
     let line = cur.line();
@@ -676,12 +722,6 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
                 return Err(cur.err(stmt_span, format!("unexpected {}", other.describe())));
             }
         }
-    }
-    if let Some(tok) = cur.next() {
-        return Err(ParseError::new(
-            cur.line(),
-            format!("trailing {} after closing `}}`", tok.describe()),
-        ));
     }
 
     let mut b = DdgBuilder::new(name);
@@ -919,6 +959,35 @@ mod tests {
         assert_eq!(spans.nodes[0].line, 2, "node a declared on line 2");
         assert_eq!(spans.nodes[1].line, 3, "node b interned by the edge");
         assert_eq!(spans.edges[0].line, 3);
+    }
+
+    #[test]
+    fn back_to_back_graphs_import_in_order() {
+        let mut b = DdgBuilder::new("second");
+        b.node("x", OpKind::FpMul, 2);
+        let second = b.build().unwrap();
+        let text = format!("{}{}", to_dot(&tiny()), to_dot(&second));
+        assert!(
+            from_dot(&text)
+                .unwrap_err()
+                .to_string()
+                .contains("trailing"),
+            "a single-graph import still rejects a second graph"
+        );
+        let graphs = from_dot_graphs_with_spans(&text).unwrap();
+        let digests: Vec<u64> = graphs.iter().map(|(g, _)| ddg_fingerprint(g)).collect();
+        assert_eq!(
+            digests,
+            vec![ddg_fingerprint(&tiny()), ddg_fingerprint(&second)]
+        );
+        let second_header = text.lines().position(|l| l.starts_with("digraph \"second"));
+        assert_eq!(Some(graphs[1].1.header.line - 1), second_header);
+        assert!(from_dot_graphs("")
+            .unwrap_err()
+            .to_string()
+            .contains("digraph"));
+        let err = from_dot_graphs(&format!("{text}digraph g {{ }}")).unwrap_err();
+        assert!(err.to_string().contains("no operations"), "{err}");
     }
 
     #[test]

@@ -182,13 +182,13 @@ impl Ddg {
         out
     }
 
-    /// The consumers of the value defined by `id`: targets of register flow
-    /// edges leaving `id`. Returns an empty vector for value-less nodes.
-    pub fn consumers(&self, id: NodeId) -> Vec<(NodeId, u32)> {
+    /// The consumers of the value defined by `id`, with their dependence
+    /// distances: targets of register flow edges leaving `id`, in edge
+    /// order. Empty for value-less nodes.
+    pub fn consumers(&self, id: NodeId) -> impl Iterator<Item = (NodeId, u32)> + '_ {
         self.out_edges(id)
             .filter(|(_, e)| e.kind().carries_value())
             .map(|(_, e)| (e.target(), e.distance()))
-            .collect()
     }
 
     /// Whether the graph contains at least one recurrence circuit (a cycle,
@@ -384,40 +384,6 @@ pub struct DdgSummary {
     pub iteration_count: u64,
 }
 
-/// A read-only adjacency view of a graph-like structure.
-///
-/// Both the immutable [`Ddg`] and the mutable working graphs used by the
-/// pre-ordering phase of HRMS implement this trait, so the path-search and
-/// topological-sort helpers in this crate can be reused on either.
-pub trait GraphView {
-    /// An upper bound on node ids (used to size visited-bitsets).
-    fn node_bound(&self) -> usize;
-    /// Whether the node currently exists in the view.
-    fn contains(&self, n: NodeId) -> bool;
-    /// Distinct successors of `n` in the view.
-    fn successors_of(&self, n: NodeId) -> Vec<NodeId>;
-    /// Distinct predecessors of `n` in the view.
-    fn predecessors_of(&self, n: NodeId) -> Vec<NodeId>;
-}
-
-impl GraphView for Ddg {
-    fn node_bound(&self) -> usize {
-        self.num_nodes()
-    }
-
-    fn contains(&self, n: NodeId) -> bool {
-        n.index() < self.num_nodes()
-    }
-
-    fn successors_of(&self, n: NodeId) -> Vec<NodeId> {
-        self.successors(n)
-    }
-
-    fn predecessors_of(&self, n: NodeId) -> Vec<NodeId> {
-        self.predecessors(n)
-    }
-}
-
 /// Convenience constructor used by tests across the workspace: builds a chain
 /// `a -> b -> c -> ...` of `n` operations of the given kind and latency.
 pub fn chain(name: &str, n: usize, kind: OpKind, latency: u32) -> Ddg {
@@ -487,8 +453,8 @@ mod tests {
         b.edge(a, s, DepKind::RegFlow, 0).unwrap();
         b.edge(a, c, DepKind::Memory, 0).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(g.consumers(a), vec![(s, 0)]);
-        assert!(g.consumers(s).is_empty());
+        assert_eq!(g.consumers(a).collect::<Vec<_>>(), vec![(s, 0)]);
+        assert_eq!(g.consumers(s).count(), 0);
     }
 
     #[test]
@@ -606,15 +572,5 @@ mod tests {
         b.edge(c, a, DepKind::RegAnti, 1).unwrap();
         let g = b.build().unwrap();
         assert_eq!(g.edges_between(a, c).len(), 2);
-    }
-
-    #[test]
-    fn graph_view_impl_matches_direct_queries() {
-        let g = diamond();
-        let a = g.node_by_name("a").unwrap();
-        assert_eq!(GraphView::successors_of(&g, a), g.successors(a));
-        assert_eq!(GraphView::predecessors_of(&g, a), g.predecessors(a));
-        assert!(GraphView::contains(&g, a));
-        assert_eq!(GraphView::node_bound(&g), 4);
     }
 }

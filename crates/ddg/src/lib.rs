@@ -10,25 +10,28 @@
 //! * `λ(u) ≥ 1` is the *latency* of the operation in cycles.
 //!
 //! On top of the graph itself the crate implements every graph routine the
-//! schedulers rely on:
+//! schedulers rely on, one implementation each:
 //!
 //! * weakly connected components ([`Ddg::connected_components`]),
 //! * strongly connected components ([`scc`]),
-//! * enumeration-free recurrence subgraphs derived from the SCCs and their
-//!   backward-edge sets ([`recurrence`]) — the default recurrence path,
 //! * the exact per-node maximum cycle-ratio analysis ([`cycle_ratio`]):
 //!   for every node, the `RecMII` of the most critical recurrence circuit
 //!   through it, which ranks interleaved recurrences exactly,
-//! * enumeration of elementary circuits and their grouping into *recurrence
-//!   subgraphs* ([`circuits`]) — kept as the differential oracle for the
-//!   SCC-derived analysis (the `verify-recurrence` feature cross-checks the
-//!   two on every analysed loop),
-//! * the `Search_All_Paths` routine of the paper ([`paths`]),
-//! * ASAP / PALA topological orders and latency-weighted levels ([`topo`]),
+//! * the recurrence subgraphs the pre-ordering ranks, derived from the
+//!   SCCs, their backward-edge sets and the cycle ratios without
+//!   enumerating a circuit ([`recurrence`]),
+//! * dense bitset and CSR versions of the paper's `Search_All_Paths`,
+//!   `Sort_ASAP` and `Sort_PALA` ([`dense`]), and latency-weighted
+//!   levels ([`topo`]),
 //! * the shared per-loop analysis cache ([`analysis`]): one Tarjan run,
 //!   backward edges, dependence arcs with precomputed latencies and the
 //!   exact RecMII, computed once per loop and reused by every phase,
-//! * Graphviz export ([`dot`]).
+//! * the `.loop` text format ([`textfmt`]), Graphviz export and import
+//!   ([`dot`]) and stable fingerprints ([`fingerprint`]).
+//!
+//! The oracles these routines are tested against — Johnson's circuit
+//! enumeration, and generic path search and sorts — live in the dev-only
+//! `hrms-oracle` crate.
 //!
 //! # Example
 //!
@@ -58,7 +61,6 @@
 
 pub mod analysis;
 pub mod builder;
-pub mod circuits;
 pub mod cycle_ratio;
 pub mod dense;
 pub mod dot;
@@ -68,7 +70,6 @@ pub mod fingerprint;
 pub mod graph;
 pub mod instrument;
 pub mod node;
-pub mod paths;
 pub mod recurrence;
 pub mod scc;
 pub mod textfmt;
@@ -79,18 +80,16 @@ pub use analysis::{
     PlacementCsr,
 };
 pub use builder::DdgBuilder;
-pub use circuits::{Circuit, RecurrenceInfo, RecurrenceSubgraph};
 pub use cycle_ratio::CycleRatios;
 pub use dense::{Csr, DenseAdjacency, NodeSet};
 pub use edge::{DepKind, Edge, EdgeId};
 pub use error::DdgError;
 pub use fingerprint::{cache_key, ddg_fingerprint, format_digest, Fnv64};
-pub use graph::{chain, Ddg, DdgSummary, GraphView};
+pub use graph::{chain, Ddg, DdgSummary};
 pub use node::{Node, NodeId, OpKind};
-pub use paths::search_all_paths;
-pub use recurrence::{CrossCheckReport, RecurrenceGroup, RecurrenceGroupKind, RecurrenceGroups};
+pub use recurrence::{RecurrenceGroup, RecurrenceGroupKind, RecurrenceGroups};
 pub use textfmt::{
     parse_loop, parse_loops, parse_loops_with_spans, write_loop, write_loops, LoopSpans,
     ParseError, Span,
 };
-pub use topo::{sort_asap, sort_pala, CycleError, Direction, TopoLevels};
+pub use topo::{CycleError, TopoLevels};

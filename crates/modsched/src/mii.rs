@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn rec_mii_matches_circuit_enumeration_bound() {
         let g = accumulator_loop();
-        let info = hrms_ddg::RecurrenceInfo::analyze(&g);
+        let info = hrms_oracle::RecurrenceInfo::analyze(&g);
         assert_eq!(u64::from(rec_mii(&g).unwrap()), info.rec_mii_lower_bound());
     }
 

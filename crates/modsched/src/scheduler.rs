@@ -70,21 +70,6 @@ where
     let start = Instant::now();
     let ddg = analysis.ddg();
     let mii = MiiInfo::compute(machine, analysis)?;
-    // Under the verify-recurrence feature, every scheduled loop also
-    // cross-checks the cycle-ratio analysis against the exact scheduling
-    // RecMII: the paper-metric per-node maximum (operation-latency sums)
-    // can never undershoot the dependence-latency bound the MII is built
-    // from, and the two agree exactly on flow-only recurrences.
-    #[cfg(feature = "verify-recurrence")]
-    {
-        let bound = analysis.cycle_ratios().rec_mii_lower_bound();
-        let exact = analysis.rec_mii().map_or(u64::MAX, u64::from);
-        assert!(
-            bound >= exact,
-            "`{}`: cycle-ratio bound {bound} undershoots the exact RecMII {exact}",
-            ddg.name()
-        );
-    }
     let max_ii = SchedulerConfig::default().effective_max_ii(ddg, mii.mii());
     let mut starts = PerIiStarts::new();
     for (attempts, ii) in (1..).zip(mii.mii()..=max_ii) {

@@ -310,8 +310,7 @@ mod tests {
         // prod no longer feeds c0/c1 directly.
         assert!(spilled
             .consumers(prod)
-            .iter()
-            .all(|(c, _)| { spilled.node(*c).kind() == OpKind::Store }));
+            .all(|(c, _)| spilled.node(c).kind() == OpKind::Store));
         // each consumer is fed by exactly one load
         for c in [c0, c1] {
             let preds = spilled.predecessors(c);

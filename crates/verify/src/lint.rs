@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 
 use hrms_ddg::analysis::LoopAnalysis;
-use hrms_ddg::dot::from_dot_with_spans;
+use hrms_ddg::dot::from_dot_graphs_with_spans;
 use hrms_ddg::textfmt::tokenize_line;
 use hrms_ddg::{parse_loops_with_spans, Ddg, EdgeId, LoopSpans, OpKind, ParseError, Span};
 use hrms_machine::{parse_machine_with_spans, Machine, MachineSpans};
@@ -47,10 +47,18 @@ pub fn lint_loop_source(input: &str, machine: Option<&Machine>) -> Vec<Diagnosti
     }
 }
 
-/// Lints a Graphviz DOT import (one loop per file).
+/// Lints a Graphviz DOT import: one loop per digraph, with several graphs
+/// allowed back to back. Parse failures become a single `L001`.
 pub fn lint_dot_source(input: &str, machine: Option<&Machine>) -> Vec<Diagnostic> {
-    match from_dot_with_spans(input) {
-        Ok((ddg, spans)) => lint_ddg(&ddg, Some(&spans), machine),
+    match from_dot_graphs_with_spans(input) {
+        Ok(graphs) => {
+            let mut diags = Vec::new();
+            for (ddg, spans) in &graphs {
+                diags.extend(lint_ddg(ddg, Some(spans), machine));
+            }
+            sort_diagnostics(&mut diags);
+            diags
+        }
         Err(e) => vec![parse_diag(Code::L001, &e)],
     }
 }
@@ -87,7 +95,7 @@ pub fn lint_machine_source(input: &str) -> Vec<Diagnostic> {
 /// The semantic DDG lints over an already-built graph.
 ///
 /// `spans` (from [`hrms_ddg::parse_loops_with_spans`] or
-/// [`from_dot_with_spans`]) locates findings in the source; without it
+/// [`from_dot_graphs_with_spans`]) locates findings in the source; without it
 /// diagnostics are emitted spanless. `machine` gates `L007`/`L008`.
 pub fn lint_ddg(
     ddg: &Ddg,

@@ -151,7 +151,7 @@ mod tests {
     use super::*;
     use hrms_core::pre_order;
     use hrms_ddg::LoopAnalysis;
-    use hrms_ddg::RecurrenceInfo;
+    use hrms_oracle::RecurrenceInfo;
 
     #[test]
     fn figure1_has_seven_nodes_and_no_recurrence() {

@@ -123,13 +123,11 @@ fn read_source(source: &str, stdin: &str) -> Result<String, CliError> {
         .map_err(|e| CliError::data(format!("cannot read `{source}`: {e}")))
 }
 
-/// Parses one input source into its loops (a `.loop` file may hold several;
-/// a DOT file holds exactly one graph).
+/// Parses one input source into its loops: a `.loop` file may hold
+/// several, and a DOT file one loop per digraph, back to back.
 fn parse_source(source: &str, text: &str) -> Result<Vec<Ddg>, CliError> {
     if looks_like_dot(text) {
-        dot::from_dot(text)
-            .map(|g| vec![g])
-            .map_err(|e| CliError::data(format!("{source}: {e}")))
+        dot::from_dot_graphs(text).map_err(|e| CliError::data(format!("{source}: {e}")))
     } else {
         parse_loops(text).map_err(|e| CliError::data(format!("{source}: {e}")))
     }
@@ -708,16 +706,29 @@ mod tests {
 
     #[test]
     fn convert_round_trips_between_formats() {
-        let input = "loop l\nnode a load latency=2\nnode b fadd latency=1\nedge a -> b flow\nend\n";
+        // Two loops: the DOT output holds two graphs back to back, and
+        // every reader of it (convert, schedule, lint) sees both, in order.
+        let input = "loop l\nnode a load latency=2\nnode b fadd latency=1\nedge a -> b flow\nend\n\
+                     loop m\nnode x fmul latency=2\nedge x -> x flow dist=1\nend\n";
         let as_dot = run(&args(&["convert", "-", "--to", "dot"]), input).unwrap();
-        assert!(as_dot.contains("digraph"));
+        assert_eq!(as_dot.matches("digraph").count(), 2);
         let back = run(&args(&["convert", "-", "--to", "loop"]), &as_dot).unwrap();
-        let original = parse_loops(input).unwrap();
-        let reparsed = parse_loops(&back).unwrap();
+        let fingerprints = |text: &str| -> Vec<u64> {
+            parse_loops(text)
+                .unwrap()
+                .iter()
+                .map(hrms_ddg::ddg_fingerprint)
+                .collect()
+        };
+        assert_eq!(fingerprints(&back), fingerprints(input));
         assert_eq!(
-            hrms_ddg::ddg_fingerprint(&original[0]),
-            hrms_ddg::ddg_fingerprint(&reparsed[0])
+            back,
+            run(&args(&["convert", "-", "--to", "loop"]), input).unwrap()
         );
+        let scheduled = run(&args(&["schedule", "-"]), &as_dot).unwrap();
+        assert!(scheduled.contains("loop `l`") && scheduled.contains("loop `m`"));
+        let linted = run(&args(&["lint", "-"]), &as_dot).unwrap();
+        assert!(linted.contains("no problems found"), "{linted}");
     }
 
     #[test]

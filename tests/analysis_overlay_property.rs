@@ -141,10 +141,6 @@ fn overlay_analysis_fingerprints_match_from_scratch_analysis() {
     }
 }
 
-// The verify-recurrence feature runs an extra circuit-enumeration oracle
-// that moves the instrumentation counters, so the exact once-per-loop pin
-// only holds in the default build.
-#[cfg(not(feature = "verify-recurrence"))]
 #[test]
 fn the_machine_independent_analysis_runs_once_per_loop_across_all_presets() {
     use hrms_repro::ddg::instrument;

@@ -222,7 +222,7 @@ proptest! {
         let ddg = generated_loop(seed, size, true);
         let machine = presets::perfect_club();
         let mii = MiiInfo::compute(&machine, &LoopAnalysis::analyze(&ddg)).unwrap();
-        let info = hrms_repro::ddg::RecurrenceInfo::analyze(&ddg);
+        let info = hrms_oracle::RecurrenceInfo::analyze(&ddg);
         if !info.truncated {
             prop_assert_eq!(u64::from(mii.rec_mii), info.rec_mii_lower_bound());
         }

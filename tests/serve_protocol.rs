@@ -483,16 +483,11 @@ fn multi_machine_requests_pay_one_analysis_per_loop_and_show_in_stats() {
     );
     hrms_repro::ddg::instrument::reset();
     let (out, _) = service.process(&input);
-    // The verify-recurrence feature runs an extra circuit-enumeration
-    // oracle that moves the counters, so the exact pin only holds in the
-    // default build.
-    if cfg!(not(feature = "verify-recurrence")) {
-        assert_eq!(
-            hrms_repro::ddg::instrument::tarjan_runs(),
-            2,
-            "one SCC analysis per loop, shared across the three machines"
-        );
-    }
+    assert_eq!(
+        hrms_repro::ddg::instrument::tarjan_runs(),
+        2,
+        "one SCC analysis per loop, shared across the three machines"
+    );
     let stats = fields(out.lines().last().unwrap());
     assert_eq!(num_field(&stats, "misses"), 6, "every cell is distinct");
     assert_eq!(num_field(&stats, "cores"), 2, "two distinct loop cores");
