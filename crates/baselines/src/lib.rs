@@ -74,16 +74,6 @@ pub fn all_baselines() -> Vec<Box<dyn ModuloScheduler>> {
     ]
 }
 
-/// The schedulers of the paper's Table 1 comparison (HRMS itself lives in
-/// `hrms-core`): Slack, FRLC and the SPILP stand-in.
-pub fn table1_baselines() -> Vec<Box<dyn ModuloScheduler>> {
-    vec![
-        Box::new(SlackScheduler::new()),
-        Box::new(FrlcScheduler::new()),
-        Box::new(BranchAndBoundScheduler::new()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,10 +89,5 @@ mod tests {
         dedup.dedup();
         assert_eq!(names.len(), dedup.len());
         assert_eq!(names.len(), 6);
-    }
-
-    #[test]
-    fn table1_baselines_are_a_subset() {
-        assert_eq!(table1_baselines().len(), 3);
     }
 }

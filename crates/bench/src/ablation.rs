@@ -6,11 +6,10 @@
 //!   program order with the same bidirectional placement rule should cost
 //!   registers and/or II.
 
-use hrms_core::{HrmsOptions, HrmsScheduler, OrderingMode, PreOrderOptions, StartNodePolicy};
-use hrms_ddg::Ddg;
+use hrms_core::{program_order_scheduler, HrmsScheduler};
+use hrms_ddg::{Ddg, LoopAnalysis};
 use hrms_machine::Machine;
-
-use crate::must_schedule;
+use hrms_modsched::{ModuloScheduler, Perturbation, StartHint};
 
 /// Aggregate results of one scheduler variant over a loop suite.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,9 +24,14 @@ pub struct VariantResult {
     pub optimal_ii: usize,
 }
 
-/// Runs one HRMS variant over the loops.
-pub fn run_variant(loops: &[Ddg], machine: &Machine, options: HrmsOptions) -> VariantResult {
-    let scheduler = HrmsScheduler::with_options(options);
+/// Runs one HRMS variant — a scheduler under a perturbation — over the
+/// loops.
+pub fn run_variant(
+    loops: &[Ddg],
+    machine: &Machine,
+    scheduler: &HrmsScheduler,
+    perturbation: &Perturbation,
+) -> VariantResult {
     let mut result = VariantResult {
         total_ii: 0,
         total_max_live: 0,
@@ -35,7 +39,15 @@ pub fn run_variant(loops: &[Ddg], machine: &Machine, options: HrmsOptions) -> Va
         optimal_ii: 0,
     };
     for ddg in loops {
-        let outcome = must_schedule(&scheduler, ddg, machine);
+        let outcome = scheduler
+            .schedule(&LoopAnalysis::analyze(ddg), machine, perturbation)
+            .unwrap_or_else(|e| {
+                panic!(
+                    "scheduler `{}` failed on loop `{}`: {e}",
+                    scheduler.name(),
+                    ddg.name()
+                )
+            });
         result.total_ii += u64::from(outcome.metrics.ii);
         result.total_max_live += outcome.metrics.max_live;
         result.total_buffers += outcome.metrics.buffers;
@@ -49,31 +61,20 @@ pub fn run_variant(loops: &[Ddg], machine: &Machine, options: HrmsOptions) -> Va
 /// The start-node ablation (paper footnote 1): default (first node in
 /// program order) vs last-node start.
 pub fn start_node_ablation(loops: &[Ddg], machine: &Machine) -> (VariantResult, VariantResult) {
-    let first = run_variant(loops, machine, HrmsOptions::default());
-    let last = run_variant(
-        loops,
-        machine,
-        HrmsOptions {
-            preorder: PreOrderOptions {
-                start_node: StartNodePolicy::LastInProgramOrder,
-            },
-            ..HrmsOptions::default()
-        },
-    );
-    (first, last)
+    let hrms = HrmsScheduler::new();
+    let first = run_variant(loops, machine, &hrms, &Perturbation::default());
+    let last = Perturbation {
+        start: StartHint::Last,
+        ..Perturbation::default()
+    };
+    (first, run_variant(loops, machine, &hrms, &last))
 }
 
 /// The pre-ordering ablation: hypernode reduction vs program order.
 pub fn preorder_ablation(loops: &[Ddg], machine: &Machine) -> (VariantResult, VariantResult) {
-    let hrms = run_variant(loops, machine, HrmsOptions::default());
-    let program_order = run_variant(
-        loops,
-        machine,
-        HrmsOptions {
-            ordering: OrderingMode::ProgramOrder,
-            ..HrmsOptions::default()
-        },
-    );
+    let identity = Perturbation::default();
+    let hrms = run_variant(loops, machine, &HrmsScheduler::new(), &identity);
+    let program_order = run_variant(loops, machine, &program_order_scheduler(), &identity);
     (hrms, program_order)
 }
 

@@ -733,7 +733,8 @@ impl<'a> LoopAnalysis<'a> {
     ///
     /// The slot holds one order only, so callers must fill it with the
     /// default hypernode order and nothing else: a perturbed start node or
-    /// another ordering mode computes its own order and never calls this.
+    /// the program-order ablation computes its own order and never calls
+    /// this.
     pub fn hrms_order(&self, order: impl FnOnce() -> Vec<NodeId>) -> &[NodeId] {
         self.core.hrms_order.get_or_init(order)
     }

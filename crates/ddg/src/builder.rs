@@ -139,21 +139,6 @@ impl DdgBuilder {
         self.edge(source, target, DepKind::RegFlow, 0)
     }
 
-    /// Convenience wrapper for a loop-carried register flow dependence of
-    /// the given distance.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DdgBuilder::edge`].
-    pub fn carried_flow(
-        &mut self,
-        source: NodeId,
-        target: NodeId,
-        distance: u32,
-    ) -> Result<&mut Self, DdgError> {
-        self.edge(source, target, DepKind::RegFlow, distance)
-    }
-
     /// Sets the number of loop-invariant values used by the loop. When not
     /// set explicitly, the total is the sum of per-node invariant uses.
     pub fn invariants(&mut self, count: u32) -> &mut Self {
@@ -308,17 +293,6 @@ mod tests {
         b.node("a", OpKind::FpAdd, 1);
         b.iteration_count(12345);
         assert_eq!(b.build().unwrap().iteration_count(), 12345);
-    }
-
-    #[test]
-    fn carried_flow_sets_distance() {
-        let mut b = DdgBuilder::new("cf");
-        let a = b.node("a", OpKind::FpAdd, 1);
-        b.carried_flow(a, a, 2).unwrap();
-        let g = b.build().unwrap();
-        let (_, e) = g.edges().next().unwrap();
-        assert_eq!(e.distance(), 2);
-        assert!(e.is_self_loop());
     }
 
     #[test]

@@ -506,30 +506,12 @@ fn node_from_attrs(
     })
 }
 
-/// Parses a DOT digraph into a dependence graph, also returning the source
-/// span of every node- and edge-introducing statement (see
-/// [`crate::textfmt::LoopSpans`]; nodes first referenced inside an edge
-/// statement get that statement's span).
-///
-/// # Errors
-///
-/// Same as [`from_dot`].
-pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> {
-    let mut cur = Cursor::new(input)?;
-    let graph = parse_graph(&mut cur)?;
-    if let Some(tok) = cur.next() {
-        return Err(ParseError::new(
-            cur.line(),
-            format!("trailing {} after closing `}}`", tok.describe()),
-        ));
-    }
-    Ok(graph)
-}
-
 /// Parses one or more DOT digraphs written back to back (as `hrms convert
 /// --to dot` writes a multi-loop input, and as Graphviz accepts them),
-/// one loop per graph in input order, each with its statement spans (see
-/// [`from_dot_with_spans`]).
+/// one loop per graph in input order, each with the source span of every
+/// node- and edge-introducing statement (see
+/// [`crate::textfmt::LoopSpans`]; nodes first referenced inside an edge
+/// statement get that statement's span).
 ///
 /// # Errors
 ///
@@ -783,7 +765,15 @@ fn parse_graph(cur: &mut Cursor<'_>) -> Result<(Ddg, LoopSpans), ParseError> {
 /// edges), invalid `hrms_*` metadata, or when the resulting graph fails
 /// [`DdgBuilder::build`] validation.
 pub fn from_dot(input: &str) -> Result<Ddg, ParseError> {
-    from_dot_with_spans(input).map(|(ddg, _)| ddg)
+    let mut cur = Cursor::new(input)?;
+    let (ddg, _) = parse_graph(&mut cur)?;
+    if let Some(tok) = cur.next() {
+        return Err(ParseError::new(
+            cur.line(),
+            format!("trailing {} after closing `}}`", tok.describe()),
+        ));
+    }
+    Ok(ddg)
 }
 
 #[cfg(test)]
@@ -952,7 +942,7 @@ mod tests {
     #[test]
     fn with_spans_tracks_node_and_edge_statements() {
         let input = "digraph g {\n  a [hrms_kind=load, hrms_latency=2];\n  a -> b;\n}\n";
-        let (g, spans) = from_dot_with_spans(input).unwrap();
+        let (g, spans) = from_dot_graphs_with_spans(input).unwrap().remove(0);
         assert_eq!(spans.header.line, 1);
         assert_eq!(spans.nodes.len(), g.num_nodes());
         assert_eq!(spans.edges.len(), g.num_edges());

@@ -220,15 +220,6 @@ impl Ddg {
         self.nodes.iter().map(|n| u64::from(n.latency())).sum()
     }
 
-    /// Number of operations of each kind, indexed by [`OpKind::ALL`] order.
-    pub fn op_histogram(&self) -> HashMap<OpKind, usize> {
-        let mut h = HashMap::new();
-        for n in &self.nodes {
-            *h.entry(n.kind()).or_insert(0) += 1;
-        }
-        h
-    }
-
     /// Partitions the nodes into weakly connected components (treating every
     /// edge as undirected). Components are returned in order of their
     /// smallest node id; nodes inside a component are sorted.
@@ -313,22 +304,6 @@ impl Ddg {
             self.iteration_count,
         );
         Ok((sub, sorted))
-    }
-
-    /// Returns all edges between `u` and `v` in either direction.
-    pub fn edges_between(&self, u: NodeId, v: NodeId) -> Vec<EdgeId> {
-        let mut out = Vec::new();
-        for (eid, e) in self.out_edges(u) {
-            if e.target() == v {
-                out.push(eid);
-            }
-        }
-        for (eid, e) in self.out_edges(v) {
-            if e.target() == u {
-                out.push(eid);
-            }
-        }
-        out
     }
 
     /// A rough structural summary used by reports and `Debug`-level logging.
@@ -545,32 +520,11 @@ mod tests {
     }
 
     #[test]
-    fn op_histogram_counts_kinds() {
-        let g = diamond();
-        let h = g.op_histogram();
-        assert_eq!(h[&OpKind::Load], 1);
-        assert_eq!(h[&OpKind::Store], 1);
-        assert_eq!(h[&OpKind::FpAdd], 1);
-        assert_eq!(h[&OpKind::FpMul], 1);
-    }
-
-    #[test]
     fn display_lists_nodes_and_edges() {
         let g = diamond();
         let text = g.to_string();
         assert!(text.contains("diamond"));
         assert!(text.contains("n0"));
         assert!(text.contains("δ=0"));
-    }
-
-    #[test]
-    fn edges_between_finds_both_directions() {
-        let mut b = DdgBuilder::new("between");
-        let a = b.node("a", OpKind::FpAdd, 1);
-        let c = b.node("c", OpKind::FpMul, 2);
-        b.edge(a, c, DepKind::RegFlow, 0).unwrap();
-        b.edge(c, a, DepKind::RegAnti, 1).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.edges_between(a, c).len(), 2);
     }
 }

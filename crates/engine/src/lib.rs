@@ -13,15 +13,16 @@
 //! * **Work stealing via an atomic cursor.** Workers pull the next unclaimed
 //!   index, so a batch of wildly different loop sizes load-balances without
 //!   any up-front partitioning.
-//! * **Workers claim loops.** [`BatchEngine::schedule_matrix`] hands out
+//! * **Workers claim loops.** [`BatchEngine::schedule_cells`] hands out
 //!   whole loops, not cells: the worker that claims a loop runs all of its
-//!   scheduler × machine cells in order over one analysis core, so no two
-//!   workers wait on each other for one loop's analysis. Several slow
-//!   schedulers on a single loop no longer split its wall time across
-//!   workers.
+//!   cells in order over one analysis core, so no two workers wait on each
+//!   other for one loop's analysis. [`BatchEngine::schedule_matrix`] (behind
+//!   `hrms schedule` and the benchmark harness) and the `hrms serve`
+//!   service both schedule through it. Several slow schedulers on a single
+//!   loop no longer split its wall time across workers.
 //! * **No spawn overhead for trivial batches.** Batches of one item — a
-//!   one-loop matrix included — and engines configured with one worker run
-//!   inline on the caller's thread.
+//!   one-loop batch of cells included — and engines configured with one
+//!   worker run inline on the caller's thread.
 //!
 //! ```
 //! use hrms_engine::BatchEngine;
@@ -48,20 +49,17 @@ use hrms_modsched::{ModuloScheduler, Perturbation, SchedError, ScheduleOutcome};
 pub use cache::{CacheStats, ResultCache};
 pub use contain::run_contained;
 
-/// Schedules one loop × machine cell with panic containment and a shared
+/// One cell of a batch: a scheduler applied to a loop on a machine.
+pub type Cell<'a> = (&'a (dyn ModuloScheduler + Sync), &'a Ddg, &'a Machine);
+
+/// Schedules one cell with panic containment over the loop's shared
 /// machine-independent analysis core: a panic inside the scheduler becomes
 /// a [`SchedError::Internal`] carrying the panic message and source
 /// location (see [`run_contained`]) instead of unwinding into the worker
 /// pool, and the scheduler reuses the loop's [`LoopCore`] (Tarjan, cycle
-/// ratios, CSRs) instead of rebuilding it, so a loop scheduled against N
-/// machines pays for its structural analysis once. Public so custom batch
-/// drivers (the service's cache-miss path) can schedule an arbitrary
-/// subset of loop × machine cells through [`BatchEngine::map`] with the
-/// same containment and core-sharing as [`BatchEngine::schedule_matrix`].
-pub fn schedule_cell_with_core(
-    scheduler: &(dyn ModuloScheduler + Sync),
-    ddg: &Ddg,
-    machine: &Machine,
+/// ratios, CSRs, the default HRMS order) instead of rebuilding it.
+fn schedule_cell_with_core(
+    (scheduler, ddg, machine): Cell<'_>,
     core: &Arc<LoopCore>,
 ) -> Result<ScheduleOutcome, SchedError> {
     let analysis = LoopAnalysis::with_core(ddg, Arc::clone(core));
@@ -164,54 +162,92 @@ impl BatchEngine {
             .collect()
     }
 
-    /// Schedules the full cross product `schedulers × loops × machines` —
-    /// "one loop, N machines" batch evaluation.
+    /// Schedules a loop-major list of cells and returns their outcomes in
+    /// input order.
     ///
-    /// Returns `matrix[s][l][m]`: scheduler `s` applied to loop `l` on
-    /// machine `m`, in deterministic input order regardless of worker
-    /// interleaving.
-    ///
-    /// Workers claim **loops**, not cells. The worker that claims a loop
-    /// creates its one [`LoopCore`], runs all of the loop's cells on it in
-    /// order (scheduler by scheduler, each over every machine, through
-    /// [`schedule_cell_with_core`]) and drops the core before it claims
-    /// the next loop. The machine-independent analysis (Tarjan's SCCs,
+    /// Workers claim **loops**, not cells. Each run of consecutive cells
+    /// over the same loop (the same `Ddg`, by address) is one work item:
+    /// the worker that claims it creates the loop's one [`LoopCore`], runs
+    /// the run's cells on it in order and drops the core before it claims
+    /// the next run. The machine-independent analysis (Tarjan's SCCs,
     /// backward edges, the dense CSRs, the cycle-ratio λ-search, the exact
-    /// RecMII, the default HRMS order) is therefore computed once per loop
+    /// RecMII, the default HRMS order) is therefore computed once per run
     /// and never contended for, while the per-machine resource facts
-    /// (ResMII, MRT occupancy) are recomputed per cell. A one-loop batch
-    /// runs inline on the caller's thread. The flip side: the cells of one
-    /// loop never run in parallel, so several slow schedulers on a single
-    /// loop no longer split its wall time across workers.
+    /// (ResMII, MRT occupancy) are recomputed per cell. List a loop's cells
+    /// together: a loop split over two runs is analysed twice. A one-run
+    /// batch runs inline on the caller's thread. The flip side: the cells
+    /// of one loop never run in parallel, so several slow schedulers on a
+    /// single loop no longer split its wall time across workers.
     ///
     /// Each cell is an isolation boundary: a panicking scheduler yields a
     /// [`SchedError::Internal`] in that cell instead of unwinding through
-    /// the pool and poisoning the other results. This is the engine entry
-    /// point behind `hrms schedule` and the benchmark harness.
+    /// the pool and poisoning the other results.
+    pub fn schedule_cells(&self, cells: &[Cell<'_>]) -> Vec<Result<ScheduleOutcome, SchedError>> {
+        self.claim_loops(cells, |outcomes| outcomes.collect::<Vec<_>>())
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// The loop claiming of [`BatchEngine::schedule_cells`]: each run of
+    /// one loop's cells is one work item over one core, and the worker
+    /// hands the run's outcomes, in order, to `collect`.
+    fn claim_loops<T, F>(&self, cells: &[Cell<'_>], collect: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&mut dyn Iterator<Item = Result<ScheduleOutcome, SchedError>>) -> T + Sync,
+    {
+        let runs: Vec<&[Cell<'_>]> = cells.chunk_by(|a, b| std::ptr::eq(a.1, b.1)).collect();
+        self.map(&runs, |_, run| {
+            let core = Arc::new(LoopCore::new());
+            collect(&mut run.iter().map(|&cell| schedule_cell_with_core(cell, &core)))
+        })
+    }
+
+    /// Schedules the full cross product `schedulers × loops × machines` —
+    /// "one loop, N machines" batch evaluation — with the loop claiming of
+    /// [`BatchEngine::schedule_cells`]: each loop is one work item with one
+    /// analysis core, its cells run scheduler by scheduler, each over every
+    /// machine.
+    ///
+    /// Returns `matrix[s][l][m]`: scheduler `s` applied to loop `l` on
+    /// machine `m`, in deterministic input order regardless of worker
+    /// interleaving. This is the engine entry point behind `hrms schedule`
+    /// and the benchmark harness.
     pub fn schedule_matrix(
         &self,
         schedulers: &[&(dyn ModuloScheduler + Sync)],
         loops: &[Ddg],
         machines: &[Machine],
     ) -> Vec<Vec<Vec<Result<ScheduleOutcome, SchedError>>>> {
-        let per_loop = self.map(loops, |_, ddg| {
-            let core = Arc::new(LoopCore::new());
-            schedulers
-                .iter()
-                .map(|&scheduler| {
-                    machines
-                        .iter()
-                        .map(|machine| schedule_cell_with_core(scheduler, ddg, machine, &core))
-                        .collect()
-                })
-                .collect::<Vec<Vec<_>>>()
-        });
+        let cells: Vec<Cell<'_>> = loops
+            .iter()
+            .flat_map(|ddg| {
+                schedulers
+                    .iter()
+                    .flat_map(move |&scheduler| machines.iter().map(move |m| (scheduler, ddg, m)))
+            })
+            .collect();
+        // Each loop's worker splits its outcomes into the schedulers' rows,
+        // so the caller's thread only moves rows once the pool returns.
+        let mut per_loop = self
+            .claim_loops(&cells, |outcomes| {
+                schedulers
+                    .iter()
+                    .map(|_| (&mut *outcomes).take(machines.len()).collect())
+                    .collect::<Vec<Vec<_>>>()
+            })
+            .into_iter();
         let mut matrix: Vec<Vec<_>> = schedulers
             .iter()
             .map(|_| Vec::with_capacity(loops.len()))
             .collect();
-        for per_scheduler in per_loop {
-            for (row, cells) in matrix.iter_mut().zip(per_scheduler) {
+        for _ in loops {
+            // With no machine a loop has no cells, hence no work item.
+            let rows = per_loop
+                .next()
+                .unwrap_or_else(|| schedulers.iter().map(|_| Vec::new()).collect());
+            for (row, cells) in matrix.iter_mut().zip(rows) {
                 row.push(cells);
             }
         }
@@ -398,6 +434,56 @@ mod tests {
             "one cycle-ratio λ-search per loop across {} machines",
             machines.len()
         );
+    }
+
+    #[test]
+    fn schedule_cells_matches_the_matrix_and_analyses_each_listed_loop_once() {
+        use hrms_baselines::TopDownScheduler;
+        let loops = LoopGenerator::with_seed(7).generate(3);
+        let machines = [
+            presets::general_purpose(),
+            presets::govindarajan(),
+            presets::perfect_club(),
+            presets::perfect_club_wide(),
+        ];
+        let hrms = HrmsScheduler::new();
+        let top_down = TopDownScheduler::new();
+        let schedulers: Vec<&(dyn ModuloScheduler + Sync)> = vec![&hrms, &top_down];
+        let matrix = BatchEngine::with_workers(2).schedule_matrix(&schedulers, &loops, &machines);
+
+        // A loop-major subset of the grid, as (scheduler, loop, machine)
+        // indices: loop 1 has no cell, and a loop's cells mix schedulers.
+        let subset = [
+            (0, 0, 1),
+            (1, 0, 3),
+            (0, 0, 3),
+            (1, 2, 0),
+            (0, 2, 2),
+            (0, 2, 0),
+        ];
+        let cells: Vec<Cell<'_>> = subset
+            .iter()
+            .map(|&(s, l, m)| (schedulers[s], &loops[l], &machines[m]))
+            .collect();
+        for workers in [1, 2] {
+            hrms_ddg::instrument::reset();
+            let outcomes = BatchEngine::with_workers(workers).schedule_cells(&cells);
+            if workers == 1 {
+                assert_eq!(
+                    hrms_ddg::instrument::tarjan_runs(),
+                    2,
+                    "one Tarjan run per loop that has a cell"
+                );
+            }
+            assert_eq!(outcomes.len(), subset.len());
+            for (&(s, l, m), outcome) in subset.iter().zip(&outcomes) {
+                let (cell, expected) =
+                    (outcome.as_ref().unwrap(), matrix[s][l][m].as_ref().unwrap());
+                assert_eq!(cell.schedule, expected.schedule, "cell ({s}, {l}, {m})");
+                assert_eq!(cell.metrics, expected.metrics, "cell ({s}, {l}, {m})");
+            }
+        }
+        assert!(BatchEngine::with_workers(2).schedule_cells(&[]).is_empty());
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub mod preorder;
 pub mod scheduler;
 pub mod workgraph;
 
-pub use preorder::{pre_order, pre_order_with, PreOrderOptions, PreOrdering, StartNodePolicy};
-pub use scheduler::{
-    program_order_scheduler, schedule_at_ii_with, HrmsOptions, HrmsScheduler, OrderingMode,
-};
+pub use preorder::{pre_order, pre_order_with, PreOrderOptions, PreOrdering};
+pub use scheduler::{program_order_scheduler, schedule_at_ii_with, HrmsScheduler};
 pub use workgraph::WorkGraph;

@@ -20,43 +20,29 @@
 
 use hrms_ddg::dense::KahnScratch;
 use hrms_ddg::{dense, Csr, LoopAnalysis, NodeId, NodeSet};
+use hrms_modsched::StartHint;
 
 use crate::workgraph::WorkGraph;
-
-/// How the initial hypernode of a recurrence-free component is chosen.
-///
-/// The paper (footnote 1) notes that the algorithm shortens lifetimes
-/// irrespective of the starting node; this policy exists so that the
-/// ablation benchmarks can verify that claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StartNodePolicy {
-    /// The first node of the component in program order (the paper's
-    /// default).
-    #[default]
-    FirstInProgramOrder,
-    /// The last node of the component in program order.
-    LastInProgramOrder,
-    /// A caller-chosen node (falls back to program order when the node is
-    /// not part of the component being ordered).
-    Fixed(NodeId),
-}
-
-impl StartNodePolicy {
-    pub(crate) fn pick(self, candidates: &[NodeId]) -> NodeId {
-        match self {
-            StartNodePolicy::FirstInProgramOrder => candidates[0],
-            StartNodePolicy::LastInProgramOrder => *candidates.last().expect("non-empty"),
-            StartNodePolicy::Fixed(n) if candidates.contains(&n) => n,
-            StartNodePolicy::Fixed(_) => candidates[0],
-        }
-    }
-}
 
 /// Options for the pre-ordering phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PreOrderOptions {
-    /// Initial-hypernode selection policy.
-    pub start_node: StartNodePolicy,
+    /// Where the initial hypernode of a recurrence-free component starts:
+    /// its first node in program order (the paper's default), its last
+    /// node, or a given node (the first node when the given one is not
+    /// part of the component). The paper (footnote 1) notes that the
+    /// algorithm shortens lifetimes irrespective of the starting node; the
+    /// start-node ablation checks that claim.
+    pub start_node: StartHint,
+}
+
+/// The component's initial hypernode under `hint`.
+fn start_node(hint: StartHint, component: &[NodeId]) -> NodeId {
+    match hint {
+        StartHint::Last => *component.last().expect("non-empty"),
+        StartHint::Node(n) if component.contains(&n) => n,
+        StartHint::Default | StartHint::Node(_) => component[0],
+    }
 }
 
 /// The result of the pre-ordering phase.
@@ -188,7 +174,7 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
             h
         } else {
             // No recurrences: pick the initial hypernode per policy.
-            let h = options.start_node.pick(&component);
+            let h = start_node(options.start_node, &component);
             push(&mut order, &mut ordered, h);
             h
         };
@@ -600,7 +586,7 @@ mod tests {
         let p = pre_order_with(
             &LoopAnalysis::analyze(&g),
             &PreOrderOptions {
-                start_node: StartNodePolicy::Fixed(ids[4]),
+                start_node: StartHint::Node(ids[4]),
             },
         );
         assert_eq!(
@@ -612,7 +598,7 @@ mod tests {
         let p = pre_order_with(
             &LoopAnalysis::analyze(&g),
             &PreOrderOptions {
-                start_node: StartNodePolicy::LastInProgramOrder,
+                start_node: StartHint::Last,
             },
         );
         assert_eq!(p.order[0], ids[6]);

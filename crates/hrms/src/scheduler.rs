@@ -11,28 +11,7 @@ use hrms_modsched::{
     ScheduleOutcome, StartHint,
 };
 
-use crate::preorder::{pre_order, pre_order_with, PreOrderOptions, StartNodePolicy};
-
-/// How the node order handed to the scheduling step is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderingMode {
-    /// The hypernode-reduction pre-ordering of the paper (default).
-    #[default]
-    HypernodeReduction,
-    /// Plain program order — the "no pre-ordering" ablation. The scheduling
-    /// step is unchanged, so the difference in register pressure and II
-    /// isolates the contribution of the ordering phase.
-    ProgramOrder,
-}
-
-/// Configuration of the HRMS scheduler.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HrmsOptions {
-    /// Pre-ordering options (initial hypernode selection).
-    pub preorder: PreOrderOptions,
-    /// Ordering mode (hypernode reduction or the program-order ablation).
-    pub ordering: OrderingMode,
-}
+use crate::preorder::{pre_order, pre_order_with, PreOrderOptions};
 
 /// Hypernode Reduction Modulo Scheduling.
 ///
@@ -73,39 +52,36 @@ pub struct HrmsOptions {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HrmsScheduler {
-    options: HrmsOptions,
+    /// Whether the scheduling step is driven by plain program order instead
+    /// of the pre-ordering: the "no pre-ordering" ablation, built only by
+    /// [`program_order_scheduler`]. The scheduling step is unchanged, so
+    /// the difference in register pressure and II isolates the
+    /// contribution of the ordering phase.
+    program_order: bool,
 }
 
 impl HrmsScheduler {
-    /// Creates an HRMS scheduler with default options.
+    /// Creates an HRMS scheduler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an HRMS scheduler with the given options.
-    pub fn with_options(options: HrmsOptions) -> Self {
-        HrmsScheduler { options }
-    }
-
-    /// The options in use.
-    pub fn options(&self) -> &HrmsOptions {
-        &self.options
     }
 }
 
 impl ModuloScheduler for HrmsScheduler {
     fn name(&self) -> &str {
-        match self.options.ordering {
-            OrderingMode::HypernodeReduction => "HRMS",
-            OrderingMode::ProgramOrder => "HRMS-no-preorder",
+        if self.program_order {
+            "HRMS-no-preorder"
+        } else {
+            "HRMS"
         }
     }
 
     /// HRMS's ordering is derived by hypernode reduction rather than a
-    /// priority sort, so the perturbation's [`StartHint`] maps onto the
-    /// pre-ordering's [`StartNodePolicy`]: changing where the hypernode
-    /// starts growing reorders the whole traversal around the hinted node.
-    /// Per-node boosts are ignored (they have no hypernode analogue).
+    /// priority sort, so the perturbation's [`StartHint`] is the
+    /// pre-ordering's [`PreOrderOptions::start_node`]: changing where the
+    /// hypernode starts growing reorders the whole traversal around the
+    /// hinted node. Per-node boosts are ignored (they have no hypernode
+    /// analogue).
     fn schedule(
         &self,
         analysis: &LoopAnalysis<'_>,
@@ -118,12 +94,6 @@ impl ModuloScheduler for HrmsScheduler {
         // per core — shared across machines when the caller builds every
         // cell's analysis over one `Arc<LoopCore>`).
         let ddg = analysis.ddg();
-        let mut preorder = self.options.preorder;
-        match perturbation.start {
-            StartHint::Default => {}
-            StartHint::Last => preorder.start_node = StartNodePolicy::LastInProgramOrder,
-            StartHint::Node(node) => preorder.start_node = StartNodePolicy::Fixed(node),
-        }
         let mut ordering_time = Duration::ZERO;
         let mut order: Option<Cow<'_, [NodeId]>> = None;
         // Robustness fallback order: the HRMS order can leave an operation
@@ -139,18 +109,18 @@ impl ModuloScheduler for HrmsScheduler {
             // has computed the MII, which rejects an invalid loop. The
             // default hypernode order lives in the loop's core, so the
             // loop's other cells reuse it; every other order (a perturbed
-            // start, another start policy, program order) is this cell's
-            // own and never touches the core's slot.
+            // start, program order) is this cell's own and never touches
+            // the core's slot.
             let order = order.get_or_insert_with(|| {
                 let order_start = Instant::now();
-                let order = match self.options.ordering {
-                    OrderingMode::HypernodeReduction if preorder == PreOrderOptions::default() => {
+                let order = match perturbation.start {
+                    _ if self.program_order => Cow::Owned(ddg.node_ids().collect()),
+                    StartHint::Default => {
                         Cow::Borrowed(analysis.hrms_order(|| pre_order(analysis).order))
                     }
-                    OrderingMode::HypernodeReduction => {
-                        Cow::Owned(pre_order_with(analysis, &preorder).order)
+                    start_node => {
+                        Cow::Owned(pre_order_with(analysis, &PreOrderOptions { start_node }).order)
                     }
-                    OrderingMode::ProgramOrder => Cow::Owned(ddg.node_ids().collect()),
                 };
                 ordering_time = order_start.elapsed();
                 order
@@ -220,12 +190,12 @@ pub fn schedule_at_ii_with(
     Some(partial.into_schedule(ddg))
 }
 
-/// Convenience constructor for the "no pre-ordering" ablation scheduler.
+/// The "no pre-ordering" ablation scheduler, `HRMS-no-preorder`: the
+/// scheduling step driven by plain program order.
 pub fn program_order_scheduler() -> HrmsScheduler {
-    HrmsScheduler::with_options(HrmsOptions {
-        ordering: OrderingMode::ProgramOrder,
-        ..HrmsOptions::default()
-    })
+    HrmsScheduler {
+        program_order: true,
+    }
 }
 
 #[cfg(test)]

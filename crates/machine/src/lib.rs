@@ -42,61 +42,3 @@ pub use fingerprint::machine_fingerprint;
 pub use machine::{ClassId, Machine, MachineBuilder, ResourceClass};
 pub use resmii::res_mii;
 pub use textfmt::{parse_machine, parse_machine_with_spans, write_machine, MachineSpans};
-
-use hrms_ddg::{Ddg, DdgBuilder};
-
-/// Rebuilds `ddg` with every node's latency replaced by the machine's
-/// latency for its operation kind.
-///
-/// Workload graphs are often defined once and then scheduled for several
-/// machine configurations; this helper keeps the graph description and the
-/// timing model separate.
-///
-/// # Errors
-///
-/// Propagates [`hrms_ddg::DdgError`] if the rebuilt graph is invalid (this
-/// can only happen if the machine assigns a zero latency, which
-/// [`MachineBuilder`] rejects).
-pub fn apply_latencies(machine: &Machine, ddg: &Ddg) -> Result<Ddg, hrms_ddg::DdgError> {
-    let mut b = DdgBuilder::new(ddg.name());
-    for (_, node) in ddg.nodes() {
-        let id = if node.defines_value() {
-            b.node(node.name(), node.kind(), machine.latency_of(node.kind()))
-        } else {
-            b.node_no_result(node.name(), node.kind(), machine.latency_of(node.kind()))
-        };
-        b.node_invariant_uses(id, node.invariant_uses());
-    }
-    for (_, e) in ddg.edges() {
-        b.edge(e.source(), e.target(), e.kind(), e.distance())?;
-    }
-    b.invariants(ddg.num_invariants());
-    b.iteration_count(ddg.iteration_count());
-    b.build()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hrms_ddg::{DepKind, OpKind};
-
-    #[test]
-    fn apply_latencies_rewrites_nodes() {
-        let mut b = DdgBuilder::new("g");
-        let a = b.node("a", OpKind::FpAdd, 99);
-        let s = b.node("s", OpKind::Store, 99);
-        b.edge(a, s, DepKind::RegFlow, 0).unwrap();
-        b.invariants(2);
-        b.iteration_count(7);
-        let g = b.build().unwrap();
-
-        let m = presets::perfect_club();
-        let g2 = apply_latencies(&m, &g).unwrap();
-        assert_eq!(g2.node(a).latency(), 4);
-        assert_eq!(g2.node(s).latency(), 1);
-        assert_eq!(g2.num_edges(), 1);
-        assert_eq!(g2.num_invariants(), 2);
-        assert_eq!(g2.iteration_count(), 7);
-        assert!(!g2.node(s).defines_value());
-    }
-}

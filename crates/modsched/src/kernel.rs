@@ -61,12 +61,6 @@ impl Kernel {
         self.rows.iter().map(Vec::len).sum()
     }
 
-    /// The largest number of operations issued in any single row — a lower
-    /// bound on the issue width the kernel requires.
-    pub fn max_issue_width(&self) -> usize {
-        self.rows.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Renders the kernel like the paper's figures: one line per row,
     /// operations written as `name'`, `name''`, ... according to their
     /// stage.
@@ -106,7 +100,6 @@ mod tests {
         assert_eq!(k.row(0), &[(NodeId(0), 0), (NodeId(2), 1)]);
         assert_eq!(k.row(1), &[(NodeId(1), 0), (NodeId(3), 2)]);
         assert_eq!(k.num_ops(), 4);
-        assert_eq!(k.max_issue_width(), 2);
     }
 
     #[test]

@@ -210,15 +210,6 @@ impl LifetimeAnalysis {
     pub fn total_lifetime(&self) -> i64 {
         self.lifetimes.iter().map(ValueLifetime::length).sum()
     }
-
-    /// Average lifetime length per value.
-    pub fn mean_lifetime(&self) -> f64 {
-        if self.lifetimes.is_empty() {
-            0.0
-        } else {
-            self.total_lifetime() as f64 / self.lifetimes.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -352,11 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_total_lifetime() {
+    fn total_lifetime_sums_the_lengths() {
         let (g, s) = simple();
         let lt = LifetimeAnalysis::analyze(&g, &s);
         assert_eq!(lt.total_lifetime(), 3);
-        assert!((lt.mean_lifetime() - 1.5).abs() < 1e-9);
     }
 
     /// `Σ live_instances_at(ii, row)` over `lifetimes`, the definition the

@@ -27,4 +27,4 @@ pub mod registry;
 mod service;
 
 pub use protocol::{looks_like_dot, looks_like_machine};
-pub use service::{resolve_machine_request, ServeConfig, Service};
+pub use service::{ServeConfig, Service};

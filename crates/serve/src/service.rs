@@ -13,13 +13,15 @@
 //! * **Input-order streaming.** A `schedule` batch answers with exactly
 //!   one record per loop × machine cell, loop-major in input order, no
 //!   matter how the cells were interleaved across the worker pool.
-//! * **Each loop is analysed once per request.** All machines a request
-//!   names share one [`hrms_ddg::LoopCore`] per loop; only the
-//!   resource-dependent placement differs between cells.
-//! * **Each distinct loop is paid for once.** Results are cached under
-//!   the content-addressed [`hrms_ddg::cache_key`]; duplicate entries —
-//!   within one batch or across requests — are served from cache, and
-//!   the hit/miss/eviction counters are observable via `stats`.
+//! * **Each loop is analysed once per request.** A request's cells go to
+//!   the engine in one [`BatchEngine::schedule_cells`] call, loop-major,
+//!   so all machines a request names share one [`hrms_ddg::LoopCore`] per
+//!   loop; only the resource-dependent placement differs between cells.
+//! * **Each distinct cell is paid for once.** Within a request, a cell
+//!   whose key repeats an earlier cell's replays that cell's record, with
+//!   or without the cache. Across requests, results are cached under the
+//!   content-addressed [`hrms_ddg::cache_key`], and the
+//!   hit/miss/eviction counters are observable via `stats`.
 //! * **Cached and cold results are byte-identical.** The cache stores the
 //!   rendered report record; a hit replays exactly the bytes a cold run
 //!   would produce.
@@ -35,10 +37,9 @@
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
-use std::sync::Arc;
 
-use hrms_ddg::{cache_key, ddg_fingerprint, dot, parse_loops, Ddg, LoopCore};
-use hrms_engine::{schedule_cell_with_core, BatchEngine, CacheStats, ResultCache};
+use hrms_ddg::{cache_key, ddg_fingerprint, dot, parse_loops, Ddg};
+use hrms_engine::{BatchEngine, CacheStats, Cell, ResultCache};
 use hrms_machine::{machine_fingerprint, Machine};
 use hrms_modsched::{error_line, report_line, ReportOptions};
 use hrms_verify::{lint_dot_source, lint_loop_source, lint_machine_source};
@@ -77,7 +78,7 @@ impl Default for ServeConfig {
 /// ([`MachineFiles::Deny`] — a remote client must not be able to read
 /// server-side files), attaching span diagnostics when inline `.machine`
 /// text fails to parse.
-pub fn resolve_machine_request(id: &Value, text: &str) -> Result<Machine, RequestError> {
+fn resolve_machine_request(id: &Value, text: &str) -> Result<Machine, RequestError> {
     resolve_machine(text, MachineFiles::Deny).map_err(|e| match e {
         MachineError::InlineParse { .. } => RequestError {
             id: id.clone(),
@@ -93,23 +94,16 @@ pub fn resolve_machine_request(id: &Value, text: &str) -> Result<Machine, Reques
 
 use crate::json::Value;
 
-/// One record body for a scheduled cell: the rendered report line on
-/// success, the rendered error line on failure.
-#[derive(Debug, Clone)]
-enum CellBody {
-    Ok(String),
-    Err(String),
-}
-
 /// The batch scheduling service. See the module docs for the guarantees.
 #[derive(Debug)]
 pub struct Service {
     engine: BatchEngine,
     cache: ResultCache<String>,
     cache_enabled: bool,
-    /// Distinct machine digests seen per loop-core fingerprint on the
-    /// caching path — the `stats` breakdown that makes multi-machine
-    /// batches observable (one core amortised across N machine keys).
+    /// Distinct machine digests seen per loop-core fingerprint over every
+    /// schedule request, cold or cached — the `stats` breakdown that makes
+    /// multi-machine batches observable (one core amortised across N
+    /// machine keys).
     seen: HashMap<u64, HashSet<u64>>,
     requests: u64,
     results: u64,
@@ -270,131 +264,74 @@ impl Service {
             digests.extend(machine_digests.iter().copied());
         }
 
+        // One pass over the cells, in order: a key already seen in this
+        // request is a duplicate (a reuse hit when caching), a new key is
+        // looked up only when caching, and the rest are queued for one
+        // engine call. A cold request (`"cache":false`, `"timing":true` or
+        // `--no-cache`) reads, writes and counts nothing; either way each
+        // distinct cell is scheduled once. All lookups come before all
+        // inserts.
         let use_cache = self.cache_enabled && request.cache && !request.timing;
-        let bodies: HashMap<u64, CellBody> = if use_cache {
-            self.cached_bodies(&scheduler_name, &*scheduler, &loops, &machines, &keys)
-        } else {
-            // A cold run: every cell is scheduled independently — no
-            // dedup, no cache reads or writes, no counter movement (one
-            // analysis core per loop is still shared across machines).
-            // This is the baseline the cache contract is tested against.
-            let matrix = self
-                .engine
-                .schedule_matrix(&[&*scheduler], &loops, &machines);
-            let options = ReportOptions {
-                timing: request.timing,
-            };
-            // Later duplicates overwrite earlier ones with identical
-            // bytes (deterministic schedulers), so the map is still one
-            // body per key.
-            let mut bodies = HashMap::new();
-            let per_loop = matrix.into_iter().next().expect("one scheduler");
-            for (l, per_machine) in per_loop.into_iter().enumerate() {
-                for (m, outcome) in per_machine.into_iter().enumerate() {
-                    let body = match outcome {
-                        Ok(outcome) => CellBody::Ok(report_line(
-                            &loops[l],
-                            &machines[m],
-                            &scheduler_name,
-                            &outcome,
-                            options,
-                        )),
-                        Err(e) => CellBody::Err(error_line(
-                            loops[l].name(),
-                            &scheduler_name,
-                            machines[m].name(),
-                            &e.to_string(),
-                        )),
-                    };
-                    bodies.insert(keys[l * machines.len() + m], body);
+        let mut seen_keys = HashSet::with_capacity(keys.len());
+        // One body per distinct key: the rendered report line on success,
+        // the rendered error line on failure.
+        let mut bodies: HashMap<u64, Result<String, String>> = HashMap::new();
+        let (mut queued, mut cells): (Vec<u64>, Vec<Cell<'_>>) = (Vec::new(), Vec::new());
+        for (cell, &key) in keys.iter().enumerate() {
+            if !seen_keys.insert(key) {
+                if use_cache {
+                    self.cache.count_reuse_hit();
                 }
+            } else if let Some(hit) = use_cache.then(|| self.cache.get(key)).flatten() {
+                bodies.insert(key, Ok(hit.clone()));
+            } else {
+                let (l, m) = (cell / machines.len(), cell % machines.len());
+                queued.push(key);
+                cells.push((&*scheduler, &loops[l], &machines[m]));
             }
-            bodies
+        }
+        let outcomes = self.engine.schedule_cells(&cells);
+        let options = ReportOptions {
+            timing: request.timing,
         };
+        for ((key, (_, ddg, machine)), outcome) in queued.into_iter().zip(cells).zip(outcomes) {
+            let body = match outcome {
+                Ok(outcome) => {
+                    let line = report_line(ddg, machine, &scheduler_name, &outcome, options);
+                    if use_cache {
+                        self.cache.insert(key, line.clone());
+                    }
+                    Ok(line)
+                }
+                // Errors are answered but not cached: a transient failure
+                // (e.g. a contained panic) must not poison future requests
+                // for the same key.
+                Err(e) => Err(error_line(
+                    ddg.name(),
+                    &scheduler_name,
+                    machine.name(),
+                    &e.to_string(),
+                )),
+            };
+            bodies.insert(key, body);
+        }
 
-        let cells = keys.len();
-        let mut records = Vec::with_capacity(cells + 1);
+        let mut records = Vec::with_capacity(keys.len() + 1);
         let mut errors = 0usize;
-        for (index, &key) in keys.iter().enumerate() {
-            match &bodies[&key] {
-                CellBody::Ok(body) => records.push(result_record(id, index, body)),
-                CellBody::Err(body) => {
+        for (index, key) in keys.iter().enumerate() {
+            match &bodies[key] {
+                Ok(body) => records.push(result_record(id, index, body)),
+                Err(body) => {
                     errors += 1;
                     records.push(cell_error_record(id, index, body));
                 }
             }
         }
-        self.results += (cells - errors) as u64;
+        let results = keys.len() - errors;
+        self.results += results as u64;
         self.errors += errors as u64;
-        records.push(done_record(id, cells - errors, errors));
+        records.push(done_record(id, results, errors));
         Ok(records)
-    }
-
-    /// The caching path: consult the cache per distinct key, schedule each
-    /// distinct miss exactly once across the pool, and populate the cache
-    /// with the successful records. Every cell counts as exactly one hit
-    /// or miss: the first occurrence of a key is a real lookup, batch-local
-    /// duplicates count as hits (they are served from the in-flight
-    /// result). Misses that share a loop share one analysis core, so the
-    /// machine-independent analysis is paid once per loop however many
-    /// machines the request names.
-    fn cached_bodies(
-        &mut self,
-        scheduler_name: &str,
-        scheduler: &(dyn hrms_modsched::ModuloScheduler + Sync),
-        loops: &[Ddg],
-        machines: &[Machine],
-        keys: &[u64],
-    ) -> HashMap<u64, CellBody> {
-        let mut bodies: HashMap<u64, CellBody> = HashMap::new();
-        let mut to_schedule: Vec<usize> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            if bodies.contains_key(&key) || to_schedule.iter().any(|&j| keys[j] == key) {
-                self.cache.count_reuse_hit();
-            } else if let Some(cached) = self.cache.get(key) {
-                bodies.insert(key, CellBody::Ok(cached.clone()));
-            } else {
-                to_schedule.push(i);
-            }
-        }
-
-        let cores: Vec<Arc<LoopCore>> = loops.iter().map(|_| Arc::new(LoopCore::new())).collect();
-        let outcomes = self.engine.map(&to_schedule, |_, &cell| {
-            let (l, m) = (cell / machines.len(), cell % machines.len());
-            schedule_cell_with_core(scheduler, &loops[l], &machines[m], &cores[l])
-        });
-        for (&cell, outcome) in to_schedule.iter().zip(outcomes) {
-            let (l, m) = (cell / machines.len(), cell % machines.len());
-            let key = keys[cell];
-            match outcome {
-                Ok(outcome) => {
-                    let body = report_line(
-                        &loops[l],
-                        &machines[m],
-                        scheduler_name,
-                        &outcome,
-                        ReportOptions { timing: false },
-                    );
-                    self.cache.insert(key, body.clone());
-                    bodies.insert(key, CellBody::Ok(body));
-                }
-                Err(e) => {
-                    // Errors are answered but not cached: a transient
-                    // failure (e.g. a contained panic) must not poison
-                    // future requests for the same key.
-                    bodies.insert(
-                        key,
-                        CellBody::Err(error_line(
-                            loops[l].name(),
-                            scheduler_name,
-                            machines[m].name(),
-                            &e.to_string(),
-                        )),
-                    );
-                }
-            }
-        }
-        bodies
     }
 
     /// Drives the service over a reader/writer pair: one request per line

@@ -25,4 +25,4 @@ pub mod reference24;
 pub mod synthetic;
 
 pub use generator::{GeneratorConfig, LoopGenerator};
-pub use synthetic::{perfect_club_like, perfect_club_like_sized};
+pub use synthetic::perfect_club_like_sized;

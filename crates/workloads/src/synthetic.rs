@@ -20,11 +20,6 @@ pub const PERFECT_CLUB_LOOP_COUNT: usize = 1258;
 /// The fixed seed of the default suite (1995 / MICRO-28).
 pub const DEFAULT_SEED: u64 = 0x1995_0028;
 
-/// The default synthetic suite: 1258 loops.
-pub fn perfect_club_like() -> Vec<Ddg> {
-    perfect_club_like_sized(PERFECT_CLUB_LOOP_COUNT)
-}
-
 /// A smaller (or larger) suite with the same distributional parameters —
 /// the benchmark harness uses reduced sizes for quick runs.
 pub fn perfect_club_like_sized(count: usize) -> Vec<Ddg> {

@@ -76,9 +76,7 @@ pub mod prelude {
         BottomUpScheduler, BranchAndBoundScheduler, FrlcScheduler, IterativeScheduler,
         SlackScheduler, TopDownScheduler,
     };
-    pub use hrms_core::{
-        HrmsOptions, HrmsScheduler, OrderingMode, PreOrderOptions, StartNodePolicy,
-    };
+    pub use hrms_core::{HrmsScheduler, PreOrderOptions};
     pub use hrms_ddg::{Ddg, DdgBuilder, DepKind, NodeId, OpKind};
     pub use hrms_engine::BatchEngine;
     pub use hrms_machine::{presets, Machine, MachineBuilder, ResourceClass};

@@ -24,7 +24,8 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use hrms_repro::ddg::{Ddg, DdgBuilder, DepKind, LoopAnalysis, NodeId, OpKind};
-use hrms_repro::hrms::{pre_order_with, PreOrderOptions, PreOrdering, StartNodePolicy};
+use hrms_repro::hrms::{pre_order_with, PreOrderOptions, PreOrdering};
+use hrms_repro::modsched::StartHint;
 use hrms_repro::workloads::{reference24, synthetic, GeneratorConfig, LoopGenerator};
 
 const GOLDEN_PATH: &str = concat!(
@@ -217,19 +218,16 @@ fn pinned_corpus() -> Vec<(String, PreOrdering)> {
     for seed in [3u64, 17, 99] {
         let g = generated(seed, 20, 0.5);
         for (tag, policy) in [
-            ("first", StartNodePolicy::FirstInProgramOrder),
-            ("last", StartNodePolicy::LastInProgramOrder),
-            ("fixed2", StartNodePolicy::Fixed(NodeId(2))),
+            ("first", StartHint::Default),
+            ("last", StartHint::Last),
+            ("fixed2", StartHint::Node(NodeId(2))),
         ] {
             let p = check(&g, &PreOrderOptions { start_node: policy });
             entries.push((format!("policy/s{seed}/{tag}"), p));
         }
     }
     for g in zoo() {
-        for (tag, policy) in [
-            ("first", StartNodePolicy::FirstInProgramOrder),
-            ("last", StartNodePolicy::LastInProgramOrder),
-        ] {
+        for (tag, policy) in [("first", StartHint::Default), ("last", StartHint::Last)] {
             let p = check(&g, &PreOrderOptions { start_node: policy });
             entries.push((format!("zoo/{}/{tag}", g.name()), p));
         }

@@ -317,6 +317,67 @@ fn cache_false_schedules_cold_and_touches_no_counters() {
 }
 
 #[test]
+fn a_cold_request_schedules_each_distinct_cell_once() {
+    // A single inline worker keeps the scheduling on this thread, so the
+    // thread-local instrumentation counters see every analysis run.
+    let mut service = Service::new(&ServeConfig {
+        workers: Some(1),
+        ..ServeConfig::default()
+    });
+    let l = quoted(&loop_text("twice"));
+    let request = |cache: bool| {
+        format!(
+            "{{\"req\":\"schedule\",\"id\":1,\"cache\":{cache},\
+             \"machines\":[\"govindarajan\",\"perfect-club\"],\"loops\":[{l},{l}]}}\n"
+        )
+    };
+    hrms_repro::ddg::instrument::reset();
+    let (out, _) = service.process(&request(false));
+    assert_eq!(
+        hrms_repro::ddg::instrument::tarjan_runs(),
+        1,
+        "the repeated loop's cells are duplicates, scheduled once"
+    );
+    assert_eq!(
+        out.lines().count(),
+        5,
+        "2 loops x 2 machines + done:\n{out}"
+    );
+    let stats = service.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+    // The same bytes as a caching request, which answers the repeat from
+    // its first occurrence.
+    let (cached, _) = Service::default().process(&request(true));
+    assert_eq!(out, cached);
+}
+
+#[test]
+fn a_partly_warm_multi_machine_request_answers_the_cold_bytes() {
+    let mut service = Service::default();
+    let l = quoted(&loop_text("warm"));
+    let request = |id: u32, machines: &str| {
+        format!("{{\"req\":\"schedule\",\"id\":{id},\"machines\":[{machines}],\"loops\":[{l}]}}\n")
+    };
+    service.process(&request(1, "\"perfect-club\""));
+    let before = service.cache_stats();
+    let three = request(2, "\"govindarajan\",\"perfect-club\",\"general-purpose\"");
+    let (out, _) = service.process(&three);
+    let after = service.cache_stats();
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (1, 2),
+        "the warm machine hits, the other two miss"
+    );
+    let (cold, _) = Service::new(&ServeConfig {
+        cache: false,
+        ..ServeConfig::default()
+    })
+    .process(&three);
+    assert_eq!(out.lines().count(), 4, "1 loop x 3 machines + done:\n{out}");
+    assert_eq!(out, cold);
+}
+
+#[test]
 fn timing_requests_bypass_the_cache_and_carry_timing_fields() {
     let mut service = Service::default();
     let l = loop_text("timed");
