@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hrms_core::pre_order;
 use hrms_ddg::{CycleRatios, IncrementalStarts, LoopAnalysis, RecurrenceGroups};
-use hrms_oracle::RecurrenceInfo;
+use hrms_oracle::{latest_starts_from, RecurrenceInfo};
 use hrms_workloads::synthetic;
 
 fn bench_recurrence_analysis(c: &mut Criterion) {
@@ -88,6 +88,7 @@ fn bench_incremental_starts(c: &mut Criterion) {
         let ops = ddg.num_nodes();
         let la = LoopAnalysis::analyze(&ddg);
         let rec_mii = la.rec_mii().expect("suite loops are valid");
+        let rec_mii = u32::try_from(rec_mii).expect("suite RecMIIs fit an II");
         let n = ddg.num_nodes();
         group.bench_with_input(BenchmarkId::new("incremental", ops), &ddg, |b, _| {
             let edges = la.dep_edges();
@@ -105,10 +106,10 @@ fn bench_incremental_starts(c: &mut Criterion) {
             b.iter(|| {
                 let mut last = None;
                 for ii in rec_mii..rec_mii + 10 {
-                    let est = hrms_ddg::analysis::longest_paths(n, edges, ii)
+                    let est = hrms_ddg::analysis::longest_paths(n, edges, u64::from(ii))
                         .expect("feasible at RecMII");
                     let horizon = est.iter().copied().max().unwrap_or(0);
-                    last = hrms_ddg::analysis::latest_starts_from(n, edges, ii, horizon);
+                    last = latest_starts_from(n, edges, ii, horizon);
                 }
                 last
             })

@@ -179,11 +179,13 @@ impl RecurrenceGroups {
     }
 
     /// Lower bound on the initiation interval imposed by the recurrence
-    /// groups; 0 when the graph has no recurrence. Equals the enumeration's
-    /// bound (`hrms_oracle::RecurrenceInfo::rec_mii_lower_bound`) wherever
-    /// the enumeration completes; the bound for scheduling always comes from
-    /// [`crate::analysis::exact_rec_mii`], which resolves anti and output
-    /// dependence latencies instead of summing operation latencies.
+    /// groups, in the paper's operation-latency metric; 0 when the graph
+    /// has no recurrence. Equals the enumeration's bound
+    /// (`hrms_oracle::RecurrenceInfo::rec_mii_lower_bound`) wherever the
+    /// enumeration completes. The bound for scheduling is
+    /// [`crate::CycleRatios::rec_mii`], from the same cycle-ratio pass,
+    /// which charges anti and output dependences issue order instead of
+    /// their operation latency.
     pub fn rec_mii_lower_bound(&self) -> u64 {
         self.groups.iter().map(|g| g.rec_mii).max().unwrap_or(0)
     }
