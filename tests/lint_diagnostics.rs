@@ -229,3 +229,27 @@ fn reference24_certifies_under_all_schedulers() {
         }
     }
 }
+
+#[test]
+fn a_rec_mii_above_the_largest_ii_lints_as_two_huge_latencies() {
+    // Two 3·10⁹-cycle operations on one circuit: RecMII 6·10⁹ exceeds
+    // u32::MAX, the largest II. Lint computes the RecMII (for L004), so it
+    // must read the bound without panicking and report only the two
+    // latencies.
+    let text =
+        std::fs::read_to_string(manifest_path("tests/fixtures/recmii_overflow.loop")).unwrap();
+    let rendered = lint_stdin(&text).expect_err("huge latencies are findings");
+    let codes: Vec<&str> = rendered
+        .lines()
+        .filter(|line| line.starts_with("warning[") || line.starts_with("error["))
+        .collect();
+    assert_eq!(codes.len(), 2, "{rendered}");
+    assert!(
+        codes.iter().all(|line| line.starts_with("warning[L006]")),
+        "{rendered}"
+    );
+    assert!(
+        rendered.contains("2 problem(s) in 1 input(s)"),
+        "{rendered}"
+    );
+}

@@ -3,7 +3,10 @@
 //! consistent.
 
 use hrms_repro::baselines::all_baselines;
+use hrms_repro::ddg::{parse_loop, LoopAnalysis};
+use hrms_repro::modsched::SchedError;
 use hrms_repro::prelude::*;
+use hrms_repro::registry::{scheduler_by_slug, SCHEDULER_SLUGS};
 
 fn all_schedulers() -> Vec<Box<dyn ModuloScheduler>> {
     let mut v: Vec<Box<dyn ModuloScheduler>> = vec![Box::new(HrmsScheduler::new())];
@@ -130,5 +133,30 @@ fn preordering_covers_every_node_exactly_once_on_all_workloads() {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), ddg.num_nodes(), "`{}`", ddg.name());
+    }
+}
+
+#[test]
+fn a_rec_mii_above_the_largest_ii_is_rejected_before_any_attempt() {
+    // RecMII 6·10⁹ exceeds u32::MAX, the largest II. Every scheduler reads
+    // the MII before its first attempt, so each must give up there instead
+    // of truncating the bound or sizing a reservation table by it.
+    let path = format!(
+        "{}/tests/fixtures/recmii_overflow.loop",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let ddg = parse_loop(&std::fs::read_to_string(path).unwrap()).unwrap();
+    assert_eq!(LoopAnalysis::analyze(&ddg).rec_mii(), Some(6_000_000_000));
+    let machine = presets::govindarajan();
+    let slugs = SCHEDULER_SLUGS.into_iter().chain(["feedback:hrms"]);
+    for slug in slugs {
+        let scheduler = scheduler_by_slug(slug).unwrap();
+        assert_eq!(
+            scheduler.schedule_loop(&ddg, &machine).err(),
+            Some(SchedError::NoValidSchedule {
+                max_ii_tried: u32::MAX
+            }),
+            "`{slug}`"
+        );
     }
 }
