@@ -208,160 +208,160 @@ pub fn enumerate_circuits(ddg: &Ddg, budget: usize) -> (Vec<Circuit>, bool) {
 
 /// Johnson's elementary-circuit search inside one SCC. Returns `false` if the
 /// budget was exhausted.
+///
+/// The search runs on local indices: the component's nodes sorted by id, so
+/// the nodes a start may visit are the index suffix it begins.
 fn johnson_on_component(
     ddg: &Ddg,
     component: &[NodeId],
     budget: usize,
     circuits: &mut Vec<Circuit>,
 ) -> bool {
-    let members: HashSet<NodeId> = component.iter().copied().collect();
+    let mut nodes = component.to_vec();
+    nodes.sort();
+    let mut local_of = vec![usize::MAX; ddg.num_nodes()];
+    for (i, &v) in nodes.iter().enumerate() {
+        local_of[v.index()] = i;
+    }
     // Adjacency restricted to the component, skipping self loops (already
     // handled); parallel edges are collapsed keeping the minimum distance
     // (the binding choice for RecMII, since node latencies are fixed).
-    let mut adj: HashMap<NodeId, Vec<(NodeId, EdgeId, u32)>> = HashMap::new();
-    for &v in component {
-        let mut best: HashMap<NodeId, (EdgeId, u32)> = HashMap::new();
-        for (eid, e) in ddg.out_edges(v) {
-            let t = e.target();
-            if t == v || !members.contains(&t) {
-                continue;
-            }
-            match best.get(&t) {
-                Some(&(_, d)) if d <= e.distance() => {}
-                _ => {
-                    best.insert(t, (eid, e.distance()));
+    let adj: Vec<Vec<(usize, EdgeId, u32)>> = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            let mut arcs: Vec<(usize, EdgeId, u32)> = Vec::new();
+            for (eid, e) in ddg.out_edges(v) {
+                let w = local_of[e.target().index()];
+                if w == i || w == usize::MAX {
+                    continue;
+                }
+                match arcs.iter_mut().find(|arc| arc.0 == w) {
+                    Some(arc) if arc.2 <= e.distance() => {}
+                    Some(arc) => *arc = (w, eid, e.distance()),
+                    None => arcs.push((w, eid, e.distance())),
                 }
             }
-        }
-        let mut list: Vec<(NodeId, EdgeId, u32)> =
-            best.into_iter().map(|(t, (eid, d))| (t, eid, d)).collect();
-        list.sort();
-        adj.insert(v, list);
-    }
+            arcs.sort();
+            arcs
+        })
+        .collect();
+    let latency: Vec<u64> = nodes
+        .iter()
+        .map(|&v| u64::from(ddg.node(v).latency()))
+        .collect();
 
-    let mut sorted = component.to_vec();
-    sorted.sort();
-
-    for (k, &start) in sorted.iter().enumerate() {
+    let mut search = Search {
+        adj: &adj,
+        nodes: &nodes,
+        latency: &latency,
+        start: 0,
+        blocked: vec![false; nodes.len()],
+        block_lists: vec![Vec::new(); nodes.len()],
+        path: Vec::new(),
+        budget,
+    };
+    for start in 0..nodes.len() {
         if circuits.len() >= budget {
             return false;
         }
-        let allowed: HashSet<NodeId> = sorted[k..].iter().copied().collect();
-        let mut blocked: HashSet<NodeId> = HashSet::new();
-        let mut block_map: HashMap<NodeId, HashSet<NodeId>> = HashMap::new();
-        let mut path: Vec<(NodeId, Option<(EdgeId, u32)>)> = Vec::new();
-        circuit_dfs(
-            ddg,
-            &adj,
-            start,
-            start,
-            None,
-            &allowed,
-            &mut blocked,
-            &mut block_map,
-            &mut path,
-            circuits,
-            budget,
-        );
+        search.start = start;
+        search.blocked.fill(false);
+        search.block_lists.iter_mut().for_each(Vec::clear);
+        search.circuit(start, None, circuits);
     }
     circuits.len() < budget
 }
 
-/// One invocation of Johnson's `CIRCUIT(v)` procedure. `via` is the edge used
-/// to reach `v` from its predecessor on the current path (`None` for the
-/// start node). Returns whether any elementary circuit was closed in the
-/// subtree rooted at `v` (used for the unblocking rule).
-#[allow(clippy::too_many_arguments)]
-fn circuit_dfs(
-    ddg: &Ddg,
-    adj: &HashMap<NodeId, Vec<(NodeId, EdgeId, u32)>>,
-    start: NodeId,
-    v: NodeId,
-    via: Option<(EdgeId, u32)>,
-    allowed: &HashSet<NodeId>,
-    blocked: &mut HashSet<NodeId>,
-    block_map: &mut HashMap<NodeId, HashSet<NodeId>>,
-    path: &mut Vec<(NodeId, Option<(EdgeId, u32)>)>,
-    circuits: &mut Vec<Circuit>,
+/// The state of Johnson's search from one start node, over the local
+/// indices of [`johnson_on_component`].
+struct Search<'a> {
+    /// Out-arcs per node: target, edge and distance, by target.
+    adj: &'a [Vec<(usize, EdgeId, u32)>],
+    /// The node id of each local index.
+    nodes: &'a [NodeId],
+    /// The latency of each local index.
+    latency: &'a [u64],
+    /// The start node; only nodes at or above it are visited.
+    start: usize,
+    blocked: Vec<bool>,
+    /// Johnson's `B` lists: the nodes to unblock when a node is unblocked.
+    block_lists: Vec<Vec<usize>>,
+    /// The current path, each node with the edge that reached it.
+    path: Vec<(usize, Option<(EdgeId, u32)>)>,
     budget: usize,
-) -> bool {
-    let mut found = false;
-    path.push((v, via));
-    blocked.insert(v);
-
-    let neighbours = adj.get(&v).cloned().unwrap_or_default();
-    for (w, eid, dist) in neighbours {
-        if !allowed.contains(&w) || circuits.len() >= budget {
-            continue;
-        }
-        if w == start {
-            // Found an elementary circuit: the nodes on `path`, closed by
-            // the edge (v -> start).
-            let mut nodes = Vec::with_capacity(path.len());
-            let mut backward = BTreeSet::new();
-            let mut total_latency = 0u64;
-            let mut total_distance = u64::from(dist);
-            if dist > 0 {
-                backward.insert(eid);
-            }
-            for (node, step) in path.iter() {
-                nodes.push(*node);
-                total_latency += u64::from(ddg.node(*node).latency());
-                if let Some((step_eid, step_dist)) = step {
-                    total_distance += u64::from(*step_dist);
-                    if *step_dist > 0 {
-                        backward.insert(*step_eid);
-                    }
-                }
-            }
-            circuits.push(Circuit {
-                nodes,
-                backward_edges: backward,
-                total_latency,
-                total_distance,
-            });
-            found = true;
-        } else if !blocked.contains(&w) {
-            let sub_found = circuit_dfs(
-                ddg,
-                adj,
-                start,
-                w,
-                Some((eid, dist)),
-                allowed,
-                blocked,
-                block_map,
-                path,
-                circuits,
-                budget,
-            );
-            found = found || sub_found;
-        }
-    }
-
-    if found {
-        unblock(v, blocked, block_map);
-    } else {
-        for (next, _, _) in adj.get(&v).cloned().unwrap_or_default() {
-            if allowed.contains(&next) {
-                block_map.entry(next).or_default().insert(v);
-            }
-        }
-    }
-    path.pop();
-    found
 }
 
-fn unblock(
-    v: NodeId,
-    blocked: &mut HashSet<NodeId>,
-    block_map: &mut HashMap<NodeId, HashSet<NodeId>>,
-) {
-    blocked.remove(&v);
-    if let Some(dependents) = block_map.remove(&v) {
-        for w in dependents {
-            if blocked.contains(&w) {
-                unblock(w, blocked, block_map);
+impl Search<'_> {
+    /// One invocation of Johnson's `CIRCUIT(v)` procedure. `via` is the edge
+    /// used to reach `v` from its predecessor on the current path (`None`
+    /// for the start node). Returns whether any elementary circuit was
+    /// closed in the subtree rooted at `v` (used for the unblocking rule).
+    fn circuit(
+        &mut self,
+        v: usize,
+        via: Option<(EdgeId, u32)>,
+        circuits: &mut Vec<Circuit>,
+    ) -> bool {
+        let mut found = false;
+        self.path.push((v, via));
+        self.blocked[v] = true;
+
+        let adj = self.adj;
+        for &(w, eid, dist) in &adj[v] {
+            if w < self.start || circuits.len() >= self.budget {
+                continue;
+            }
+            if w == self.start {
+                // Found an elementary circuit: the nodes on `path`, closed
+                // by the edge (v -> start).
+                let mut nodes = Vec::with_capacity(self.path.len());
+                let mut backward = BTreeSet::new();
+                let mut total_latency = 0u64;
+                let mut total_distance = u64::from(dist);
+                if dist > 0 {
+                    backward.insert(eid);
+                }
+                for &(node, step) in &self.path {
+                    nodes.push(self.nodes[node]);
+                    total_latency += self.latency[node];
+                    if let Some((step_eid, step_dist)) = step {
+                        total_distance += u64::from(step_dist);
+                        if step_dist > 0 {
+                            backward.insert(step_eid);
+                        }
+                    }
+                }
+                circuits.push(Circuit {
+                    nodes,
+                    backward_edges: backward,
+                    total_latency,
+                    total_distance,
+                });
+                found = true;
+            } else if !self.blocked[w] {
+                found |= self.circuit(w, Some((eid, dist)), circuits);
+            }
+        }
+
+        if found {
+            self.unblock(v);
+        } else {
+            for &(w, _, _) in &adj[v] {
+                if w >= self.start && !self.block_lists[w].contains(&v) {
+                    self.block_lists[w].push(v);
+                }
+            }
+        }
+        self.path.pop();
+        found
+    }
+
+    fn unblock(&mut self, v: usize) {
+        self.blocked[v] = false;
+        for w in std::mem::take(&mut self.block_lists[v]) {
+            if self.blocked[w] {
+                self.unblock(w);
             }
         }
     }
