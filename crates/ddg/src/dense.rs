@@ -132,33 +132,12 @@ impl NodeSet {
         None
     }
 
-    /// In-place union with `other` (same bound required).
-    pub fn union_with(&mut self, other: &NodeSet) {
-        debug_assert_eq!(self.bound, other.bound);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// In-place intersection with `other` (same bound required).
     pub fn intersect_with(&mut self, other: &NodeSet) {
         debug_assert_eq!(self.bound, other.bound);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
         }
-    }
-
-    /// In-place difference: removes every member of `other`.
-    pub fn difference_with(&mut self, other: &NodeSet) {
-        debug_assert_eq!(self.bound, other.bound);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Whether the two sets share any member.
-    pub fn intersects(&self, other: &NodeSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Iterates over the members in ascending index order.
@@ -587,17 +566,9 @@ mod tests {
     fn nodeset_set_operations() {
         let a = NodeSet::from_indices(128, [1, 2, 70]);
         let b = NodeSet::from_indices(128, [2, 70, 99]);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 70, 99]);
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 70]);
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1]);
-        assert!(a.intersects(&b));
-        assert!(!d.intersects(&b));
     }
 
     /// A small irregular DAG plus one cycle, used by the equivalence tests.

@@ -1,10 +1,9 @@
 //! The dependence graph itself.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 use crate::edge::{DepKind, Edge, EdgeId};
-use crate::error::DdgError;
 use crate::node::{Node, NodeId, OpKind};
 
 /// A loop-body data-dependence graph `G = (V, E, δ, λ)`.
@@ -204,15 +203,6 @@ impl Ddg {
             .any(|c| c.len() > 1)
     }
 
-    /// Whether the graph, *ignoring self-loops*, contains a recurrence
-    /// circuit spanning two or more nodes. Trivial (self-loop) recurrences do
-    /// not constrain the pre-ordering phase.
-    pub fn has_nontrivial_recurrence(&self) -> bool {
-        crate::scc::strongly_connected_components(self)
-            .iter()
-            .any(|c| c.len() > 1)
-    }
-
     /// Sum of latencies of all operations (an upper bound on the schedule
     /// length of one iteration at infinite resources is `critical path`, and
     /// this sum bounds any schedule produced by a work-conserving scheduler).
@@ -258,52 +248,6 @@ impl Ddg {
             components.push(members);
         }
         components
-    }
-
-    /// Builds the subgraph induced by `keep` (all edges whose endpoints are
-    /// both in `keep`), together with the mapping *new node id → old node
-    /// id*.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdgError::InvalidNodeId`] if `keep` references a node
-    /// outside this graph, and [`DdgError::EmptyGraph`] if `keep` is empty.
-    pub fn induced_subgraph(&self, keep: &[NodeId]) -> Result<(Ddg, Vec<NodeId>), DdgError> {
-        if keep.is_empty() {
-            return Err(DdgError::EmptyGraph);
-        }
-        let mut sorted: Vec<NodeId> = keep.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &id in &sorted {
-            if id.index() >= self.num_nodes() {
-                return Err(DdgError::InvalidNodeId {
-                    id,
-                    len: self.num_nodes(),
-                });
-            }
-        }
-        let old_to_new: HashMap<NodeId, NodeId> = sorted
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, NodeId::from_index(new)))
-            .collect();
-        let nodes: Vec<Node> = sorted.iter().map(|&id| self.node(id).clone()).collect();
-        let mut edges = Vec::new();
-        for (_, e) in self.edges() {
-            if let (Some(&s), Some(&t)) = (old_to_new.get(&e.source()), old_to_new.get(&e.target()))
-            {
-                edges.push(Edge::new(s, t, e.kind(), e.distance()));
-            }
-        }
-        let sub = Ddg::from_parts(
-            format!("{}::sub", self.name),
-            nodes,
-            edges,
-            0,
-            self.iteration_count,
-        );
-        Ok((sub, sorted))
     }
 
     /// A rough structural summary used by reports and `Debug`-level logging.
@@ -436,14 +380,12 @@ mod tests {
     fn recurrence_detection() {
         let g = diamond();
         assert!(!g.has_recurrence());
-        assert!(!g.has_nontrivial_recurrence());
 
         let mut b = DdgBuilder::new("self_loop");
         let a = b.node("a", OpKind::FpAdd, 1);
         b.edge(a, a, DepKind::RegFlow, 1).unwrap();
         let g = b.build().unwrap();
         assert!(g.has_recurrence());
-        assert!(!g.has_nontrivial_recurrence());
 
         let mut b = DdgBuilder::new("cycle2");
         let a = b.node("a", OpKind::FpAdd, 1);
@@ -452,7 +394,6 @@ mod tests {
         b.edge(c, a, DepKind::RegFlow, 1).unwrap();
         let g = b.build().unwrap();
         assert!(g.has_recurrence());
-        assert!(g.has_nontrivial_recurrence());
     }
 
     #[test]
@@ -475,29 +416,6 @@ mod tests {
     fn connected_components_single() {
         let g = diamond();
         assert_eq!(g.connected_components().len(), 1);
-    }
-
-    #[test]
-    fn induced_subgraph_maps_edges() {
-        let g = diamond();
-        let b_id = g.node_by_name("b").unwrap();
-        let a_id = g.node_by_name("a").unwrap();
-        let d_id = g.node_by_name("d").unwrap();
-        let (sub, mapping) = g.induced_subgraph(&[a_id, b_id, d_id]).unwrap();
-        assert_eq!(sub.num_nodes(), 3);
-        // edges a->b and b->d survive; a->c and c->d do not.
-        assert_eq!(sub.num_edges(), 2);
-        assert_eq!(mapping, vec![a_id, b_id, d_id]);
-    }
-
-    #[test]
-    fn induced_subgraph_rejects_bad_input() {
-        let g = diamond();
-        assert!(matches!(g.induced_subgraph(&[]), Err(DdgError::EmptyGraph)));
-        assert!(matches!(
-            g.induced_subgraph(&[NodeId(99)]),
-            Err(DdgError::InvalidNodeId { .. })
-        ));
     }
 
     #[test]

@@ -94,17 +94,6 @@ impl TopoLevels {
     pub fn height(&self, v: NodeId) -> u64 {
         self.height[v.index()]
     }
-
-    /// Length of the critical path of one iteration (max over nodes of
-    /// `depth + height`).
-    pub fn critical_path(&self) -> u64 {
-        self.depth
-            .iter()
-            .zip(&self.height)
-            .map(|(d, h)| d + h)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Topological order over distance-0 edges only.
@@ -173,7 +162,6 @@ mod tests {
         assert_eq!(levels.height(ids[2]), 3);
         assert_eq!(levels.height(ids[1]), 5);
         assert_eq!(levels.height(ids[0]), 6);
-        assert_eq!(levels.critical_path(), 6);
     }
 
     #[test]
@@ -201,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn diamond_critical_path_takes_longest_branch() {
+    fn diamond_depth_takes_longest_branch() {
         let mut bld = DdgBuilder::new("diamond");
         let a = bld.node("a", OpKind::Load, 2);
         let b = bld.node("b", OpKind::FpDiv, 17);
@@ -213,7 +201,6 @@ mod tests {
         bld.edge(c, d, DepKind::RegFlow, 0).unwrap();
         let g = bld.build().unwrap();
         let levels = TopoLevels::compute(&g).unwrap();
-        assert_eq!(levels.critical_path(), 2 + 17 + 1);
         assert_eq!(levels.depth(d), 19);
     }
 }

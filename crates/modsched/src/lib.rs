@@ -48,7 +48,7 @@ pub use feedback::{
 };
 pub use kernel::Kernel;
 pub use lifetime::{LifetimeAnalysis, ValueLifetime};
-pub use mii::{dependence_latency, MiiInfo};
+pub use mii::MiiInfo;
 pub use mrt::ModuloReservationTable;
 pub use partial::PartialSchedule;
 pub use report::{error_line, push_json_str, report_line, ReportOptions};

@@ -9,10 +9,9 @@
 use std::error::Error;
 use std::fmt;
 
-use hrms_ddg::{Ddg, NodeId};
+use hrms_ddg::{dependence_latency, Ddg, NodeId};
 use hrms_machine::{ClassId, Machine};
 
-use crate::mii::dependence_latency;
 use crate::schedule::Schedule;
 
 /// A reason why a schedule is invalid.

@@ -25,9 +25,9 @@
 
 use std::fmt::Write as _;
 
-use hrms_ddg::{ddg_fingerprint, format_digest, Ddg};
+use hrms_ddg::{ddg_fingerprint, dependence_latency, format_digest, Ddg};
 use hrms_machine::{machine_fingerprint, Machine};
-use hrms_modsched::{dependence_latency, push_json_str, LifetimeAnalysis, MiiInfo, Schedule};
+use hrms_modsched::{push_json_str, LifetimeAnalysis, MiiInfo, Schedule};
 use hrms_regalloc::{mve_registers, mve_unroll_factor, ExpandedKernel, RegisterPressure};
 
 use crate::diag::{Code, Diagnostic};
