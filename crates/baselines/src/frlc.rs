@@ -10,10 +10,11 @@
 //! their already-placed producers allow, with no regard for how long the
 //! produced values stay alive.
 //!
-//! This re-implementation (see DESIGN.md, substitutions table) follows that
-//! two-phase structure: earliest-start levels at the candidate II drive both
-//! the scheduling order and the ASAP placement; loop-carried constraints are
-//! checked after the fact, and the II is escalated when they fail. The
+//! This re-implementation (see *Substitutions* in docs/ARCHITECTURE.md)
+//! follows that two-phase structure: earliest-start levels at the candidate
+//! II drive both the scheduling order and the ASAP placement; loop-carried
+//! constraints are checked after the fact, and the II is escalated when
+//! they fail. The
 //! resulting behaviour matches the role FRLC plays in Table 1: competitive
 //! but not always optimal IIs, and clearly higher buffer requirements than
 //! the lifetime-aware schedulers.

@@ -10,7 +10,7 @@
 //! rescheduled, up to a per-II budget.
 //!
 //! This implementation is a re-implementation from the published
-//! description (see DESIGN.md, substitutions table); it shares the
+//! description (see *Substitutions* in docs/ARCHITECTURE.md); it shares the
 //! force-place/eviction core with the iterative scheduler.
 
 use hrms_ddg::LoopAnalysis;

@@ -1,4 +1,5 @@
-//! Ablations of the design choices called out in DESIGN.md:
+//! Ablations of two claims the paper makes without a measurement (listed
+//! under *Substitutions* in docs/ARCHITECTURE.md):
 //!
 //! * the paper's footnote 1 — the ordering quality should be largely
 //!   independent of the initial hypernode choice;

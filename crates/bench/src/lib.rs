@@ -11,8 +11,9 @@
 //! * [`section42`] — the aggregate statistics quoted in Section 4.2
 //!   (fraction of loops scheduled at MII, mean II/MII ratio, phase-time
 //!   split);
-//! * [`ablation`] — the design-choice ablations called out in DESIGN.md
-//!   (initial hypernode selection, pre-ordering on/off).
+//! * [`ablation`] — the ablations listed under *Substitutions* in
+//!   docs/ARCHITECTURE.md (initial hypernode selection, pre-ordering
+//!   on/off).
 //!
 //! The binaries in `src/bin/` are thin wrappers that print these results;
 //! the Criterion benches in `benches/` measure the compilation-time claims.

@@ -16,7 +16,8 @@
 //! * strongly connected components ([`scc`]),
 //! * the exact per-node maximum cycle-ratio analysis ([`cycle_ratio`]):
 //!   for every node, the `RecMII` of the most critical recurrence circuit
-//!   through it, which ranks interleaved recurrences exactly,
+//!   through it, which ranks interleaved recurrences exactly, and the
+//!   loop's scheduling `RecMII`,
 //! * the recurrence subgraphs the pre-ordering ranks, derived from the
 //!   SCCs, their backward-edge sets and the cycle ratios without
 //!   enumerating a circuit ([`recurrence`]),
@@ -25,7 +26,7 @@
 //!   levels ([`topo`]),
 //! * the shared per-loop analysis cache ([`analysis`]): one Tarjan run,
 //!   backward edges, dependence arcs with precomputed latencies and the
-//!   exact RecMII, computed once per loop and reused by every phase,
+//!   cycle ratios, computed once per loop and reused by every phase,
 //! * the `.loop` text format ([`textfmt`]), Graphviz export and import
 //!   ([`dot`]) and stable fingerprints ([`fingerprint`]).
 //!

@@ -10,7 +10,7 @@
 //!   linear-algebra kernels used by Govindarajan et al. (the source of the
 //!   paper's Table 1); the original dependence graphs were never published
 //!   machine-readably, so these are reconstructions with the same structural
-//!   variety (see DESIGN.md, substitutions table);
+//!   variety (see *Substitutions* in docs/ARCHITECTURE.md);
 //! * [`synthetic`] — a deterministic generator of Perfect-Club-like loop
 //!   suites (1258 loops by default) with realistic size, operation-mix,
 //!   recurrence and iteration-count distributions, used for the Section 4.2

@@ -8,8 +8,8 @@
 //! first-order linear recurrences, long division chains, wide independent
 //! expression trees, stencils, and mixtures thereof, sized between 4 and 26
 //! operations. Latencies follow the Table-1 machine model (add/sub/store 1,
-//! multiply/load 2, divide 17); see DESIGN.md's substitutions table for the
-//! rationale.
+//! multiply/load 2, divide 17); see *Substitutions* in docs/ARCHITECTURE.md
+//! for the rationale.
 
 use hrms_ddg::{Ddg, DdgBuilder, DepKind, NodeId, OpKind};
 

@@ -6,9 +6,9 @@
 //! the compiler is available, so the reproduction uses a deterministic
 //! synthetic suite whose size, operation-mix, recurrence and iteration-count
 //! distributions follow the characteristics reported in the paper and its
-//! companion technical reports (see DESIGN.md, substitutions table). The
-//! suite is a pure function of a fixed seed, so every run of the harness
-//! sees exactly the same 1258 loops.
+//! companion technical reports (see *Substitutions* in
+//! docs/ARCHITECTURE.md). The suite is a pure function of a fixed seed, so
+//! every run of the harness sees exactly the same 1258 loops.
 
 use hrms_ddg::Ddg;
 
