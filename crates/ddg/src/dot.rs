@@ -17,7 +17,7 @@ use crate::builder::DdgBuilder;
 use crate::edge::DepKind;
 use crate::graph::Ddg;
 use crate::node::{NodeId, OpKind};
-use crate::textfmt::{LoopSpans, ParseError, Span};
+use crate::textfmt::{write_quoted, LoopSpans, ParseError, Span};
 
 /// Renders the graph in Graphviz DOT syntax (digraph).
 ///
@@ -30,7 +30,7 @@ use crate::textfmt::{LoopSpans, ParseError, Span};
 /// be snapshot-tested.
 pub fn to_dot(ddg: &Ddg) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", escape(ddg.name()));
+    let _ = writeln!(out, "digraph {} {{", quoted(ddg.name()));
     let _ = writeln!(out, "  rankdir=TB;");
     let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
     let _ = writeln!(
@@ -40,10 +40,10 @@ pub fn to_dot(ddg: &Ddg) -> String {
         ddg.iteration_count()
     );
     for (id, node) in ddg.nodes() {
-        let name = escape(node.name());
+        let label = format!("{}\n{} λ={}", node.name(), node.kind(), node.latency());
         let mut attrs = vec![
-            format!("label=\"{name}\\n{} λ={}\"", node.kind(), node.latency()),
-            format!("hrms_name=\"{name}\""),
+            format!("label={}", quoted(&label)),
+            format!("hrms_name={}", quoted(node.name())),
             format!("hrms_kind={}", node.kind().mnemonic()),
             format!("hrms_latency={}", node.latency()),
         ];
@@ -78,23 +78,11 @@ pub fn to_dot(ddg: &Ddg) -> String {
     out
 }
 
-/// Escapes a string for inclusion in a double-quoted DOT attribute value.
-///
-/// Backslashes are escaped **before** quotes (the pre-fix exporter only
-/// escaped quotes, so a name ending in `\` produced `\"` — an escaped quote
-/// — and the output failed to re-parse). Newlines and tabs become `\n` /
-/// `\t`, which [`from_dot`] folds back.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
+/// `value` as a double-quoted DOT string, with the escapes [`from_dot`]
+/// folds back.
+fn quoted(value: &str) -> String {
+    let mut out = String::with_capacity(value.len() + 2);
+    write_quoted(&mut out, value);
     out
 }
 

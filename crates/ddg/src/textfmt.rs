@@ -149,24 +149,28 @@ pub struct LoopSpans {
     pub edges: Vec<Span>,
 }
 
+/// The keywords of the `.loop` format, which a name must not be written as
+/// bare.
+const KEYWORDS: [&str; 6] = ["loop", "end", "node", "edge", "iterations", "invariants"];
+
 /// Whether a name can be written without quotes: ASCII alphanumerics plus
-/// `_`, `.`, `-` and `$`, not starting with a digit or `-`, and not a
-/// keyword of the format.
-fn is_bare(name: &str) -> bool {
+/// `_`, `.`, `-` and `$`, not starting with a digit or `-`, and not one of
+/// the format's `keywords`.
+fn is_bare(name: &str, keywords: &[&str]) -> bool {
     let mut chars = name.chars();
     let first_ok = matches!(chars.next(), Some(c) if c.is_ascii_alphabetic() || c == '_');
     first_ok
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '$'))
-        && !matches!(
-            name,
-            "loop" | "end" | "node" | "edge" | "iterations" | "invariants"
-        )
+        && !keywords.contains(&name)
 }
 
-/// Appends `name` in quotes with the format's escapes.
-fn write_quoted(out: &mut String, name: &str) {
+/// Appends `name` in double quotes, escaping backslashes (first, so a name
+/// ending in `\` cannot escape the closing quote), quotes, newlines and
+/// tabs. The `.loop`, `.machine` and DOT writers all quote with it, and
+/// their readers fold the escapes back.
+pub fn write_quoted(out: &mut String, name: &str) {
     out.push('"');
     for c in name.chars() {
         match c {
@@ -180,9 +184,10 @@ fn write_quoted(out: &mut String, name: &str) {
     out.push('"');
 }
 
-/// Appends `name`, bare when safe, quoted otherwise.
-fn write_name(out: &mut String, name: &str) {
-    if is_bare(name) {
+/// Appends `name`, bare when it is safe under the format's `keywords`,
+/// quoted otherwise.
+pub fn write_name(out: &mut String, name: &str, keywords: &[&str]) {
+    if is_bare(name, keywords) {
         out.push_str(name);
     } else {
         write_quoted(out, name);
@@ -201,7 +206,7 @@ pub fn write_loop(ddg: &Ddg) -> String {
     let _ = writeln!(out, "  invariants {}", ddg.num_invariants());
     for (_, n) in ddg.nodes() {
         out.push_str("  node ");
-        write_name(&mut out, n.name());
+        write_name(&mut out, n.name(), &KEYWORDS);
         let _ = write!(out, " {} latency={}", n.kind().mnemonic(), n.latency());
         if n.invariant_uses() > 0 {
             let _ = write!(out, " invariant_uses={}", n.invariant_uses());
@@ -213,9 +218,9 @@ pub fn write_loop(ddg: &Ddg) -> String {
     }
     for (_, e) in ddg.edges() {
         out.push_str("  edge ");
-        write_name(&mut out, ddg.node(e.source()).name());
+        write_name(&mut out, ddg.node(e.source()).name(), &KEYWORDS);
         out.push_str(" -> ");
-        write_name(&mut out, ddg.node(e.target()).name());
+        write_name(&mut out, ddg.node(e.target()).name(), &KEYWORDS);
         let _ = write!(out, " {}", e.kind().label());
         if e.distance() > 0 {
             let _ = write!(out, " dist={}", e.distance());

@@ -21,50 +21,24 @@
 
 use std::fmt::Write as _;
 
-use hrms_ddg::textfmt::{line_span, tokenize_line, ParseError, Span};
+use hrms_ddg::textfmt::{line_span, tokenize_line, write_name, ParseError, Span};
 use hrms_ddg::OpKind;
 
 use crate::machine::{Machine, MachineBuilder, ResourceClass};
 
-/// Whether a class or machine name can be written without quotes.
-fn is_bare(name: &str) -> bool {
-    let mut chars = name.chars();
-    let first_ok = matches!(chars.next(), Some(c) if c.is_ascii_alphabetic() || c == '_');
-    first_ok
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '$'))
-        && !matches!(name, "machine" | "class" | "op" | "end")
-}
-
-/// Appends `name`, bare when safe, quoted (with escapes) otherwise.
-fn write_name(out: &mut String, name: &str) {
-    if is_bare(name) {
-        out.push_str(name);
-        return;
-    }
-    out.push('"');
-    for c in name.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// The keywords of the `.machine` format, which a name must not be written
+/// as bare.
+const KEYWORDS: [&str; 4] = ["machine", "class", "op", "end"];
 
 /// Serialises a machine description as a `machine ... end` block.
 pub fn write_machine(machine: &Machine) -> String {
     let mut out = String::new();
     out.push_str("machine ");
-    write_name(&mut out, machine.name());
+    write_name(&mut out, machine.name(), &KEYWORDS);
     out.push('\n');
     for class in machine.classes() {
         out.push_str("  class ");
-        write_name(&mut out, &class.name);
+        write_name(&mut out, &class.name, &KEYWORDS);
         let _ = write!(out, " count={}", class.count);
         out.push_str(if class.pipelined {
             " pipelined\n"

@@ -28,23 +28,16 @@ use hrms_repro::hrms::{program_order_scheduler, HrmsScheduler};
 use hrms_repro::machine::presets;
 use hrms_repro::modsched::{report_line, ModuloScheduler, Perturbation, ReportOptions, StartHint};
 use hrms_repro::registry::{scheduler_by_slug, SCHEDULER_SLUGS};
-use hrms_repro::workloads::{reference24, GeneratorConfig, LoopGenerator};
+
+mod corpus;
 
 /// The loops under test: every reference loop plus generated ones spanning
 /// sparse and recurrence-heavy shapes.
 fn suite() -> Vec<Ddg> {
-    let mut loops = reference24::all();
-    let config = GeneratorConfig {
-        min_ops: 8,
-        mean_ops: 24.0,
-        max_ops: 48,
-        ..GeneratorConfig::default()
-    };
-    let mut generator = LoopGenerator::new(7, config);
-    for _ in 0..6 {
-        loops.push(generator.next_loop());
-    }
-    loops
+    ["reference24", "overlay"]
+        .into_iter()
+        .flat_map(corpus::loops)
+        .collect()
 }
 
 #[test]

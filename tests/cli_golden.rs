@@ -9,20 +9,12 @@
 
 use hrms_repro::cli::run;
 
-fn args(list: &[&str]) -> Vec<String> {
-    list.iter().map(|s| s.to_string()).collect()
-}
+mod corpus;
+
+use corpus::args;
 
 fn example_path() -> String {
     concat!(env!("CARGO_MANIFEST_DIR"), "/examples/loops/dotprod.loop").to_string()
-}
-
-fn golden() -> String {
-    std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/schedule_smoke.txt"
-    ))
-    .unwrap()
 }
 
 #[test]
@@ -48,7 +40,7 @@ fn schedule_smoke_output_matches_the_golden_file() {
     }
     assert_eq!(
         actual,
-        golden(),
+        corpus::repo_file("tests/golden/schedule_smoke.txt"),
         "CLI output drifted from tests/golden/schedule_smoke.txt; \
          regenerate the golden file if the change is intentional"
     );

@@ -18,8 +18,8 @@ use hrms_repro::machine::{presets, Machine};
 use hrms_repro::modsched::{FeedbackConfig, FeedbackTrace, ModuloScheduler};
 use hrms_repro::registry::{scheduler_by_slug, wrap_feedback, BoxedScheduler};
 use hrms_repro::verify::certify;
-use hrms_repro::workloads::synthetic::{recurrence_heavy_config, register_pressure_suite};
-use hrms_repro::workloads::{reference24, LoopGenerator};
+
+mod corpus;
 
 /// The feedback-wrapped HRMS scheduler exactly as the registry builds it
 /// for the `feedback:hrms` slug (spill evaluator wired in).
@@ -28,17 +28,6 @@ fn feedback_hrms(config: FeedbackConfig) -> BoxedScheduler {
         scheduler_by_slug("hrms").expect("hrms is registered"),
         config,
     )
-}
-
-/// Recurrence-heavy bodies small enough for a test tier (the named suite's
-/// 500–2000-op loops belong to the benchmarks).
-fn recurrence_heavy_corpus() -> Vec<Ddg> {
-    [40usize, 80, 120]
-        .iter()
-        .map(|&size| {
-            LoopGenerator::new(0xFEED ^ size as u64, recurrence_heavy_config(size)).next_loop()
-        })
-        .collect()
 }
 
 /// Runs one loop through the rescheduler and checks every per-loop
@@ -103,7 +92,7 @@ fn feedback_terminates_never_degrades_and_certifies_on_the_reference_suite() {
     let config = FeedbackConfig::default();
     let scheduler = feedback_hrms(config);
     let machine = presets::perfect_club();
-    for ddg in reference24::all() {
+    for ddg in corpus::loops("reference24") {
         check_one(scheduler.as_ref(), &ddg, &machine, &config);
     }
 }
@@ -118,7 +107,7 @@ fn feedback_ii_signal_drives_recurrence_heavy_loops_without_a_budget() {
     };
     let scheduler = feedback_hrms(config);
     let machine = presets::govindarajan();
-    for ddg in recurrence_heavy_corpus() {
+    for ddg in corpus::loops("recurrence-heavy-small") {
         let trace = check_one(scheduler.as_ref(), &ddg, &machine, &config);
         // Without a budget the spill signal must stay silent.
         assert!(
@@ -137,7 +126,7 @@ fn feedback_improves_a_quarter_of_the_degraded_register_pressure_loops() {
 
     let mut degraded = 0usize;
     let mut improved = 0usize;
-    for ddg in register_pressure_suite() {
+    for ddg in corpus::loops("register-pressure") {
         let trace = check_one(scheduler.as_ref(), &ddg, &machine, &config);
         let baseline = &trace.iterations[0];
         let best = trace.best();

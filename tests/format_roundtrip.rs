@@ -15,22 +15,18 @@ use hrms_repro::ddg::{
 use hrms_repro::machine::{machine_fingerprint, parse_machine, presets, write_machine};
 use hrms_repro::prelude::*;
 use hrms_repro::registry::all_schedulers;
-use hrms_repro::workloads::synthetic;
+
+mod corpus;
 
 /// All loops of every shipped corpus, with 240 generated loops:
 /// 120 from the default generator, 60 recurrence-heavy, 60 interleaved.
 fn corpus() -> Vec<Ddg> {
-    let mut loops = reference24::all();
+    let mut loops = corpus::loops("reference24");
     loops.push(motivating::figure1());
-    loops.extend(LoopGenerator::with_seed(2024).generate(120));
-    loops.extend(LoopGenerator::new(77, synthetic::recurrence_heavy_config(24)).generate(60));
-    loops.extend(LoopGenerator::new(78, synthetic::interleaved_recurrence_config(30)).generate(60));
+    loops.extend(corpus::loops("roundtrip/default"));
+    loops.extend(corpus::loops("roundtrip/recurrence-heavy"));
+    loops.extend(corpus::loops("roundtrip/interleaved"));
     loops
-}
-
-#[test]
-fn corpus_is_as_large_as_documented() {
-    assert_eq!(corpus().len(), 24 + 1 + 240);
 }
 
 #[test]
@@ -68,7 +64,7 @@ fn dot_format_round_trips_every_corpus_loop() {
 
 #[test]
 fn multi_loop_files_round_trip_in_order() {
-    let loops = reference24::all();
+    let loops = corpus::loops("reference24");
     let text = write_loops(&loops);
     let back = parse_loops(&text).unwrap();
     assert_eq!(back.len(), loops.len());
@@ -104,7 +100,7 @@ fn machine_presets_round_trip_with_identical_fingerprints() {
 #[test]
 fn imported_loops_schedule_byte_identically_for_all_schedulers() {
     let machine = presets::govindarajan();
-    for ddg in reference24::all() {
+    for ddg in corpus::loops("reference24") {
         let via_text = parse_loop(&write_loop(&ddg)).unwrap();
         let via_dot = dot::from_dot(&dot::to_dot(&ddg)).unwrap();
         for scheduler in all_schedulers() {
@@ -238,12 +234,7 @@ fn service_records_round_trip_and_match_the_cli_report() {
 /// reference inner-product loop shape it documents.
 #[test]
 fn shipped_example_loop_file_parses() {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/examples/loops/dotprod.loop"
-    ))
-    .unwrap();
-    let loops = parse_loops(&text).unwrap();
+    let loops = corpus::loops("examples");
     assert_eq!(loops.len(), 1);
     let ddg = &loops[0];
     assert_eq!(ddg.name(), "dotprod");

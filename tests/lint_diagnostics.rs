@@ -18,11 +18,10 @@ use hrms_repro::cli::run;
 use hrms_repro::prelude::*;
 use hrms_repro::registry::{all_schedulers, SCHEDULER_SLUGS};
 use hrms_repro::verify::{certify, lint_ddg};
-use hrms_repro::workloads::synthetic;
 
-fn args(list: &[&str]) -> Vec<String> {
-    list.iter().map(|s| s.to_string()).collect()
-}
+mod corpus;
+
+use corpus::args;
 
 fn manifest_path(rel: &str) -> String {
     format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -64,7 +63,7 @@ fn malformed_corpus_matches_the_golden_output() {
         }
     }
 
-    let golden = std::fs::read_to_string(manifest_path("tests/golden/lint_corpus.txt")).unwrap();
+    let golden = corpus::repo_file("tests/golden/lint_corpus.txt");
     assert_eq!(
         actual, golden,
         "lint output drifted from tests/golden/lint_corpus.txt; \
@@ -139,30 +138,18 @@ fn shipped_examples_lint_clean() {
 #[test]
 fn generator_presets_lint_clean_and_certify_under_all_schedulers() {
     let machine = presets::perfect_club();
-    let presets_under_test: Vec<(&str, Vec<Ddg>)> = vec![
-        (
-            "suite",
-            LoopGenerator::new(7, synthetic::suite_config()).generate(8),
-        ),
-        (
-            "stress",
-            LoopGenerator::new(11, synthetic::stress_config(24)).generate(4),
-        ),
-        (
-            "recurrence_heavy",
-            LoopGenerator::new(13, synthetic::recurrence_heavy_config(20)).generate(4),
-        ),
-        (
-            "interleaved_recurrences",
-            LoopGenerator::new(17, synthetic::interleaved_recurrence_config(24)).generate(4),
-        ),
-    ];
     let schedulers = all_schedulers();
     assert_eq!(schedulers.len(), SCHEDULER_SLUGS.len());
 
-    for (preset, loops) in &presets_under_test {
+    for preset in [
+        "preset/suite",
+        "preset/stress",
+        "preset/recurrence-heavy",
+        "preset/interleaved-recurrences",
+    ] {
+        let loops = corpus::loops(preset);
         assert!(!loops.is_empty());
-        for ddg in loops {
+        for ddg in &loops {
             let diags = lint_ddg(ddg, None, Some(&machine));
             assert!(
                 diags.is_empty(),
@@ -203,7 +190,7 @@ fn generator_presets_lint_clean_and_certify_under_all_schedulers() {
 fn reference24_certifies_under_all_schedulers() {
     let machines = [presets::govindarajan(), presets::perfect_club()];
     let schedulers = all_schedulers();
-    for ddg in reference24::all() {
+    for ddg in corpus::loops("reference24") {
         for machine in &machines {
             for scheduler in &schedulers {
                 if scheduler.name().starts_with("B&B") && ddg.num_nodes() > 12 {
@@ -236,8 +223,7 @@ fn a_rec_mii_above_the_largest_ii_lints_as_two_huge_latencies() {
     // u32::MAX, the largest II. Lint computes the RecMII (for L004), so it
     // must read the bound without panicking and report only the two
     // latencies.
-    let text =
-        std::fs::read_to_string(manifest_path("tests/fixtures/recmii_overflow.loop")).unwrap();
+    let text = corpus::repo_file("tests/fixtures/recmii_overflow.loop");
     let rendered = lint_stdin(&text).expect_err("huge latencies are findings");
     let codes: Vec<&str> = rendered
         .lines()

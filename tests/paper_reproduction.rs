@@ -3,6 +3,8 @@
 
 use hrms_repro::prelude::*;
 
+mod corpus;
+
 /// Section 3.1: the pre-ordering of the Figure 7 graph is
 /// `{A, C, G, H, D, J, I, E, B, F}`.
 #[test]
@@ -66,7 +68,7 @@ fn reference_suite_shapes() {
 
     let mut hrms_total_buffers = 0u64;
     let mut frlc_total_buffers = 0u64;
-    for ddg in reference24::all() {
+    for ddg in corpus::loops("reference24") {
         let h = hrms.schedule_loop(&ddg, &machine).unwrap();
         let f = frlc.schedule_loop(&ddg, &machine).unwrap();
         validate_schedule(&ddg, &machine, &h.schedule).unwrap();
@@ -95,7 +97,7 @@ fn reference_suite_shapes() {
 fn hrms_achieves_mii_on_the_reference_suite() {
     let machine = presets::govindarajan();
     let hrms = HrmsScheduler::new();
-    for ddg in reference24::all() {
+    for ddg in corpus::loops("reference24") {
         let outcome = hrms.schedule_loop(&ddg, &machine).unwrap();
         assert!(
             outcome.metrics.ii_is_optimal(),
@@ -120,7 +122,7 @@ fn hrms_is_close_to_the_optimal_scheduler() {
         },
     };
     // The smallest eight loops keep the exhaustive search fast.
-    let mut loops = reference24::all();
+    let mut loops = corpus::loops("reference24");
     loops.sort_by_key(|g| g.num_nodes());
     for ddg in loops.into_iter().take(8) {
         let h = hrms.schedule_loop(&ddg, &machine).unwrap();
@@ -142,7 +144,7 @@ fn hrms_is_close_to_the_optimal_scheduler() {
 #[test]
 fn hrms_needs_fewer_registers_than_topdown_on_average() {
     let machine = presets::perfect_club();
-    let loops = synthetic::perfect_club_like_sized(60);
+    let loops = corpus::loops("perfect-club-like");
     let hrms = HrmsScheduler::new();
     let topdown = TopDownScheduler::new();
     let mut hrms_regs = 0u64;

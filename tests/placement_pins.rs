@@ -22,7 +22,7 @@
 
 use std::fmt::Write as _;
 
-use hrms_repro::ddg::{Ddg, DdgBuilder, LoopAnalysis, NodeId};
+use hrms_repro::ddg::{Ddg, Fnv64, LoopAnalysis, NodeId};
 use hrms_repro::hrms::{pre_order, schedule_at_ii_with};
 use hrms_repro::machine::{presets, Machine};
 use hrms_repro::modsched::{FeedbackConfig, MiiInfo, Schedule};
@@ -31,59 +31,18 @@ use hrms_repro::prelude::{
 };
 use hrms_repro::registry::{feedback_scheduler, scheduler_by_slug};
 use hrms_repro::verify::certify;
-use hrms_repro::workloads::synthetic::register_pressure_suite;
-use hrms_repro::workloads::{reference24, GeneratorConfig, LoopGenerator};
 
-/// Builds a deterministic generator loop (same shape as the pre-ordering
-/// pins).
-fn generated(seed: u64, size: usize, recurrence_probability: f64) -> Ddg {
-    let config = GeneratorConfig {
-        min_ops: size.max(3),
-        mean_ops: size as f64,
-        max_ops: size.max(3) + 6,
-        recurrence_probability,
-        ..GeneratorConfig::default()
-    };
-    LoopGenerator::new(seed, config).next_loop()
-}
-
-/// Concatenates two loops into one multi-component graph.
-fn merged(a: &Ddg, b: &Ddg) -> Ddg {
-    let mut bld = DdgBuilder::new(format!("{}+{}", a.name(), b.name()));
-    for (half, g) in [a, b].into_iter().enumerate() {
-        let ids: Vec<NodeId> = g
-            .nodes()
-            .map(|(_, n)| bld.node(format!("h{half}_{}", n.name()), n.kind(), n.latency()))
-            .collect();
-        for (_, e) in g.edges() {
-            bld.edge(
-                ids[e.source().index()],
-                ids[e.target().index()],
-                e.kind(),
-                e.distance(),
-            )
-            .expect("merged ids are in range");
-        }
-    }
-    bld.build().expect("merging two valid loops is valid")
-}
+mod corpus;
 
 /// FNV-1a over the II and every node's cycle: the pinned fingerprint of
 /// one schedule.
 fn fingerprint(s: &Schedule) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: [u8; 8]| {
-        for byte in bytes {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(u64::from(s.ii()).to_le_bytes());
-    eat((s.len() as u64).to_le_bytes());
+    let mut h = Fnv64::new();
+    h.write_u64(u64::from(s.ii())).write_u64(s.len() as u64);
     for (_, cycle) in s.iter() {
-        eat(cycle.to_le_bytes());
+        h.write(&cycle.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Certifies `schedule` and appends its `key ii fingerprint` pin line.
@@ -127,63 +86,37 @@ fn pin_orders(out: &mut String, key: &str, g: &Ddg, machine: &Machine) {
     }
 }
 
-/// Compares `actual` with the golden file `tests/golden/<file>`, or
-/// rewrites the file when `HRMS_BLESS` is set.
-fn assert_matches_golden(file: &str, actual: &str) {
-    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("HRMS_BLESS").is_some() {
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; regenerate with HRMS_BLESS=1"));
-    assert_eq!(
-        actual, golden,
-        "placements drifted from tests/golden/{file}; if the change is intentional, \
-         regenerate with `HRMS_BLESS=1 cargo test --test placement_pins`"
-    );
-}
-
 #[test]
 fn reference24_placements_match_the_golden_pins() {
     let mut out = String::new();
-    for g in reference24::all() {
+    for (key, g) in corpus::keyed("reference24") {
         for machine in [presets::govindarajan(), presets::perfect_club()] {
-            let key = format!("reference24/{}/{}", g.name(), machine.name());
+            let key = format!("{key}/{}", machine.name());
             pin_orders(&mut out, &key, &g, &machine);
         }
     }
-    assert_matches_golden("placement_reference24.txt", &out);
+    corpus::assert_matches_golden("placement_reference24.txt", &out);
 }
 
 #[test]
 fn generated_loop_placements_match_the_golden_pins() {
     let m = presets::govindarajan();
     let mut out = String::new();
-    let mut checked = 0usize;
-    for seed in 0..120u64 {
-        let size = 4 + (seed as usize * 7) % 44;
-        // Recurrence-heavy and recurrence-free variants of every seed.
-        for rec_prob in [0.0, 0.8] {
-            let g = generated(seed, size, rec_prob);
-            pin_orders(&mut out, &format!("gen/s{seed}/p{rec_prob}"), &g, &m);
-            checked += 1;
-        }
+    for (key, g) in corpus::keyed("gen") {
+        pin_orders(&mut out, &key, &g, &m);
     }
-    assert!(checked >= 240, "the suite must cover at least 240 loops");
-    assert_matches_golden("placement_generated.txt", &out);
+    corpus::assert_matches_golden("placement_generated.txt", &out);
 }
 
 #[test]
 fn multi_component_placements_match_the_golden_pins() {
     let m = presets::perfect_club();
     let mut out = String::new();
-    for seed in 0..10u64 {
-        let a = generated(seed, 6 + (seed as usize % 20), 0.7);
-        let b = generated(seed + 1000, 4 + (seed as usize % 14), 0.0);
-        pin_orders(&mut out, &format!("merged/s{seed}"), &merged(&a, &b), &m);
+    // The first ten merged loops: seeds 0..10.
+    for (key, g) in corpus::keyed("merged").into_iter().take(10) {
+        pin_orders(&mut out, &key, &g, &m);
     }
-    assert_matches_golden("placement_multi_component.txt", &out);
+    corpus::assert_matches_golden("placement_multi_component.txt", &out);
 }
 
 #[test]
@@ -194,7 +127,7 @@ fn hrms_end_to_end_schedules_match_the_golden_pins() {
     // pinned in its own right.
     let m = presets::govindarajan();
     let mut out = String::new();
-    for g in reference24::all() {
+    for (key, g) in corpus::keyed("reference24") {
         let outcome = HrmsScheduler::new().schedule_loop(&g, &m).unwrap();
         let la = LoopAnalysis::analyze(&g);
         let escalated = first_feasible(&g, &m, &la, &pre_order(&la).order);
@@ -204,10 +137,10 @@ fn hrms_end_to_end_schedules_match_the_golden_pins() {
             "`{}`: the scheduler's result differs from a plain escalation",
             g.name()
         );
-        let key = format!("reference24/{}/{}", g.name(), m.name());
+        let key = format!("{key}/{}", m.name());
         pin(&mut out, &key, &g, &m, &outcome.schedule);
     }
-    assert_matches_golden("placement_end_to_end.txt", &out);
+    corpus::assert_matches_golden("placement_end_to_end.txt", &out);
 }
 
 /// The heuristic schedulers pinned end to end, by registry slug.
@@ -237,12 +170,12 @@ fn pin_scheduler(
 #[test]
 fn every_scheduler_end_to_end_matches_the_golden_pins() {
     let mut out = String::new();
-    let reference = reference24::all();
+    let reference = corpus::keyed("reference24");
     for slug in HEURISTIC_SLUGS {
         let scheduler = scheduler_by_slug(slug).expect("registered slug");
         for machine in [presets::govindarajan(), presets::perfect_club()] {
-            for g in &reference {
-                let key = format!("{slug}/reference24/{}/{}", g.name(), machine.name());
+            for (key, g) in &reference {
+                let key = format!("{slug}/{key}/{}", machine.name());
                 pin_scheduler(&mut out, &key, scheduler.as_ref(), g, &machine);
             }
         }
@@ -250,12 +183,11 @@ fn every_scheduler_end_to_end_matches_the_golden_pins() {
     // The register-pressure suite is where the feedback loop perturbs and
     // reschedules, so every attempt of the driver is exercised.
     let m = presets::govindarajan();
+    let register_pressure = corpus::keyed("register-pressure");
     for slug in HEURISTIC_SLUGS {
         let scheduler = feedback_scheduler(slug, FeedbackConfig::default()).expect("registered");
-        // Loop names repeat across the suite's sizes, so the key also
-        // carries the suite index.
-        for (i, g) in register_pressure_suite().iter().enumerate() {
-            let key = format!("feedback:{slug}/rp{i:02}/{}/{}", g.name(), m.name());
+        for (key, g) in &register_pressure {
+            let key = format!("feedback:{slug}/{key}/{}", m.name());
             pin_scheduler(&mut out, &key, scheduler.as_ref(), g, &m);
         }
     }
@@ -264,9 +196,9 @@ fn every_scheduler_end_to_end_matches_the_golden_pins() {
             budget_per_ii: 5_000,
         },
     };
-    for g in &reference[..6] {
-        let key = format!("bnb/reference24/{}/{}", g.name(), m.name());
+    for (key, g) in &reference[..6] {
+        let key = format!("bnb/{key}/{}", m.name());
         pin_scheduler(&mut out, &key, &bnb, g, &m);
     }
-    assert_matches_golden("scheduler_end_to_end.txt", &out);
+    corpus::assert_matches_golden("scheduler_end_to_end.txt", &out);
 }

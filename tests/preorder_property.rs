@@ -23,68 +23,24 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use hrms_repro::ddg::{Ddg, DdgBuilder, DepKind, LoopAnalysis, NodeId, OpKind};
+use hrms_repro::ddg::{Ddg, DdgBuilder, DepKind, Fnv64, LoopAnalysis, NodeId, OpKind};
 use hrms_repro::hrms::{pre_order_with, PreOrderOptions, PreOrdering};
 use hrms_repro::modsched::StartHint;
-use hrms_repro::workloads::{reference24, synthetic, GeneratorConfig, LoopGenerator};
 
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/preorder_fingerprints.txt"
-);
+mod corpus;
 
 /// FNV-1a over the ordering and its structural counters: the pinned
 /// fingerprint of one pre-ordering.
 fn fingerprint(p: &PreOrdering) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(p.order.len() as u64);
+    let mut h = Fnv64::new();
+    h.write_u64(p.order.len() as u64);
     for &n in &p.order {
-        eat(n.index() as u64);
+        h.write_u64(n.index() as u64);
     }
-    eat(p.components as u64);
-    eat(p.recurrence_subgraphs as u64);
-    eat(u64::from(p.truncated));
-    h
-}
-
-/// Builds a deterministic generator loop.
-fn generated(seed: u64, size: usize, recurrence_probability: f64) -> Ddg {
-    let config = GeneratorConfig {
-        min_ops: size.max(3),
-        mean_ops: size as f64,
-        max_ops: size.max(3) + 6,
-        recurrence_probability,
-        ..GeneratorConfig::default()
-    };
-    LoopGenerator::new(seed, config).next_loop()
-}
-
-/// Concatenates two loops into one multi-component graph (no edges between
-/// the halves).
-fn merged(a: &Ddg, b: &Ddg) -> Ddg {
-    let mut bld = DdgBuilder::new(format!("{}+{}", a.name(), b.name()));
-    for (half, g) in [a, b].into_iter().enumerate() {
-        let ids: Vec<NodeId> = g
-            .nodes()
-            .map(|(_, n)| bld.node(format!("h{half}_{}", n.name()), n.kind(), n.latency()))
-            .collect();
-        for (_, e) in g.edges() {
-            bld.edge(
-                ids[e.source().index()],
-                ids[e.target().index()],
-                e.kind(),
-                e.distance(),
-            )
-            .expect("merged ids are in range");
-        }
-    }
-    bld.build().expect("merging two valid loops is valid")
+    h.write_u64(p.components as u64)
+        .write_u64(p.recurrence_subgraphs as u64)
+        .write_u64(u64::from(p.truncated))
+        .finish()
 }
 
 /// Runs the dense pre-ordering on `g` and checks every promoted property.
@@ -188,42 +144,28 @@ fn pinned_corpus() -> Vec<(String, PreOrdering)> {
     let mut entries: Vec<(String, PreOrdering)> = Vec::new();
     let defaults = PreOrderOptions::default();
 
-    for g in reference24::all() {
-        entries.push((format!("reference24/{}", g.name()), check(&g, &defaults)));
+    let suites = ["reference24", "stress", "interleaved"].into_iter();
+    // The first 200 `gen` loops: seeds 0..100.
+    let gen = corpus::keyed("gen").into_iter().take(200);
+    for (key, g) in suites.flat_map(corpus::keyed).chain(gen) {
+        entries.push((key, check(&g, &defaults)));
     }
-    for g in synthetic::stress_suite() {
-        entries.push((format!("stress/{}", g.name()), check(&g, &defaults)));
-    }
-    for g in synthetic::interleaved_recurrence_suite() {
-        entries.push((format!("interleaved/{}", g.name()), check(&g, &defaults)));
-    }
-    for seed in 0..100u64 {
-        let size = 4 + (seed as usize * 7) % 44;
-        for rec_prob in [0.0, 0.8] {
-            let g = generated(seed, size, rec_prob);
-            entries.push((format!("gen/s{seed}/p{rec_prob}"), check(&g, &defaults)));
-        }
-    }
-    for seed in 0..20u64 {
-        let a = generated(seed, 6 + (seed as usize % 20), 0.7);
-        let b = generated(seed + 1000, 4 + (seed as usize % 14), 0.0);
-        let g = merged(&a, &b);
+    for (key, g) in corpus::keyed("merged") {
         let p = check(&g, &defaults);
         assert!(
             p.components >= 2,
             "merging two loops must give at least two components"
         );
-        entries.push((format!("merged/s{seed}"), p));
+        entries.push((key, p));
     }
-    for seed in [3u64, 17, 99] {
-        let g = generated(seed, 20, 0.5);
+    for (key, g) in corpus::keyed("policy") {
         for (tag, policy) in [
             ("first", StartHint::Default),
             ("last", StartHint::Last),
             ("fixed2", StartHint::Node(NodeId(2))),
         ] {
             let p = check(&g, &PreOrderOptions { start_node: policy });
-            entries.push((format!("policy/s{seed}/{tag}"), p));
+            entries.push((format!("{key}/{tag}"), p));
         }
     }
     for g in zoo() {
@@ -281,19 +223,7 @@ fn render(entries: &[(String, PreOrdering)]) -> String {
 
 #[test]
 fn dense_orderings_match_the_golden_fingerprints() {
-    let actual = render(&pinned_corpus());
-    if std::env::var_os("HRMS_BLESS").is_some() {
-        std::fs::write(GOLDEN_PATH, &actual).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .unwrap_or_else(|e| panic!("cannot read {GOLDEN_PATH}: {e}; regenerate with HRMS_BLESS=1"));
-    assert_eq!(
-        actual, golden,
-        "pre-orderings drifted from tests/golden/preorder_fingerprints.txt \
-         (the frozen output); if the change is intentional, \
-         regenerate with `HRMS_BLESS=1 cargo test --test preorder_property`"
-    );
+    corpus::assert_matches_golden("preorder_fingerprints.txt", &render(&pinned_corpus()));
 }
 
 #[test]
@@ -302,7 +232,7 @@ fn recurrence_heavy_suite_holds_the_invariants() {
     // budget: every promoted ordering invariant must hold. (Not pinned:
     // the 500–2000-op orderings would dominate golden churn without adding
     // coverage beyond the invariants.)
-    for g in synthetic::recurrence_heavy_suite() {
+    for g in corpus::loops("recurrence-heavy") {
         let p = pre_order_with(&LoopAnalysis::analyze(&g), &PreOrderOptions::default());
         assert!(!p.truncated, "the enumeration-free path never truncates");
         assert!(p.recurrence_subgraphs > 0, "`{}`", g.name());
@@ -317,7 +247,7 @@ fn ordering_is_stable_across_repeated_runs() {
     let fingerprints =
         |orders: &[PreOrdering]| -> Vec<u64> { orders.iter().map(fingerprint).collect() };
     let run = || -> Vec<PreOrdering> {
-        reference24::all()
+        corpus::loops("reference24")
             .iter()
             .map(|g| pre_order_with(&LoopAnalysis::analyze(g), &PreOrderOptions::default()))
             .collect()

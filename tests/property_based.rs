@@ -1,8 +1,11 @@
-//! Property-based tests (proptest) over randomly generated loop bodies.
+//! Property-based tests over randomly generated loop bodies.
 //!
-//! The generator of `hrms-workloads` is driven by a proptest-chosen seed and
-//! size, giving a wide variety of structurally valid dependence graphs; the
-//! properties below must hold for every one of them.
+//! The generator of `hrms-workloads` is driven by a sampled seed and size,
+//! giving a wide variety of structurally valid dependence graphs; the
+//! properties below must hold for every one of them. Each property runs on
+//! its 48 cases of the corpus registry (`tests/corpus/mod.rs`), which
+//! replays them from the property runner's random stream for the test's
+//! name, so the recurrence cross-check sees the same loops.
 
 use std::collections::HashSet;
 
@@ -11,37 +14,38 @@ use proptest::prelude::*;
 use hrms_repro::ddg::LoopAnalysis;
 use hrms_repro::hrms::pre_order;
 use hrms_repro::prelude::*;
-use hrms_repro::workloads::GeneratorConfig;
 
-/// Builds a deterministic random loop from a seed and target size.
-fn generated_loop(seed: u64, size: usize, recurrences: bool) -> Ddg {
-    let config = GeneratorConfig {
-        min_ops: size.max(3),
-        mean_ops: size as f64,
-        max_ops: size.max(3) + 4,
-        recurrence_probability: if recurrences { 0.7 } else { 0.0 },
-        ..GeneratorConfig::default()
-    };
-    LoopGenerator::new(seed, config).next_loop()
+mod corpus;
+
+use corpus::PropertyCase;
+
+/// Checks `property` on every registry case of the property test `test`.
+/// A failing case panics with the test's name, the case's index and its
+/// inputs.
+fn check_cases(test: &str, property: impl Fn(&Ddg, &PropertyCase) -> TestCaseResult) {
+    let cases = corpus::property_cases(test);
+    for (i, case) in cases.iter().enumerate() {
+        if let Err(e) = property(&case.ddg(), case) {
+            panic!(
+                "property `{test}` failed at case {}/{}: {}\n  inputs: {case:?}",
+                i + 1,
+                cases.len(),
+                e.message
+            );
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The pre-ordering is always a permutation of the nodes, and almost
-    /// every node has an already-ordered neighbour (its reference
-    /// operation). The exceptions the paper itself allows are the first node
-    /// of each weakly-connected component and the first node of a recurrence
-    /// subgraph that has no directed path to the hypernode (Section 3.2:
-    /// "any node of the recurrence circuit is reduced to the Hypernode").
-    #[test]
-    fn preordering_is_a_permutation_with_references(
-        seed in 0u64..10_000,
-        size in 3usize..40,
-        recurrences in any::<bool>(),
-    ) {
-        let ddg = generated_loop(seed, size, recurrences);
-        let preorder = pre_order(&LoopAnalysis::analyze(&ddg));
+/// The pre-ordering is always a permutation of the nodes, and almost every
+/// node has an already-ordered neighbour (its reference operation). The
+/// exceptions the paper itself allows are the first node of each
+/// weakly-connected component and the first node of a recurrence subgraph
+/// that has no directed path to the hypernode (Section 3.2: "any node of
+/// the recurrence circuit is reduced to the Hypernode").
+#[test]
+fn preordering_is_a_permutation_with_references() {
+    check_cases("preordering_is_a_permutation_with_references", |ddg, _| {
+        let preorder = pre_order(&LoopAnalysis::analyze(ddg));
         let order = &preorder.order;
         let mut sorted = order.clone();
         sorted.sort();
@@ -68,83 +72,85 @@ proptest! {
             preorder.components,
             preorder.recurrence_subgraphs
         );
-    }
+        Ok(())
+    });
+}
 
-    /// The defining invariant of the ordering: ignoring the backward edges
-    /// of recurrences, no node is ordered while both a predecessor and a
-    /// successor are already in the partial order.
-    #[test]
-    fn preordering_never_traps_a_node_between_neighbours(
-        seed in 0u64..10_000,
-        size in 3usize..40,
-    ) {
-        let ddg = generated_loop(seed, size, true);
-        let la = LoopAnalysis::analyze(&ddg);
-        let dropped = la.backward_edges();
-        let order = pre_order(&la).order;
-        let mut placed: HashSet<NodeId> = HashSet::new();
-        for &n in &order {
-            let mut preds_in = false;
-            let mut succs_in = false;
-            for (eid, e) in ddg.edges() {
-                if dropped.contains(&eid) || e.is_self_loop() {
-                    continue;
+/// The defining invariant of the ordering: ignoring the backward edges of
+/// recurrences, no node is ordered while both a predecessor and a successor
+/// are already in the partial order.
+#[test]
+fn preordering_never_traps_a_node_between_neighbours() {
+    check_cases(
+        "preordering_never_traps_a_node_between_neighbours",
+        |ddg, _| {
+            let la = LoopAnalysis::analyze(ddg);
+            let dropped = la.backward_edges();
+            let order = pre_order(&la).order;
+            let mut placed: HashSet<NodeId> = HashSet::new();
+            for &n in &order {
+                let mut preds_in = false;
+                let mut succs_in = false;
+                for (eid, e) in ddg.edges() {
+                    if dropped.contains(&eid) || e.is_self_loop() {
+                        continue;
+                    }
+                    if e.target() == n && placed.contains(&e.source()) {
+                        preds_in = true;
+                    }
+                    if e.source() == n && placed.contains(&e.target()) {
+                        succs_in = true;
+                    }
                 }
-                if e.target() == n && placed.contains(&e.source()) {
-                    preds_in = true;
-                }
-                if e.source() == n && placed.contains(&e.target()) {
-                    succs_in = true;
-                }
+                prop_assert!(
+                    !(preds_in && succs_in),
+                    "node {} had both predecessors and successors already ordered",
+                    n
+                );
+                placed.insert(n);
             }
-            prop_assert!(
-                !(preds_in && succs_in),
-                "node {} had both predecessors and successors already ordered",
-                n
-            );
-            placed.insert(n);
-        }
-    }
+            Ok(())
+        },
+    );
+}
 
-    /// Every scheduler produces a schedule that passes the independent
-    /// validator, at an II no smaller than the MII.
-    #[test]
-    fn schedulers_produce_valid_schedules(
-        seed in 0u64..5_000,
-        size in 3usize..28,
-        recurrences in any::<bool>(),
-    ) {
-        let ddg = generated_loop(seed, size, recurrences);
-        let machine = presets::perfect_club();
-        let schedulers: Vec<Box<dyn ModuloScheduler>> = vec![
-            Box::new(HrmsScheduler::new()),
-            Box::new(TopDownScheduler::new()),
-            Box::new(BottomUpScheduler::new()),
-            Box::new(SlackScheduler::new()),
-            Box::new(FrlcScheduler::new()),
-            Box::new(IterativeScheduler::new()),
-        ];
+/// Every scheduler produces a schedule that passes the independent
+/// validator, at an II no smaller than the MII.
+#[test]
+fn schedulers_produce_valid_schedules() {
+    let machine = presets::perfect_club();
+    let schedulers: Vec<Box<dyn ModuloScheduler>> = vec![
+        Box::new(HrmsScheduler::new()),
+        Box::new(TopDownScheduler::new()),
+        Box::new(BottomUpScheduler::new()),
+        Box::new(SlackScheduler::new()),
+        Box::new(FrlcScheduler::new()),
+        Box::new(IterativeScheduler::new()),
+    ];
+    check_cases("schedulers_produce_valid_schedules", |ddg, _| {
         for scheduler in &schedulers {
-            let outcome = scheduler.schedule_loop(&ddg, &machine);
+            let outcome = scheduler.schedule_loop(ddg, &machine);
             let outcome = outcome.unwrap();
-            prop_assert!(validate_schedule(&ddg, &machine, &outcome.schedule).is_ok(),
-                "{} produced an invalid schedule", scheduler.name());
+            prop_assert!(
+                validate_schedule(ddg, &machine, &outcome.schedule).is_ok(),
+                "{} produced an invalid schedule",
+                scheduler.name()
+            );
             prop_assert!(outcome.metrics.ii >= outcome.metrics.mii);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Register metrics are mutually consistent: MaxLive never exceeds the
-    /// buffer count, and the lifetime-instance arithmetic matches a brute
-    /// force recount of live values per row.
-    #[test]
-    fn register_metrics_are_consistent(
-        seed in 0u64..5_000,
-        size in 3usize..30,
-    ) {
-        let ddg = generated_loop(seed, size, true);
-        let machine = presets::perfect_club();
-        let outcome = HrmsScheduler::new().schedule_loop(&ddg, &machine).unwrap();
-        let lt = LifetimeAnalysis::analyze(&ddg, &outcome.schedule);
+/// Register metrics are mutually consistent: MaxLive never exceeds the
+/// buffer count, and the lifetime-instance arithmetic matches a brute force
+/// recount of live values per row.
+#[test]
+fn register_metrics_are_consistent() {
+    let machine = presets::perfect_club();
+    check_cases("register_metrics_are_consistent", |ddg, _| {
+        let outcome = HrmsScheduler::new().schedule_loop(ddg, &machine).unwrap();
+        let lt = LifetimeAnalysis::analyze(ddg, &outcome.schedule);
         prop_assert!(lt.max_live() <= lt.buffers());
 
         let ii = outcome.schedule.ii();
@@ -160,19 +166,18 @@ proptest! {
             }
             prop_assert_eq!(lt.live_at_row(row), brute);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// The rotating-register allocator always produces a conflict-free
-    /// packing of at least MaxLive registers and close to it.
-    #[test]
-    fn rotating_allocation_is_near_max_live(
-        seed in 0u64..5_000,
-        size in 3usize..26,
-    ) {
-        let ddg = generated_loop(seed, size, true);
-        let machine = presets::perfect_club();
-        let outcome = HrmsScheduler::new().schedule_loop(&ddg, &machine).unwrap();
-        let allocation = allocate_rotating(&ddg, &outcome.schedule);
+/// The rotating-register allocator always produces a conflict-free packing
+/// of at least MaxLive registers and close to it.
+#[test]
+fn rotating_allocation_is_near_max_live() {
+    let machine = presets::perfect_club();
+    check_cases("rotating_allocation_is_near_max_live", |ddg, _| {
+        let outcome = HrmsScheduler::new().schedule_loop(ddg, &machine).unwrap();
+        let allocation = allocate_rotating(ddg, &outcome.schedule);
         prop_assert!(allocation.registers >= allocation.max_live);
         // The end-fit packing is heuristic: it reaches MaxLive (+1) on
         // realistic loops (checked in the integration tests) but can need a
@@ -182,20 +187,19 @@ proptest! {
         for &offset in allocation.offsets.values() {
             prop_assert!(offset < allocation.registers.max(1));
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Spill insertion under a budget either fits the budget or honestly
-    /// reports that it cannot, and never produces an invalid schedule.
-    #[test]
-    fn spilling_is_sound(
-        seed in 0u64..2_000,
-        size in 4usize..22,
-        budget in 2u64..12,
-    ) {
-        let ddg = generated_loop(seed, size, true);
-        let machine = presets::perfect_club();
+/// Spill insertion under a budget either fits the budget or honestly
+/// reports that it cannot, and never produces an invalid schedule.
+#[test]
+fn spilling_is_sound() {
+    let machine = presets::perfect_club();
+    check_cases("spilling_is_sound", |ddg, case| {
+        let budget = case.budget.expect("the spill property samples a budget");
         let result = schedule_with_register_budget(
-            &ddg,
+            ddg,
             &machine,
             &HrmsScheduler::new(),
             &SpillConfig {
@@ -209,22 +213,22 @@ proptest! {
         if result.fits {
             prop_assert!(result.registers(PressureKind::VariantsOnly) <= budget);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// The MII lower bound is genuine: the recurrence bound computed by the
-    /// exact binary search always matches the bound derived from explicit
-    /// circuit enumeration when the enumeration is complete.
-    #[test]
-    fn rec_mii_matches_circuit_enumeration(
-        seed in 0u64..10_000,
-        size in 3usize..30,
-    ) {
-        let ddg = generated_loop(seed, size, true);
-        let machine = presets::perfect_club();
-        let mii = MiiInfo::compute(&machine, &LoopAnalysis::analyze(&ddg)).unwrap();
-        let info = hrms_oracle::RecurrenceInfo::analyze(&ddg);
+/// The MII lower bound is genuine: the recurrence bound computed by the
+/// exact binary search always matches the bound derived from explicit
+/// circuit enumeration when the enumeration is complete.
+#[test]
+fn rec_mii_matches_circuit_enumeration() {
+    let machine = presets::perfect_club();
+    check_cases("rec_mii_matches_circuit_enumeration", |ddg, _| {
+        let mii = MiiInfo::compute(&machine, &LoopAnalysis::analyze(ddg)).unwrap();
+        let info = hrms_oracle::RecurrenceInfo::analyze(ddg);
         if !info.truncated {
             prop_assert_eq!(u64::from(mii.rec_mii), info.rec_mii_lower_bound());
         }
-    }
+        Ok(())
+    });
 }

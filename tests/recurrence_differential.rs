@@ -2,7 +2,7 @@
 //! analysis, the per-node cycle-ratio analysis and the incremental per-II
 //! start times.
 //!
-//! Four guarantees are pinned here, mirroring the module docs of
+//! Five guarantees are pinned here, mirroring the module docs of
 //! `hrms_ddg::recurrence`, `hrms_ddg::cycle_ratio` and
 //! `hrms_ddg::analysis`:
 //!
@@ -31,17 +31,15 @@
 //! 4. Advancing `IncrementalStarts` from II to II+1 yields exactly the
 //!    same earliest/latest start times as a from-scratch Bellman-Ford pass
 //!    at every escalation step.
-//! 5. Every distinct loop the workspace's test suite builds — the corpora
-//!    of every test file, the property-test loops and the spill-rewritten
-//!    copies the spill rewriter and the feedback loop schedule — passes
-//!    the cross-check against the enumeration wherever the enumeration
+//! 5. Every distinct loop of the corpus registry (`tests/corpus/mod.rs`),
+//!    spill-rewritten copies and feedback attempts included, passes the
+//!    cross-check against the enumeration wherever the enumeration
 //!    completes, and its scheduling `RecMII` equals the oracle's
 //!    whole-graph bisection; so does the `RecMII` of seeded copies in
-//!    which some flow edges became anti or output dependences
-//!    (`every_suite_loop_passes_the_recurrence_cross_check`).
+//!    which some flow edges became anti or output dependences. Each
+//!    registry corpus holds its documented number of loops.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 use hrms_oracle::{
     cross_check, exact_rec_mii, latest_starts_from, CrossCheckReport, RecurrenceInfo,
@@ -49,52 +47,23 @@ use hrms_oracle::{
 };
 use hrms_repro::ddg::analysis::{collect_dep_edges, longest_paths, DepEdge};
 use hrms_repro::ddg::{
-    parse_loops, scc, CycleRatios, Ddg, DdgBuilder, DepKind, Fnv64, IncrementalStarts,
-    LoopAnalysis, NodeId, OpKind, RecurrenceGroups,
+    scc, CycleRatios, Ddg, DdgBuilder, DepKind, Fnv64, IncrementalStarts, LoopAnalysis, NodeId,
+    OpKind, RecurrenceGroups,
 };
+use hrms_repro::engine::BatchEngine;
 use hrms_repro::hrms::{pre_order, HrmsScheduler};
-use hrms_repro::machine::{presets, Machine};
-use hrms_repro::modsched::{
-    validate_schedule, FeedbackConfig, ModuloScheduler, Perturbation, RegisterBudget, SchedError,
-    ScheduleOutcome,
-};
-use hrms_repro::regalloc::{schedule_with_register_budget, PressureKind, SpillConfig};
-use hrms_repro::registry::{scheduler_by_slug, wrap_feedback, BoxedScheduler};
-use hrms_repro::workloads::{motivating, reference24, synthetic, GeneratorConfig, LoopGenerator};
-use proptest::prelude::{any, Strategy};
+use hrms_repro::machine::presets;
+use hrms_repro::modsched::{validate_schedule, ModuloScheduler};
 
-/// Builds a deterministic generator loop.
-fn generated(seed: u64, size: usize, recurrence_probability: f64, extra: usize) -> Ddg {
-    let config = GeneratorConfig {
-        min_ops: size.max(3),
-        mean_ops: size as f64,
-        max_ops: size.max(3) + 6,
-        recurrence_probability,
-        extra_backward_edges: extra,
-        ..GeneratorConfig::default()
-    };
-    LoopGenerator::new(seed, config).next_loop()
-}
+mod corpus;
 
-/// Concatenates two loops into one multi-component graph.
-fn merged(a: &Ddg, b: &Ddg) -> Ddg {
-    let mut bld = DdgBuilder::new(format!("{}+{}", a.name(), b.name()));
-    for (half, g) in [a, b].into_iter().enumerate() {
-        let ids: Vec<NodeId> = g
-            .nodes()
-            .map(|(_, n)| bld.node(format!("h{half}_{}", n.name()), n.kind(), n.latency()))
-            .collect();
-        for (_, e) in g.edges() {
-            bld.edge(
-                ids[e.source().index()],
-                ids[e.target().index()],
-                e.kind(),
-                e.distance(),
-            )
-            .expect("merged ids are in range");
-        }
-    }
-    bld.build().expect("merging two valid loops is valid")
+/// The `gen` loops with recurrences: the `p0.8` variant of every seed, in
+/// seed order.
+fn recurrent_gen_loops() -> impl Iterator<Item = Ddg> {
+    let keyed = corpus::keyed("gen").into_iter();
+    keyed
+        .filter(|(key, _)| key.ends_with("/p0.8"))
+        .map(|(_, g)| g)
 }
 
 /// Cross-checks the SCC-derived groups of `g` against a complete
@@ -188,7 +157,7 @@ fn assert_full_coverage(g: &Ddg, groups: &RecurrenceGroups) {
 
 #[test]
 fn reference24_grouping_matches_the_enumeration_exactly() {
-    for g in reference24::all() {
+    for g in corpus::loops("reference24") {
         let report = assert_exact_and_ordering_match(&g);
         assert_eq!(
             report.interleaved_subgraphs, 0,
@@ -210,15 +179,11 @@ fn generated_corpus_has_no_coarsening_carve_out() {
         ordering_match: true,
         ..CrossCheckReport::default()
     };
-    for seed in 0..100u64 {
-        let size = 4 + (seed as usize * 7) % 44;
-        for rec_prob in [0.0, 0.8] {
-            let g = generated(seed, size, rec_prob, 0);
-            let report = assert_exact_and_ordering_match(&g);
-            interleaved_loops += usize::from(report.interleaved_subgraphs > 0);
-            total.absorb(&report);
-            checked += 1;
-        }
+    for g in corpus::loops("gen") {
+        let report = assert_exact_and_ordering_match(&g);
+        interleaved_loops += usize::from(report.interleaved_subgraphs > 0);
+        total.absorb(&report);
+        checked += 1;
     }
     assert!(checked >= 200, "the corpus must cover at least 200 loops");
     assert!(
@@ -235,7 +200,7 @@ fn interleaved_suite_matches_johnson_ordering_exactly() {
     // regime the pre-cycle-ratio analysis coarsened into one residual
     // group per SCC. Grouping, node lists, per-subgraph RecMII and the
     // pre-ordering's ranked input must now all match the enumeration.
-    for g in synthetic::interleaved_recurrence_suite() {
+    for g in corpus::loops("interleaved") {
         let report = assert_exact_and_ordering_match(&g);
         assert!(
             report.interleaved_subgraphs > 0,
@@ -248,10 +213,7 @@ fn interleaved_suite_matches_johnson_ordering_exactly() {
 
 #[test]
 fn multi_component_grouping_matches_the_enumeration() {
-    for seed in 0..20u64 {
-        let a = generated(seed, 6 + (seed as usize % 20), 0.7, 0);
-        let b = generated(seed + 1000, 4 + (seed as usize % 14), 0.0, 0);
-        let g = merged(&a, &b);
+    for g in corpus::loops("merged") {
         assert_exact_and_ordering_match(&g);
     }
 }
@@ -263,12 +225,9 @@ fn per_node_bounds_match_the_enumerated_circuits() {
     // the ≤ 2-backward-edge regime (which test
     // `generated_corpus_has_no_coarsening_carve_out` proves is the whole
     // reference + generated + interleaved corpus).
-    let mut graphs = reference24::all();
-    for seed in 0..50u64 {
-        let size = 4 + (seed as usize * 7) % 44;
-        graphs.push(generated(seed, size, 0.8, 0));
-    }
-    graphs.extend(synthetic::interleaved_recurrence_suite());
+    let mut graphs = corpus::loops("reference24");
+    graphs.extend(recurrent_gen_loops().take(50));
+    graphs.extend(corpus::loops("interleaved"));
     let mut nodes_checked = 0usize;
     for g in &graphs {
         let oracle = RecurrenceInfo::analyze_with_budget(g, 200_000);
@@ -299,12 +258,10 @@ fn per_scc_maximum_equals_the_exact_rec_mii_everywhere() {
     // invariant that holds with *no* enumerability requirement, pinned
     // across the reference corpus, the interleaved suite and the
     // recurrence-heavy stress loops whose enumeration cannot complete.
-    let mut graphs = reference24::all();
-    for seed in 0..20u64 {
-        graphs.push(generated(seed, 10 + (seed as usize * 5) % 30, 0.8, 0));
-    }
-    graphs.extend(synthetic::interleaved_recurrence_suite());
-    graphs.push(synthetic::recurrence_heavy_suite().remove(0));
+    let mut graphs = corpus::loops("reference24");
+    graphs.extend(corpus::loops("per-scc"));
+    graphs.extend(corpus::loops("interleaved"));
+    graphs.push(corpus::loops("recurrence-heavy").remove(0));
     let mut sccs_checked = 0usize;
     for g in &graphs {
         let ratios = CycleRatios::analyze(g);
@@ -350,9 +307,7 @@ fn moderately_dense_recurrence_shapes_quantify_their_coarsening() {
         ordering_match: true,
         ..CrossCheckReport::default()
     };
-    for seed in 0..30u64 {
-        let size = 20 + (seed as usize * 3) % 40;
-        let g = generated(seed ^ 0xDEAD, size, 1.0, 2 + (seed as usize % 5));
+    for g in corpus::loops("dense") {
         let oracle = RecurrenceInfo::analyze_with_budget(&g, 200_000);
         if oracle.truncated {
             continue;
@@ -392,7 +347,7 @@ fn moderately_dense_recurrence_shapes_quantify_their_coarsening() {
 
 #[test]
 fn recurrence_heavy_suite_needs_no_budget_while_the_enumeration_truncates() {
-    for g in synthetic::recurrence_heavy_suite() {
+    for g in corpus::loops("recurrence-heavy") {
         // The new path: complete, polynomial, no truncation to even report.
         let la = LoopAnalysis::analyze(&g);
         let groups = la.recurrence_groups();
@@ -424,7 +379,7 @@ fn recurrence_heavy_suite_needs_no_budget_while_the_enumeration_truncates() {
 fn recurrence_heavy_loop_schedules_end_to_end() {
     // Full HRMS run on the 500-op recurrence-heavy loop: MII, pre-order
     // and placement all ride the enumeration-free path.
-    let g = synthetic::recurrence_heavy_suite().remove(0);
+    let g = corpus::loops("recurrence-heavy").remove(0);
     let m = presets::perfect_club();
     let outcome = HrmsScheduler::new().schedule_loop(&g, &m).unwrap();
     validate_schedule(&g, &m, &outcome.schedule).unwrap();
@@ -472,11 +427,8 @@ fn johnson_truncates_on_k9_while_hrms_orders_and_schedules_cleanly() {
 
 #[test]
 fn incremental_starts_equal_scratch_recomputation_at_every_escalation_step() {
-    let mut graphs = reference24::all();
-    for seed in 0..30u64 {
-        graphs.push(generated(seed, 6 + (seed as usize * 5) % 30, 0.7, 0));
-    }
-    graphs.push(generated(7, 40, 1.0, 6)); // dense-recurrence shape
+    let mut graphs = corpus::loops("reference24");
+    graphs.extend(corpus::loops("escalation"));
     let mut escalations = 0usize;
     for g in &graphs {
         let la = LoopAnalysis::analyze(g);
@@ -542,327 +494,6 @@ fn shape_key(g: &Ddg) -> u64 {
             .write_u32(e.distance());
     }
     h.finish()
-}
-
-/// The distinct loops of a corpus, by [`shape_key`], in insertion order.
-#[derive(Default)]
-struct Corpus {
-    keys: HashSet<u64>,
-    loops: Vec<Ddg>,
-}
-
-impl Corpus {
-    fn add(&mut self, g: Ddg) {
-        if self.keys.insert(shape_key(&g)) {
-            self.loops.push(g);
-        }
-    }
-
-    fn extend(&mut self, loops: impl IntoIterator<Item = Ddg>) {
-        for g in loops {
-            self.add(g);
-        }
-    }
-}
-
-/// A scheduler that records every loop it is asked to schedule, then
-/// delegates. The spill rewriter and the feedback loop schedule rewritten
-/// copies of a loop that no test builds directly; this is how the corpus
-/// gets them.
-struct Recording {
-    inner: BoxedScheduler,
-    seen: Arc<Mutex<Vec<Ddg>>>,
-}
-
-impl Recording {
-    /// Wraps the scheduler registered as `slug`; the returned handle reads
-    /// the recorded loops.
-    fn new(slug: &str) -> (Self, Arc<Mutex<Vec<Ddg>>>) {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let inner = scheduler_by_slug(slug).expect("registered slug");
-        let recording = Recording {
-            inner,
-            seen: Arc::clone(&seen),
-        };
-        (recording, seen)
-    }
-}
-
-impl ModuloScheduler for Recording {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn schedule(
-        &self,
-        analysis: &LoopAnalysis<'_>,
-        machine: &Machine,
-        perturbation: &Perturbation,
-    ) -> Result<ScheduleOutcome, SchedError> {
-        self.seen.lock().unwrap().push(analysis.ddg().clone());
-        self.inner.schedule(analysis, machine, perturbation)
-    }
-}
-
-/// Every loop `feedback:<slug>` schedules under `config` while it runs
-/// `loops`: the originals, and the spill-rewritten copies of every attempt.
-fn feedback_loops(
-    slug: &str,
-    config: FeedbackConfig,
-    loops: &[Ddg],
-    machine: &Machine,
-) -> Vec<Ddg> {
-    let (recording, seen) = Recording::new(slug);
-    let scheduler = wrap_feedback(Box::new(recording), config);
-    for g in loops {
-        let _ = scheduler.schedule_loop(g, machine);
-    }
-    let recorded = std::mem::take(&mut *seen.lock().unwrap());
-    recorded
-}
-
-/// Every loop `schedule_with_register_budget` schedules with the `slug`
-/// scheduler under `config`, and the registers the result needs.
-fn spill_loops(g: &Ddg, machine: &Machine, slug: &str, config: &SpillConfig) -> (Vec<Ddg>, u64) {
-    let (recording, seen) = Recording::new(slug);
-    let result = schedule_with_register_budget(g, machine, &recording, config)
-        .unwrap_or_else(|e| panic!("`{}`: spilling failed: {e}", g.name()));
-    let recorded = std::mem::take(&mut *seen.lock().unwrap());
-    (recorded, result.registers(config.kind))
-}
-
-/// The loop `tests/property_based.rs` builds from one sampled case.
-fn property_loop(seed: u64, size: usize, recurrences: bool) -> Ddg {
-    let config = GeneratorConfig {
-        min_ops: size.max(3),
-        mean_ops: size as f64,
-        max_ops: size.max(3) + 4,
-        recurrence_probability: if recurrences { 0.7 } else { 0.0 },
-        ..GeneratorConfig::default()
-    };
-    LoopGenerator::new(seed, config).next_loop()
-}
-
-/// The `(seed, size, recurrences, spill budget)` cases of every property
-/// in `tests/property_based.rs`, replayed from the runner's random stream
-/// for each test name: the same strategies in the same order, 48 cases.
-fn property_cases() -> Vec<(u64, usize, bool, Option<u64>)> {
-    // (test, seed bound, size range, samples `recurrences`, samples a budget)
-    let properties: [(&str, u64, std::ops::Range<usize>, bool, bool); 7] = [
-        (
-            "preordering_is_a_permutation_with_references",
-            10_000,
-            3..40,
-            true,
-            false,
-        ),
-        (
-            "preordering_never_traps_a_node_between_neighbours",
-            10_000,
-            3..40,
-            false,
-            false,
-        ),
-        (
-            "schedulers_produce_valid_schedules",
-            5_000,
-            3..28,
-            true,
-            false,
-        ),
-        (
-            "register_metrics_are_consistent",
-            5_000,
-            3..30,
-            false,
-            false,
-        ),
-        (
-            "rotating_allocation_is_near_max_live",
-            5_000,
-            3..26,
-            false,
-            false,
-        ),
-        ("spilling_is_sound", 2_000, 4..22, false, true),
-        (
-            "rec_mii_matches_circuit_enumeration",
-            10_000,
-            3..30,
-            false,
-            false,
-        ),
-    ];
-    let mut cases = Vec::new();
-    for (name, seeds, sizes, sampled_recurrences, sampled_budget) in properties {
-        let mut rng = proptest::rng_for_test(name);
-        for _ in 0..48 {
-            let seed = (0..seeds).sample(&mut rng);
-            let size = sizes.clone().sample(&mut rng);
-            let recurrences = !sampled_recurrences || any::<bool>().sample(&mut rng);
-            let budget = sampled_budget.then(|| (2u64..12).sample(&mut rng));
-            cases.push((seed, size, recurrences, budget));
-        }
-    }
-    cases
-}
-
-/// Reads a file of the repository.
-fn repo_file(path: &str) -> String {
-    std::fs::read_to_string(format!("{}/{path}", env!("CARGO_MANIFEST_DIR")))
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
-}
-
-/// Every distinct loop the root test suite analyses or schedules, apart
-/// from a few hand-built graphs, plus (second) the recurrence-heavy suite,
-/// on which Johnson's enumeration never completes. Each block names the
-/// test files whose loops it rebuilds.
-fn suite_loops() -> (Vec<Ddg>, Vec<Ddg>) {
-    let mut corpus = Corpus::default();
-    let govindarajan = presets::govindarajan();
-    let perfect_club = presets::perfect_club();
-
-    // The named suites and the paper's figures, used across the suite.
-    corpus.extend(reference24::all());
-    corpus.extend(motivating::all());
-    corpus.extend(synthetic::perfect_club_like_sized(60));
-    corpus.extend(synthetic::stress_suite());
-    corpus.extend(synthetic::interleaved_recurrence_suite());
-    let register_pressure = synthetic::register_pressure_suite();
-    corpus.extend(register_pressure.iter().cloned());
-
-    // Seeded generator loops: placement_pins, preorder_property and this
-    // file.
-    for seed in 0..120u64 {
-        for rec_prob in [0.0, 0.8] {
-            corpus.add(generated(seed, 4 + (seed as usize * 7) % 44, rec_prob, 0));
-        }
-    }
-    for seed in 0..20u64 {
-        let a = generated(seed, 6 + (seed as usize % 20), 0.7, 0);
-        let b = generated(seed + 1000, 4 + (seed as usize % 14), 0.0, 0);
-        corpus.add(merged(&a, &b));
-        corpus.extend([a, b]);
-        corpus.add(generated(seed, 10 + (seed as usize * 5) % 30, 0.8, 0));
-    }
-    for seed in 0..30u64 {
-        let extra = 2 + (seed as usize % 5);
-        corpus.add(generated(
-            seed ^ 0xDEAD,
-            20 + (seed as usize * 3) % 40,
-            1.0,
-            extra,
-        ));
-        corpus.add(generated(seed, 6 + (seed as usize * 5) % 30, 0.7, 0));
-    }
-    corpus.add(generated(7, 40, 1.0, 6));
-    for seed in [3u64, 17, 99] {
-        corpus.add(generated(seed, 20, 0.5, 0));
-    }
-    // analysis_overlay_property.
-    let overlay = GeneratorConfig {
-        min_ops: 8,
-        mean_ops: 24.0,
-        max_ops: 48,
-        ..GeneratorConfig::default()
-    };
-    corpus.extend(LoopGenerator::new(7, overlay).generate(6));
-    // format_roundtrip.
-    corpus.extend(LoopGenerator::with_seed(2024).generate(120));
-    corpus.extend(LoopGenerator::new(77, synthetic::recurrence_heavy_config(24)).generate(60));
-    corpus
-        .extend(LoopGenerator::new(78, synthetic::interleaved_recurrence_config(30)).generate(60));
-    // lint_diagnostics.
-    corpus.extend(LoopGenerator::new(7, synthetic::suite_config()).generate(8));
-    corpus.extend(LoopGenerator::new(11, synthetic::stress_config(24)).generate(4));
-    corpus.extend(LoopGenerator::new(13, synthetic::recurrence_heavy_config(20)).generate(4));
-    corpus.extend(LoopGenerator::new(17, synthetic::interleaved_recurrence_config(24)).generate(4));
-    // feedback_property's recurrence-heavy bodies (no register budget, so
-    // the feedback loop schedules only the originals).
-    for size in [40usize, 80, 120] {
-        let config = synthetic::recurrence_heavy_config(size);
-        corpus.add(LoopGenerator::new(0xFEED ^ size as u64, config).next_loop());
-    }
-    // The shipped example, and the loops of the serve request fixture.
-    let dotprod = parse_loops(&repo_file("examples/loops/dotprod.loop")).unwrap();
-    corpus.extend(dotprod.iter().cloned());
-    for line in repo_file("tests/fixtures/serve/requests.jsonl").lines() {
-        let request = hrms_repro::serve::json::parse(line).unwrap();
-        for text in request
-            .get("loops")
-            .and_then(|l| l.as_array())
-            .unwrap_or(&[])
-        {
-            corpus.extend(parse_loops(text.as_str().unwrap()).unwrap_or_default());
-        }
-    }
-
-    // property_based: every sampled loop, and the copies that
-    // spilling_is_sound schedules.
-    for (seed, size, recurrences, budget) in property_cases() {
-        let g = property_loop(seed, size, recurrences);
-        if let Some(registers) = budget {
-            let config = SpillConfig {
-                registers,
-                kind: PressureKind::VariantsOnly,
-                max_rounds: 16,
-            };
-            corpus.extend(spill_loops(&g, &perfect_club, "hrms", &config).0);
-        }
-        corpus.add(g);
-    }
-
-    // scheduler_validity: spilling without a limit, then under half the
-    // registers that needed.
-    for g in synthetic::perfect_club_like_sized(10) {
-        for slug in ["hrms", "top-down"] {
-            let (unlimited, registers) =
-                spill_loops(&g, &perfect_club, slug, &SpillConfig::new(10_000));
-            corpus.extend(unlimited);
-            let half = SpillConfig::new((registers / 2).max(4));
-            corpus.extend(spill_loops(&g, &perfect_club, slug, &half).0);
-        }
-    }
-
-    // The feedback loop: feedback_property (HRMS on perfect-club),
-    // placement_pins (each heuristic scheduler on govindarajan) and the
-    // serve fixture's four-register request.
-    let mut feedback_inputs = reference24::all();
-    feedback_inputs.extend(register_pressure.iter().cloned());
-    let config = FeedbackConfig::default();
-    corpus.extend(feedback_loops(
-        "hrms",
-        config,
-        &feedback_inputs,
-        &perfect_club,
-    ));
-    for slug in [
-        "hrms",
-        "top-down",
-        "bottom-up",
-        "slack",
-        "frlc",
-        "iterative",
-    ] {
-        corpus.extend(feedback_loops(
-            slug,
-            config,
-            &register_pressure,
-            &govindarajan,
-        ));
-    }
-    let four_registers = FeedbackConfig {
-        budget: Some(RegisterBudget { registers: 4 }),
-        ..config
-    };
-    corpus.extend(feedback_loops(
-        "hrms",
-        four_registers,
-        &dotprod,
-        &govindarajan,
-    ));
-
-    (corpus.loops, synthetic::recurrence_heavy_suite())
 }
 
 /// The oracle's `RecMII` of `g`: the whole-graph bisection over its
@@ -938,13 +569,9 @@ fn with_anti_and_output_edges(g: &Ddg, seed: u64) -> Ddg {
 /// suite's loops have flow and memory edges only, so these are the loops
 /// on which the dependence metric's `RecMII` drops below the cycle ratios.
 fn anti_output_copies() -> Vec<Ddg> {
-    let mut originals = Vec::new();
-    for seed in 0..120u64 {
-        originals.push(generated(seed, 4 + (seed as usize * 7) % 44, 0.8, 0));
-    }
-    originals.extend(LoopGenerator::new(77, synthetic::recurrence_heavy_config(24)).generate(60));
-    originals
-        .extend(LoopGenerator::new(78, synthetic::interleaved_recurrence_config(30)).generate(60));
+    let mut originals: Vec<Ddg> = recurrent_gen_loops().collect();
+    originals.extend(corpus::loops("roundtrip/recurrence-heavy"));
+    originals.extend(corpus::loops("roundtrip/interleaved"));
     originals
         .iter()
         .flat_map(|g| [1u64, 2].map(|seed| with_anti_and_output_edges(g, seed)))
@@ -973,71 +600,103 @@ fn anti_and_output_edges_lower_the_rec_mii_below_the_operation_metric() {
     assert!(assert_rec_mii_is_exact(&la));
 }
 
-#[test]
-fn every_suite_loop_passes_the_recurrence_cross_check() {
-    // Each distinct loop is checked once. Wherever Johnson's enumeration
-    // completes within its default budget, the SCC-derived groups must
-    // match it exactly, or be inexact only on a loop with a subgraph
-    // threading three or more backward edges (the documented residual
-    // fallback); in the two-edge regime the per-node cycle-ratio bounds
-    // must equal the enumerated per-node maxima.
-    let (loops, heavy) = suite_loops();
-    let mut enumerated = 0usize;
-    let mut per_node_checked = 0usize;
-    for g in &loops {
-        let la = LoopAnalysis::analyze(g);
-        assert_rec_mii_is_exact(&la);
-        let oracle = RecurrenceInfo::analyze_with_budget(g, DEFAULT_CIRCUIT_BUDGET);
-        if oracle.truncated {
-            continue;
-        }
-        enumerated += 1;
-        let report = cross_check(la.recurrence_groups(), &oracle).unwrap_or_else(|e| {
-            panic!(
-                "`{}`: SCC-derived recurrence groups diverge from the circuit enumeration: {e}",
-                g.name()
-            )
-        });
-        assert!(
-            report.is_exact() || report.deep_subgraphs > 0,
-            "`{}`: recurrence groups diverge from the circuit enumeration without any \
-             subgraph threading three or more backward edges: {report:?}",
+/// Cross-checks one loop's `RecMII` against the bisection and, if the
+/// loop is `enumerable` and the enumeration completes within its default
+/// budget, its groups and (in the two-edge regime) its per-node bounds
+/// against the circuits. Returns `None` when the enumeration does not run
+/// to completion, else whether the per-node bounds were compared.
+fn cross_check_loop(g: &Ddg, enumerable: bool) -> Option<bool> {
+    let la = LoopAnalysis::analyze(g);
+    assert_rec_mii_is_exact(&la);
+    if !enumerable {
+        return None;
+    }
+    let oracle = RecurrenceInfo::analyze_with_budget(g, DEFAULT_CIRCUIT_BUDGET);
+    if oracle.truncated {
+        return None;
+    }
+    let report = cross_check(la.recurrence_groups(), &oracle).unwrap_or_else(|e| {
+        panic!(
+            "`{}`: SCC-derived recurrence groups diverge from the circuit enumeration: {e}",
+            g.name()
+        )
+    });
+    assert!(
+        report.is_exact() || report.deep_subgraphs > 0,
+        "`{}`: recurrence groups diverge from the circuit enumeration without any \
+         subgraph threading three or more backward edges: {report:?}",
+        g.name()
+    );
+    let deep = oracle
+        .subgraphs
+        .iter()
+        .any(|sg| sg.backward_edges.len() > 2);
+    let per_node = !deep && la.rec_mii().is_some();
+    if per_node {
+        assert_eq!(
+            la.cycle_ratios().per_node(),
+            &per_node_from_circuits(g, &oracle)[..],
+            "`{}`: per-node bounds diverge from the enumerated circuits",
             g.name()
         );
-        let deep = oracle
-            .subgraphs
-            .iter()
-            .any(|sg| sg.backward_edges.len() > 2);
-        if !deep && la.rec_mii().is_some() {
-            assert_eq!(
-                la.cycle_ratios().per_node(),
-                &per_node_from_circuits(g, &oracle)[..],
-                "`{}`: per-node bounds diverge from the enumerated circuits",
-                g.name()
-            );
-            per_node_checked += 1;
-        }
     }
-    // The enumeration cannot complete on the recurrence-heavy suite, so
-    // only the RecMII is checked there.
-    for g in &heavy {
-        assert_rec_mii_is_exact(&LoopAnalysis::analyze(g));
-    }
+    Some(per_node)
+}
+
+#[test]
+fn every_suite_loop_passes_the_recurrence_cross_check() {
+    // Each distinct loop of the registry, by shape, is checked once on the
+    // batch engine's workers, which re-raise a failed check's panic. The
+    // enumeration cannot complete on the recurrence-heavy suite, so only
+    // its RecMII is checked; those loops go first, as the costliest.
+    let mut shapes = HashSet::new();
+    let mut loops: Vec<(bool, &Ddg)> = corpus::built()
+        .iter()
+        .flat_map(|(corpus, loops)| loops.iter().map(|(_, g)| (corpus.enumerable, g)))
+        .filter(|&(_, g)| shapes.insert(shape_key(g)))
+        .collect();
+    loops.sort_by_key(|&(enumerable, _)| enumerable);
+    let engine = BatchEngine::new();
+    let verdicts: Vec<bool> = engine
+        .map(&loops, |_, &(enumerable, g)| {
+            cross_check_loop(g, enumerable)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    let distinct = loops.iter().filter(|&&(enumerable, _)| enumerable).count();
+    let enumerated = verdicts.len();
+    let per_node_checked = verdicts.iter().filter(|&&per_node| per_node).count();
     // No suite loop has an anti or output edge, so only the copies run the
     // dependence metric's downward search.
     let copies = anti_output_copies();
-    let lowered = copies
-        .iter()
-        .filter(|g| assert_rec_mii_is_exact(&LoopAnalysis::analyze(g)))
+    let lowered = engine
+        .map(&copies, |_, g| {
+            assert_rec_mii_is_exact(&LoopAnalysis::analyze(g))
+        })
+        .into_iter()
+        .filter(|&lowered| lowered)
         .count();
     // At the time of writing: 3,112 distinct loops, every one enumerated,
     // 3,105 of them in the two-edge regime, and 349 of the 480 copies with
     // a RecMII below their cycle ratios. A shrinking corpus fails here.
-    assert!(loops.len() >= 3_000, "only {} distinct loops", loops.len());
+    assert!(distinct >= 3_000, "only {distinct} distinct loops");
     assert!(lowered >= 300, "only {lowered} copies lower the RecMII");
     assert!(enumerated >= 3_000, "only {enumerated} loops enumerated");
     assert!(
         per_node_checked >= 3_000,
         "only {per_node_checked} per-node checks"
     );
+}
+
+#[test]
+fn every_registry_corpus_has_a_unique_name_and_its_documented_size() {
+    let names: HashSet<&str> = corpus::REGISTRY.iter().map(|c| c.name).collect();
+    assert_eq!(names.len(), corpus::REGISTRY.len(), "corpus names repeat");
+    let wrong: Vec<String> = corpus::built()
+        .iter()
+        .filter(|(c, loops)| loops.len() != c.len)
+        .map(|(c, loops)| format!("`{}` holds {} loops, not {}", c.name, loops.len(), c.len))
+        .collect();
+    assert!(wrong.is_empty(), "{}", wrong.join("; "));
 }

@@ -8,16 +8,20 @@ use hrms_repro::modsched::SchedError;
 use hrms_repro::prelude::*;
 use hrms_repro::registry::{scheduler_by_slug, SCHEDULER_SLUGS};
 
+mod corpus;
+
 fn all_schedulers() -> Vec<Box<dyn ModuloScheduler>> {
     let mut v: Vec<Box<dyn ModuloScheduler>> = vec![Box::new(HrmsScheduler::new())];
     v.extend(all_baselines());
     v
 }
 
+/// The paper's figures, the reference suite and the first 20
+/// Perfect-Club-like loops.
 fn workload_sample() -> Vec<Ddg> {
-    let mut loops = motivating::all();
-    loops.extend(reference24::all());
-    loops.extend(synthetic::perfect_club_like_sized(20));
+    let mut loops = corpus::loops("motivating");
+    loops.extend(corpus::loops("reference24"));
+    loops.extend(corpus::loops("perfect-club-like").into_iter().take(20));
     loops
 }
 
@@ -101,8 +105,7 @@ fn rotating_allocation_succeeds_on_every_hrms_schedule() {
 #[test]
 fn spill_scheduling_respects_budgets_across_schedulers() {
     let machine = presets::perfect_club();
-    let loops = synthetic::perfect_club_like_sized(10);
-    for ddg in &loops {
+    for ddg in &corpus::loops("perfect-club-like")[..10] {
         for scheduler in [
             &HrmsScheduler::new() as &dyn ModuloScheduler,
             &TopDownScheduler::new() as &dyn ModuloScheduler,
@@ -141,11 +144,7 @@ fn a_rec_mii_above_the_largest_ii_is_rejected_before_any_attempt() {
     // RecMII 6·10⁹ exceeds u32::MAX, the largest II. Every scheduler reads
     // the MII before its first attempt, so each must give up there instead
     // of truncating the bound or sizing a reservation table by it.
-    let path = format!(
-        "{}/tests/fixtures/recmii_overflow.loop",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let ddg = parse_loop(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let ddg = parse_loop(&corpus::repo_file("tests/fixtures/recmii_overflow.loop")).unwrap();
     assert_eq!(LoopAnalysis::analyze(&ddg).rec_mii(), Some(6_000_000_000));
     let machine = presets::govindarajan();
     let slugs = SCHEDULER_SLUGS.into_iter().chain(["feedback:hrms"]);

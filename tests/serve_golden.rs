@@ -19,18 +19,12 @@
 
 use hrms_repro::serve::Service;
 
+mod corpus;
+
 #[test]
 fn serve_smoke_output_matches_the_golden_file() {
-    let requests = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/serve/requests.jsonl"
-    ))
-    .unwrap();
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/serve_smoke.txt"
-    ))
-    .unwrap();
+    let requests = corpus::repo_file("tests/fixtures/serve/requests.jsonl");
+    let golden = corpus::repo_file("tests/golden/serve_smoke.txt");
     let (actual, shutdown) = Service::default().process(&requests);
     assert!(shutdown, "the script ends with a shutdown request");
     assert_eq!(

@@ -12,16 +12,13 @@
 use hrms_repro::serve::json::{self, Value};
 use hrms_repro::serve::{ServeConfig, Service};
 
+mod corpus;
+
+use corpus::quoted;
+
 /// A tiny distinct `.loop` source: the name alone changes the fingerprint.
 fn loop_text(name: &str) -> String {
     format!("loop {name}\nnode a load latency=2\nnode b fadd latency=1\nedge a -> b flow\nend\n")
-}
-
-/// Renders a `.loop` entry as a JSON string literal for a request line.
-fn quoted(text: &str) -> String {
-    let mut out = String::new();
-    hrms_repro::modsched::push_json_str(&mut out, text);
-    out
 }
 
 fn schedule_request(id: &str, loops: &[String]) -> String {

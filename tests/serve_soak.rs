@@ -16,13 +16,17 @@ use hrms_repro::modsched::{report_line, ModuloScheduler, ReportOptions};
 use hrms_repro::prelude::*;
 use hrms_repro::serve::{ServeConfig, Service};
 
+mod corpus;
+
+use corpus::quoted;
+
 /// The thirty distinct loops of the soak corpus: the 24-loop reference
-/// suite, the paper's five motivating examples, and one synthetic chain.
+/// suite, the paper's five motivating examples (the registry test pins
+/// both sizes), and one synthetic chain.
 fn distinct_corpus() -> Vec<Ddg> {
-    let mut loops = hrms_repro::workloads::reference24::all();
-    loops.extend(hrms_repro::workloads::motivating::all());
+    let mut loops = corpus::loops("reference24");
+    loops.extend(corpus::loops("motivating"));
     loops.push(hrms_repro::ddg::chain("soak_chain", 6, OpKind::FpMul, 2));
-    assert_eq!(loops.len(), 30, "the soak corpus is thirty distinct loops");
     loops
 }
 
@@ -31,12 +35,6 @@ fn distinct_corpus() -> Vec<Ddg> {
 /// often.
 fn soak_indices(total: usize) -> Vec<usize> {
     (0..total).map(|i| (i * 7 + 3) % 30).collect()
-}
-
-fn quoted(text: &str) -> String {
-    let mut out = String::new();
-    hrms_repro::modsched::push_json_str(&mut out, text);
-    out
 }
 
 /// The soak load as three schedule requests of 340 entries each, so the

@@ -8,10 +8,12 @@
 use hrms_repro::baselines::all_baselines;
 use hrms_repro::prelude::*;
 
+mod corpus;
+
 #[test]
 fn every_scheduler_schedules_every_reference_loop() {
     let machine = presets::govindarajan();
-    let loops = reference24::all();
+    let loops = corpus::loops("reference24");
     assert_eq!(loops.len(), 24, "the reference suite should have 24 loops");
 
     let mut schedulers: Vec<Box<dyn ModuloScheduler>> = all_baselines();
