@@ -167,17 +167,23 @@ impl DdgBuilder {
     /// * [`DdgError::ZeroLatency`] if any node has latency 0.
     /// * [`DdgError::DuplicateName`] if two nodes share a name.
     pub fn build(&self) -> Result<Ddg, DdgError> {
+        self.clone().into_ddg()
+    }
+
+    /// [`DdgBuilder::build`] for a builder that is no longer needed: the
+    /// name, nodes and edges move into the graph.
+    pub(crate) fn into_ddg(self) -> Result<Ddg, DdgError> {
         if self.nodes.is_empty() {
             return Err(DdgError::EmptyGraph);
         }
-        let mut names = HashSet::new();
+        let mut names = HashSet::with_capacity(self.nodes.len());
         for n in &self.nodes {
             if n.latency() == 0 {
                 return Err(DdgError::ZeroLatency {
                     name: n.name().to_string(),
                 });
             }
-            if !names.insert(n.name().to_string()) {
+            if !names.insert(n.name()) {
                 return Err(DdgError::DuplicateName {
                     name: n.name().to_string(),
                 });
@@ -187,9 +193,9 @@ impl DdgBuilder {
             .invariants
             .unwrap_or_else(|| self.nodes.iter().map(|n| n.invariant_uses()).sum());
         Ok(Ddg::from_parts(
-            self.name.clone(),
-            self.nodes.clone(),
-            self.edges.clone(),
+            self.name,
+            self.nodes,
+            self.edges,
             invariants,
             self.iteration_count,
         ))

@@ -697,11 +697,11 @@ fn parse_graph(cur: &mut Cursor<'_>) -> Result<(Ddg, LoopSpans), ParseError> {
     let mut b = DdgBuilder::new(name);
     let mut node_ids: Vec<NodeId> = Vec::with_capacity(nodes.len());
     let mut node_spans: Vec<Span> = Vec::with_capacity(nodes.len());
-    for n in &nodes {
+    for n in nodes {
         let id = if n.no_result {
-            b.node_no_result(n.name.clone(), n.kind, n.latency)
+            b.node_no_result(n.name, n.kind, n.latency)
         } else {
-            b.node(n.name.clone(), n.kind, n.latency)
+            b.node(n.name, n.kind, n.latency)
         };
         if n.invariant_uses > 0 {
             b.node_invariant_uses(id, n.invariant_uses);
@@ -722,7 +722,7 @@ fn parse_graph(cur: &mut Cursor<'_>) -> Result<(Ddg, LoopSpans), ParseError> {
         b.iteration_count(it);
     }
     let ddg = b
-        .build()
+        .into_ddg()
         .map_err(|e| ParseError::new(0, format!("invalid graph: {e}")))?;
     Ok((
         ddg,

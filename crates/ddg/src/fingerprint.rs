@@ -22,6 +22,19 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME` to the powers 0 to 8. Absorbing a zero byte only multiplies
+/// the state by the prime, so `k` zero bytes multiply it by
+/// `PRIME_POWERS[k]`.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// An incremental FNV-1a 64-bit hasher.
 ///
 /// Unlike [`std::hash::Hasher`] implementations from the standard library,
@@ -57,12 +70,22 @@ impl Fnv64 {
 
     /// Absorbs a `u32` in little-endian byte order.
     pub fn write_u32(&mut self, v: u32) -> &mut Self {
-        self.write(&v.to_le_bytes())
+        self.write_int(u64::from(v), 4)
     }
 
     /// Absorbs a `u64` in little-endian byte order.
     pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
+        self.write_int(v, 8)
+    }
+
+    /// Absorbs the low `width` bytes of `v` in little-endian byte order.
+    /// The zero bytes above the highest non-zero one are absorbed by one
+    /// multiplication (see [`PRIME_POWERS`]); the digest is the same.
+    fn write_int(&mut self, v: u64, width: usize) -> &mut Self {
+        let significant = (u64::BITS - v.leading_zeros()).div_ceil(8) as usize;
+        self.write(&v.to_le_bytes()[..significant]);
+        self.state = self.state.wrapping_mul(PRIME_POWERS[width - significant]);
+        self
     }
 
     /// Absorbs a boolean as one byte.
@@ -151,6 +174,40 @@ mod tests {
         // basis, and "a" to a known constant.
         assert_eq!(Fnv64::new().finish(), 0xcbf2_9ce4_8422_2325);
         assert_eq!(Fnv64::new().write(b"a").finish(), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn integers_hash_as_their_little_endian_bytes() {
+        let bytewise = |bytes: &[u8]| {
+            let mut h = Fnv64::new();
+            for &b in bytes {
+                h.write(&[b]);
+            }
+            h.finish()
+        };
+        for v in [
+            0,
+            1,
+            0xff,
+            1 << 8,
+            1 << 16,
+            0xff << 24,
+            1 << 40,
+            1 << 56,
+            u64::MAX,
+        ] {
+            assert_eq!(
+                Fnv64::new().write_u64(v).finish(),
+                bytewise(&v.to_le_bytes()),
+                "u64 {v:#x}"
+            );
+            let v = v as u32;
+            assert_eq!(
+                Fnv64::new().write_u32(v).finish(),
+                bytewise(&v.to_le_bytes()),
+                "u32 {v:#x}"
+            );
+        }
     }
 
     #[test]

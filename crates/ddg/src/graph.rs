@@ -19,14 +19,47 @@ pub struct Ddg {
     name: String,
     nodes: Vec<Node>,
     edges: Vec<Edge>,
-    out_edges: Vec<Vec<EdgeId>>,
-    in_edges: Vec<Vec<EdgeId>>,
+    out_edges: Adjacency,
+    in_edges: Adjacency,
     /// Number of loop-invariant values read by the loop body (each occupies
     /// one register for the whole loop execution).
     invariants: u32,
     /// Estimated/profiled number of iterations executed by this loop, used
     /// to weight loops in the "dynamic" figures of the evaluation.
     iteration_count: u64,
+}
+
+/// The edges at one end of every node, in edge-id order: node `v`'s are
+/// `ids[start[v]..start[v + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Adjacency {
+    start: Vec<usize>,
+    ids: Vec<EdgeId>,
+}
+
+impl Adjacency {
+    /// Groups `edges` by the node `end` picks out of each (a counting sort).
+    fn new(num_nodes: usize, edges: &[Edge], end: fn(&Edge) -> NodeId) -> Self {
+        let mut start = vec![0; num_nodes + 1];
+        for e in edges {
+            start[end(e).index() + 1] += 1;
+        }
+        for v in 0..num_nodes {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![EdgeId(0); edges.len()];
+        for (i, e) in edges.iter().enumerate() {
+            let slot = &mut next[end(e).index()];
+            ids[*slot] = EdgeId::from_index(i);
+            *slot += 1;
+        }
+        Adjacency { start, ids }
+    }
+
+    fn of(&self, v: NodeId) -> &[EdgeId] {
+        &self.ids[self.start[v.index()]..self.start[v.index() + 1]]
+    }
 }
 
 impl Ddg {
@@ -37,18 +70,12 @@ impl Ddg {
         invariants: u32,
         iteration_count: u64,
     ) -> Self {
-        let mut out_edges = vec![Vec::new(); nodes.len()];
-        let mut in_edges = vec![Vec::new(); nodes.len()];
-        for (i, e) in edges.iter().enumerate() {
-            out_edges[e.source().index()].push(EdgeId::from_index(i));
-            in_edges[e.target().index()].push(EdgeId::from_index(i));
-        }
         Ddg {
+            out_edges: Adjacency::new(nodes.len(), &edges, Edge::source),
+            in_edges: Adjacency::new(nodes.len(), &edges, Edge::target),
             name,
             nodes,
             edges,
-            out_edges,
-            in_edges,
             invariants,
             iteration_count,
         }
@@ -143,7 +170,8 @@ impl Ddg {
     /// Outgoing edges of `id`.
     #[inline]
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
-        self.out_edges[id.index()]
+        self.out_edges
+            .of(id)
             .iter()
             .map(move |&eid| (eid, &self.edges[eid.index()]))
     }
@@ -151,7 +179,8 @@ impl Ddg {
     /// Incoming edges of `id`.
     #[inline]
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
-        self.in_edges[id.index()]
+        self.in_edges
+            .of(id)
             .iter()
             .map(move |&eid| (eid, &self.edges[eid.index()]))
     }

@@ -34,6 +34,7 @@
 //! downstream tooling (the `hrms-verify` lint pass) can point semantic
 //! diagnostics back at the input file.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -246,15 +247,16 @@ pub fn write_loops(ddgs: &[Ddg]) -> String {
 
 /// One token of a line: a (possibly quoted) word or the `->` arrow.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
-    /// A bare or quoted word. The flag records whether it was quoted
+enum Token<'a> {
+    /// A bare or quoted word. The text borrows from the line unless it is
+    /// a quoted word with escapes. The flag records whether it was quoted
     /// (quoted words are never keywords).
-    Word(String, bool),
+    Word(Cow<'a, str>, bool),
     /// The `->` edge arrow.
     Arrow,
 }
 
-impl Token {
+impl Token<'_> {
     fn describe(&self) -> String {
         match self {
             Token::Word(w, _) => format!("`{w}`"),
@@ -265,18 +267,26 @@ impl Token {
 
 /// A token plus where it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SpTok {
-    tok: Token,
+struct SpTok<'a> {
+    tok: Token<'a>,
     span: Span,
 }
 
-impl SpTok {
+impl<'a> SpTok<'a> {
     /// The word's text. Only meaningful for [`Token::Word`] tokens; callers
     /// go through [`word`] first.
     fn text(&self) -> &str {
         match &self.tok {
             Token::Word(w, _) => w,
             Token::Arrow => "->",
+        }
+    }
+
+    /// [`SpTok::text`], still borrowing from the line where the token does.
+    fn cow(&self) -> Cow<'a, str> {
+        match &self.tok {
+            Token::Word(w, _) => w.clone(),
+            Token::Arrow => Cow::Borrowed("->"),
         }
     }
 }
@@ -315,90 +325,112 @@ impl LineCtx<'_> {
     }
 }
 
-/// Splits one line into tokens, honouring quotes and `#` comments.
-fn tokenize(ctx: &LineCtx<'_>) -> Result<Vec<SpTok>, ParseError> {
-    let mut tokens = Vec::new();
-    let mut chars = ctx.line.char_indices().peekable();
-    let mut col = 1usize;
-    while let Some(&(i, c)) = chars.peek() {
+/// The character starting at byte `i` of `line`, decoded only when it is
+/// not ASCII.
+fn char_at(line: &str, i: usize) -> char {
+    match line.as_bytes()[i] {
+        b if b.is_ascii() => char::from(b),
+        _ => line[i..]
+            .chars()
+            .next()
+            .expect("`i` is a character boundary"),
+    }
+}
+
+/// Splits one line into `tokens` (cleared first), honouring quotes and `#`
+/// comments. Words borrow from the line; only a quoted word with escapes
+/// owns its text.
+fn tokenize<'a>(ctx: &LineCtx<'a>, tokens: &mut Vec<SpTok<'a>>) -> Result<(), ParseError> {
+    tokens.clear();
+    let line = ctx.line;
+    let (mut i, mut col) = (0usize, 1usize);
+    while i < line.len() {
+        let c = char_at(line, i);
         if c.is_whitespace() {
-            chars.next();
+            i += c.len_utf8();
             col += 1;
         } else if c == '#' {
             break;
         } else if c == '"' {
             let (start, start_col) = (i, col);
-            chars.next();
+            let unterminated = |col: usize| {
+                let span = Span::new(ctx.lineno, start_col, ctx.base + start, col - start_col);
+                ctx.err_at(span, "unterminated string")
+            };
+            i += 1;
             col += 1;
-            let mut word = String::new();
-            loop {
-                match chars.next() {
-                    None => {
-                        let span =
-                            Span::new(ctx.lineno, start_col, ctx.base + start, col - start_col);
-                        return Err(ctx.err_at(span, "unterminated string"));
-                    }
-                    Some((_, '"')) => {
+            // `run` starts the text not yet copied into `owned`, which is
+            // only allocated at the first escape.
+            let (mut run, mut owned): (usize, Option<String>) = (i, None);
+            let end = loop {
+                if i == line.len() {
+                    return Err(unterminated(col));
+                }
+                match char_at(line, i) {
+                    '"' => break i,
+                    '\\' => {
+                        let word = owned.get_or_insert_with(String::new);
+                        word.push_str(&line[run..i]);
+                        i += 1;
                         col += 1;
-                        break;
-                    }
-                    Some((_, '\\')) => {
-                        col += 1;
-                        match chars.next() {
-                            Some((_, '\\')) => word.push('\\'),
-                            Some((_, '"')) => word.push('"'),
-                            Some((_, 'n')) => word.push('\n'),
-                            Some((_, 't')) => word.push('\t'),
-                            Some((j, other)) => {
-                                let span = Span::new(ctx.lineno, col - 1, ctx.base + j - 1, 2);
+                        if i == line.len() {
+                            return Err(unterminated(col));
+                        }
+                        match char_at(line, i) {
+                            '\\' => word.push('\\'),
+                            '"' => word.push('"'),
+                            'n' => word.push('\n'),
+                            't' => word.push('\t'),
+                            other => {
+                                let span = Span::new(ctx.lineno, col - 1, ctx.base + i - 1, 2);
                                 return Err(ctx.err_at(
                                     span,
                                     format!("unknown escape `\\{other}` in string"),
                                 ));
                             }
-                            None => {
-                                let span = Span::new(
-                                    ctx.lineno,
-                                    start_col,
-                                    ctx.base + start,
-                                    col - start_col,
-                                );
-                                return Err(ctx.err_at(span, "unterminated string"));
-                            }
                         }
+                        i += 1;
                         col += 1;
+                        run = i;
                     }
-                    Some((_, ch)) => {
+                    ch => {
+                        i += ch.len_utf8();
                         col += 1;
-                        word.push(ch);
                     }
                 }
-            }
+            };
+            i += 1;
+            col += 1;
+            let text = match owned {
+                Some(mut word) => {
+                    word.push_str(&line[run..end]);
+                    Cow::Owned(word)
+                }
+                None => Cow::Borrowed(&line[run..end]),
+            };
             tokens.push(SpTok {
-                tok: Token::Word(word, true),
+                tok: Token::Word(text, true),
                 span: Span::new(ctx.lineno, start_col, ctx.base + start, col - start_col),
             });
         } else {
             let (start, start_col) = (i, col);
-            let mut word = String::new();
-            while let Some(&(_, c)) = chars.peek() {
+            while i < line.len() {
+                let c = char_at(line, i);
                 if c.is_whitespace() || c == '#' || c == '"' {
                     break;
                 }
-                word.push(c);
-                chars.next();
+                i += c.len_utf8();
                 col += 1;
             }
             let span = Span::new(ctx.lineno, start_col, ctx.base + start, col - start_col);
-            let tok = if word == "->" {
-                Token::Arrow
-            } else {
-                Token::Word(word, false)
+            let tok = match &line[start..i] {
+                "->" => Token::Arrow,
+                word => Token::Word(Cow::Borrowed(word), false),
             };
             tokens.push(SpTok { tok, span });
         }
     }
-    Ok(tokens)
+    Ok(())
 }
 
 /// A tokenized word plus its source location: the shared lexical layer of
@@ -436,7 +468,9 @@ pub fn tokenize_line(
         lineno,
         base: line_offset,
     };
-    Ok(tokenize(&ctx)?
+    let mut tokens = Vec::new();
+    tokenize(&ctx, &mut tokens)?;
+    Ok(tokens
         .into_iter()
         .map(|st| {
             let quoted = matches!(st.tok, Token::Word(_, true));
@@ -462,16 +496,18 @@ pub fn line_span(line: &str, lineno: usize, line_offset: usize) -> Span {
 }
 
 /// State of the `loop` block currently being parsed.
-struct Block {
+struct Block<'a> {
     builder: DdgBuilder,
     /// name → id, for edge endpoint resolution (duplicate names are
-    /// rejected at `build` time; first wins for resolution here).
-    names: HashMap<String, NodeId>,
+    /// rejected at `build` time; first wins for resolution here). Keys
+    /// borrow from the input unless the name was written with escapes.
+    names: HashMap<Cow<'a, str>, NodeId>,
     start_line: usize,
-    spans: LoopSpans,
+    /// The block's spans, recorded only for [`parse_loops_with_spans`].
+    spans: Option<LoopSpans>,
 }
 
-impl Block {
+impl Block<'_> {
     fn lookup(&self, name: &str) -> Option<NodeId> {
         self.names.get(name).copied()
     }
@@ -480,21 +516,22 @@ impl Block {
 /// One parsed attribute: key, optional value, and the token's span.
 type Attr<'t> = (&'t str, Option<&'t str>, Span);
 
-/// Parses `key=value` attributes and flags from the tail of a line.
-fn parse_attrs<'t>(ctx: &LineCtx<'_>, tokens: &'t [SpTok]) -> Result<Vec<Attr<'t>>, ParseError> {
-    let mut attrs = Vec::new();
-    for t in tokens {
-        match &t.tok {
-            Token::Word(w, false) => match w.split_once('=') {
-                Some((k, v)) => attrs.push((k, Some(v), t.span)),
-                None => attrs.push((w.as_str(), None, t.span)),
-            },
-            other => {
-                return Err(ctx.err_at(t.span, format!("unexpected token {}", other.describe())))
-            }
-        }
+/// Checks that every token of the tail of a line is a bare word, then
+/// yields each as a `key=value` attribute or a flag.
+fn parse_attrs<'t>(
+    ctx: &LineCtx<'_>,
+    tokens: &'t [SpTok<'_>],
+) -> Result<impl Iterator<Item = Attr<'t>>, ParseError> {
+    if let Some(t) = tokens
+        .iter()
+        .find(|t| !matches!(t.tok, Token::Word(_, false)))
+    {
+        return Err(ctx.err_at(t.span, format!("unexpected token {}", t.tok.describe())));
     }
-    Ok(attrs)
+    Ok(tokens.iter().map(|t| match t.text().split_once('=') {
+        Some((k, v)) => (k, Some(v), t.span),
+        None => (t.text(), None, t.span),
+    }))
 }
 
 fn parse_num<T: std::str::FromStr>(
@@ -507,7 +544,11 @@ fn parse_num<T: std::str::FromStr>(
         .map_err(|_| ctx.err_at(span, format!("invalid {what} `{v}`")))
 }
 
-fn word<'t>(ctx: &LineCtx<'_>, t: Option<&'t SpTok>, what: &str) -> Result<&'t SpTok, ParseError> {
+fn word<'t, 'a>(
+    ctx: &LineCtx<'_>,
+    t: Option<&'t SpTok<'a>>,
+    what: &str,
+) -> Result<&'t SpTok<'a>, ParseError> {
     match t {
         Some(st) => match &st.tok {
             Token::Word(_, _) => Ok(st),
@@ -520,18 +561,16 @@ fn word<'t>(ctx: &LineCtx<'_>, t: Option<&'t SpTok>, what: &str) -> Result<&'t S
     }
 }
 
-/// Parses a whole file: any number of `loop ... end` blocks, returning the
-/// source spans of every block alongside its graph.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] (with a 1-based line number, column and source
-/// excerpt) on malformed syntax, unknown keywords/kinds, dangling edge
-/// endpoints, or when a block fails [`DdgBuilder::build`] validation
-/// (duplicate names, zero latency, empty body).
-pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, ParseError> {
+/// The parser core behind [`parse_loops`] and [`parse_loops_with_spans`]:
+/// parses every `loop ... end` block of `input`, and pushes each block's
+/// spans onto `spans` when it is given.
+fn parse_blocks(
+    input: &str,
+    mut spans: Option<&mut Vec<LoopSpans>>,
+) -> Result<Vec<Ddg>, ParseError> {
     let mut loops = Vec::new();
-    let mut block: Option<Block> = None;
+    let mut block: Option<Block<'_>> = None;
+    let mut tokens = Vec::new();
     let mut base = 0usize;
     for (i, raw) in input.split_inclusive('\n').enumerate() {
         let lineno = i + 1;
@@ -541,12 +580,12 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
             .unwrap_or(raw);
         let ctx = LineCtx { line, lineno, base };
         base += raw.len();
-        let tokens = tokenize(&ctx)?;
+        tokenize(&ctx, &mut tokens)?;
         let Some(first) = tokens.first() else {
             continue;
         };
         let keyword = match &first.tok {
-            Token::Word(w, false) => w.as_str(),
+            Token::Word(w, false) => w.as_ref(),
             other => {
                 return Err(ctx.err_at(
                     first.span,
@@ -570,20 +609,23 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                     builder: DdgBuilder::new(name.text()),
                     names: HashMap::new(),
                     start_line: lineno,
-                    spans: LoopSpans {
+                    spans: spans.is_some().then(|| LoopSpans {
                         header: ctx.span_all(),
                         nodes: Vec::new(),
                         edges: Vec::new(),
-                    },
+                    }),
                 });
             }
             ("end", Some(_)) => {
                 let b = block.take().expect("matched Some");
                 let ddg = b
                     .builder
-                    .build()
+                    .into_ddg()
                     .map_err(|e| ctx.err(format!("invalid loop: {e}")))?;
-                loops.push((ddg, b.spans));
+                loops.push(ddg);
+                if let (Some(out), Some(block_spans)) = (spans.as_deref_mut(), b.spans) {
+                    out.push(block_spans);
+                }
             }
             ("iterations", Some(b)) => {
                 let v = word(&ctx, tokens.get(1), "an iteration count")?;
@@ -596,7 +638,7 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                     .invariants(parse_num(&ctx, v.text(), v.span, "invariant count")?);
             }
             ("node", Some(b)) => {
-                let name = word(&ctx, tokens.get(1), "a node name")?.text().to_string();
+                let name_tok = word(&ctx, tokens.get(1), "a node name")?;
                 let kind_tok = word(&ctx, tokens.get(2), "an operation kind")?;
                 let kind_word = kind_tok.text();
                 let kind = OpKind::from_mnemonic(kind_word).ok_or_else(|| {
@@ -622,18 +664,24 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                         }
                     }
                 }
-                let latency = latency
-                    .ok_or_else(|| ctx.err(format!("node `{name}` is missing latency=N")))?;
+                let latency = latency.ok_or_else(|| {
+                    ctx.err(format!("node `{}` is missing latency=N", name_tok.text()))
+                })?;
+                // The builder keeps the one owned copy of the name; the
+                // lookup key borrows from the input.
+                let name = name_tok.cow();
                 let id = if no_result {
-                    b.builder.node_no_result(name.clone(), kind, latency)
+                    b.builder.node_no_result(name.as_ref(), kind, latency)
                 } else {
-                    b.builder.node(name.clone(), kind, latency)
+                    b.builder.node(name.as_ref(), kind, latency)
                 };
                 if invariant_uses > 0 {
                     b.builder.node_invariant_uses(id, invariant_uses);
                 }
                 b.names.entry(name).or_insert(id);
-                b.spans.nodes.push(ctx.span_all());
+                if let Some(block_spans) = &mut b.spans {
+                    block_spans.nodes.push(ctx.span_all());
+                }
             }
             ("edge", Some(b)) => {
                 let src_tok = word(&ctx, tokens.get(1), "a source node name")?;
@@ -675,7 +723,9 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                 b.builder
                     .edge(src, dst, kind, distance)
                     .map_err(|e| ctx.err(format!("invalid edge: {e}")))?;
-                b.spans.edges.push(ctx.span_all());
+                if let Some(block_spans) = &mut b.spans {
+                    block_spans.edges.push(ctx.span_all());
+                }
             }
             (kw, Some(_)) => {
                 return Err(ctx.err_at(first.span, format!("unknown keyword `{kw}`")));
@@ -699,16 +749,29 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
     Ok(loops)
 }
 
-/// Parses a whole file: any number of `loop ... end` blocks.
+/// Parses a whole file: any number of `loop ... end` blocks, returning the
+/// source spans of every block alongside its graph.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] (with a 1-based line number, column and source
+/// excerpt) on malformed syntax, unknown keywords/kinds, dangling edge
+/// endpoints, or when a block fails [`DdgBuilder::build`] validation
+/// (duplicate names, zero latency, empty body).
+pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, ParseError> {
+    let mut spans = Vec::new();
+    let loops = parse_blocks(input, Some(&mut spans))?;
+    Ok(loops.into_iter().zip(spans).collect())
+}
+
+/// Parses a whole file: any number of `loop ... end` blocks. Records no
+/// spans; errors are identical to [`parse_loops_with_spans`]'s.
 ///
 /// # Errors
 ///
 /// Same as [`parse_loops_with_spans`].
 pub fn parse_loops(input: &str) -> Result<Vec<Ddg>, ParseError> {
-    Ok(parse_loops_with_spans(input)?
-        .into_iter()
-        .map(|(ddg, _)| ddg)
-        .collect())
+    parse_blocks(input, None)
 }
 
 /// Parses a file that must contain exactly one loop.

@@ -103,6 +103,11 @@ impl<V> ResultCache<V> {
         }
     }
 
+    /// Reads `key` without counting a lookup or refreshing its recency.
+    pub fn peek(&self, key: u64) -> Option<&V> {
+        self.map.get(&key).map(|(value, _)| value)
+    }
+
     /// Records a hit that was served outside the map — a batch-local
     /// duplicate of a key whose result was computed earlier in the same
     /// request and has not been inserted yet. Keeps `hits + misses` equal

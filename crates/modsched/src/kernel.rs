@@ -15,24 +15,33 @@ use crate::schedule::Schedule;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Kernel {
     ii: u32,
-    /// rows[r] = operations issued at kernel row r, as (node, stage).
-    rows: Vec<Vec<(NodeId, u32)>>,
+    /// The operations as (node, stage), row by row, each row in node order:
+    /// row `r` is `ops[starts[r]..starts[r + 1]]`.
+    ops: Vec<(NodeId, u32)>,
+    starts: Vec<usize>,
 }
 
 impl Kernel {
     /// Builds the kernel of `schedule`.
     pub fn from_schedule(schedule: &Schedule) -> Self {
         let ii = schedule.ii();
-        let mut rows = vec![Vec::new(); ii as usize];
+        // A counting sort by row; nodes are visited in id order, so each
+        // row comes out in node order.
+        let mut starts = vec![0; ii as usize + 1];
         for (node, _) in schedule.iter() {
-            let row = schedule.row(node) as usize;
-            let stage = schedule.stage(node);
-            rows[row].push((node, stage));
+            starts[schedule.row(node) as usize + 1] += 1;
         }
-        for row in &mut rows {
-            row.sort();
+        for r in 0..ii as usize {
+            starts[r + 1] += starts[r];
         }
-        Kernel { ii, rows }
+        let mut next = starts.clone();
+        let mut ops = vec![(NodeId(0), 0); starts[ii as usize]];
+        for (node, _) in schedule.iter() {
+            let slot = &mut next[schedule.row(node) as usize];
+            ops[*slot] = (node, schedule.stage(node));
+            *slot += 1;
+        }
+        Kernel { ii, ops, starts }
     }
 
     /// The initiation interval (number of kernel rows).
@@ -47,18 +56,19 @@ impl Kernel {
     ///
     /// Panics if `row >= ii`.
     pub fn row(&self, row: u32) -> &[(NodeId, u32)] {
-        &self.rows[row as usize]
+        let r = row as usize;
+        &self.ops[self.starts[r]..self.starts[r + 1]]
     }
 
     /// Iterates over all rows.
     pub fn rows(&self) -> impl Iterator<Item = &[(NodeId, u32)]> + '_ {
-        self.rows.iter().map(|r| r.as_slice())
+        self.starts.windows(2).map(|w| &self.ops[w[0]..w[1]])
     }
 
     /// Total number of operations in the kernel (equals the number of
     /// operations of the loop body).
     pub fn num_ops(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.ops.len()
     }
 
     /// Renders the kernel like the paper's figures: one line per row,
@@ -66,7 +76,7 @@ impl Kernel {
     /// stage.
     pub fn render(&self, ddg: &Ddg) -> String {
         let mut out = String::new();
-        for (r, row) in self.rows.iter().enumerate() {
+        for (r, row) in self.rows().enumerate() {
             let ops: Vec<String> = row
                 .iter()
                 .map(|&(n, stage)| format!("{}{}", ddg.node(n).name(), "'".repeat(stage as usize)))
@@ -100,6 +110,23 @@ mod tests {
         assert_eq!(k.row(0), &[(NodeId(0), 0), (NodeId(2), 1)]);
         assert_eq!(k.row(1), &[(NodeId(1), 0), (NodeId(3), 2)]);
         assert_eq!(k.num_ops(), 4);
+    }
+
+    #[test]
+    fn empty_rows_are_kept_in_place() {
+        // II = 3: row 0 holds nodes 0 and 2, row 1 nothing, row 2 node 1.
+        let k = Schedule::new(3, vec![0, 2, 3]).kernel();
+        let rows: Vec<&[(NodeId, u32)]> = k.rows().collect();
+        assert_eq!(
+            rows,
+            [
+                &[(NodeId(0), 0), (NodeId(2), 1)][..],
+                &[],
+                &[(NodeId(1), 0)]
+            ]
+        );
+        assert_eq!(k.row(1), &[]);
+        assert_eq!(k.num_ops(), 3);
     }
 
     #[test]

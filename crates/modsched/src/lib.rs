@@ -51,7 +51,9 @@ pub use lifetime::{LifetimeAnalysis, ValueLifetime};
 pub use mii::MiiInfo;
 pub use mrt::ModuloReservationTable;
 pub use partial::PartialSchedule;
-pub use report::{error_line, push_json_str, report_line, ReportOptions};
+pub use report::{
+    error_line, push_json_str, report_line, report_line_with_digests, ReportDigests, ReportOptions,
+};
 pub use schedule::Schedule;
 pub use scheduler::{
     escalate_ii, ModuloScheduler, ScheduleMetrics, ScheduleOutcome, SchedulerConfig,

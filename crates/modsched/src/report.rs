@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use hrms_ddg::{cache_key, ddg_fingerprint, format_digest, Ddg};
+use hrms_ddg::{cache_key, ddg_fingerprint, Ddg};
 use hrms_machine::{machine_fingerprint, Machine};
 
 use crate::scheduler::ScheduleOutcome;
@@ -37,20 +37,80 @@ pub struct ReportOptions {
 /// identically for the records to stay byte-stable across layers.
 pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Every byte that needs an escape is ASCII, so the runs of bytes
+    // between them start and end on character boundaries.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends `key` (already punctuated, such as `,"ii":`) and then `value`
+/// in decimal, as `Display` writes it.
+fn push_field(out: &mut String, key: &str, mut value: u64) {
+    out.push_str(key);
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// [`push_field`] for a signed `value`.
+fn push_signed_field(out: &mut String, key: &str, value: i64) {
+    let sign = if value < 0 { "-" } else { "" };
+    out.push_str(key);
+    push_field(out, sign, value.unsigned_abs());
+}
+
+/// The digests a report line embeds: the structural fingerprints of the
+/// scheduled loop and of the machine, and the cache key over both and the
+/// scheduler name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReportDigests {
+    /// [`hrms_ddg::ddg_fingerprint`] of the loop.
+    pub loop_digest: u64,
+    /// [`hrms_machine::machine_fingerprint`] of the machine.
+    pub machine_digest: u64,
+    /// [`hrms_ddg::cache_key`] of the two digests and the scheduler name.
+    pub cache_key: u64,
+}
+
+impl ReportDigests {
+    /// Computes the three digests of one cell.
+    pub fn compute(ddg: &Ddg, machine: &Machine, scheduler: &str) -> Self {
+        let loop_digest = ddg_fingerprint(ddg);
+        let machine_digest = machine_fingerprint(machine);
+        ReportDigests {
+            loop_digest,
+            machine_digest,
+            cache_key: cache_key(loop_digest, machine_digest, scheduler),
+        }
+    }
 }
 
 /// Serialises one schedule result as a single JSON line (no trailing
@@ -67,12 +127,24 @@ pub fn report_line(
     outcome: &ScheduleOutcome,
     options: ReportOptions,
 ) -> String {
-    let loop_digest = ddg_fingerprint(ddg);
-    let machine_digest = machine_fingerprint(machine);
-    let key = cache_key(loop_digest, machine_digest, scheduler);
+    let digests = ReportDigests::compute(ddg, machine, scheduler);
+    report_line_with_digests(ddg, machine, scheduler, outcome, options, &digests)
+}
+
+/// [`report_line`] for a caller that already holds the cell's digests, as
+/// the service does: it keys its cache with them. `digests` must be
+/// [`ReportDigests::compute`] of the same loop, machine and scheduler.
+pub fn report_line_with_digests(
+    ddg: &Ddg,
+    machine: &Machine,
+    scheduler: &str,
+    outcome: &ScheduleOutcome,
+    options: ReportOptions,
+    digests: &ReportDigests,
+) -> String {
     let m = &outcome.metrics;
 
-    let mut out = String::with_capacity(256);
+    let mut out = String::with_capacity(384 + ddg.name().len() + 32 * ddg.num_nodes());
     out.push_str("{\"loop\":");
     push_json_str(&mut out, ddg.name());
     out.push_str(",\"scheduler\":");
@@ -81,31 +153,26 @@ pub fn report_line(
     push_json_str(&mut out, machine.name());
     let _ = write!(
         out,
-        ",\"loop_digest\":\"{}\",\"machine_digest\":\"{}\",\"cache_key\":\"{}\"",
-        format_digest(loop_digest),
-        format_digest(machine_digest),
-        format_digest(key)
+        ",\"loop_digest\":\"{:016x}\",\"machine_digest\":\"{:016x}\",\"cache_key\":\"{:016x}\"",
+        digests.loop_digest, digests.machine_digest, digests.cache_key
     );
-    let _ = write!(
-        out,
-        ",\"ii\":{},\"mii\":{},\"res_mii\":{},\"rec_mii\":{},\"ii_optimal\":{}",
-        m.ii,
-        m.mii,
-        m.res_mii,
-        m.rec_mii,
-        m.ii_is_optimal()
-    );
-    let _ = write!(
-        out,
-        ",\"stage_count\":{},\"span\":{},\"max_live\":{},\"max_live_with_invariants\":{},\"buffers\":{},\"total_lifetime\":{},\"attempts\":{}",
-        m.stage_count,
-        m.span,
-        m.max_live,
+    push_field(&mut out, ",\"ii\":", m.ii.into());
+    push_field(&mut out, ",\"mii\":", m.mii.into());
+    push_field(&mut out, ",\"res_mii\":", m.res_mii.into());
+    push_field(&mut out, ",\"rec_mii\":", m.rec_mii.into());
+    out.push_str(",\"ii_optimal\":");
+    out.push_str(if m.ii_is_optimal() { "true" } else { "false" });
+    push_field(&mut out, ",\"stage_count\":", m.stage_count.into());
+    push_signed_field(&mut out, ",\"span\":", m.span);
+    push_field(&mut out, ",\"max_live\":", m.max_live);
+    push_field(
+        &mut out,
+        ",\"max_live_with_invariants\":",
         m.max_live_with_invariants,
-        m.buffers,
-        m.total_lifetime,
-        outcome.attempts
     );
+    push_field(&mut out, ",\"buffers\":", m.buffers);
+    push_signed_field(&mut out, ",\"total_lifetime\":", m.total_lifetime);
+    push_field(&mut out, ",\"attempts\":", outcome.attempts.into());
     if outcome.recurrence_truncated {
         out.push_str(",\"recurrence_truncated\":true");
     }
@@ -126,7 +193,8 @@ pub fn report_line(
             }
             out.push_str("{\"op\":");
             push_json_str(&mut out, ddg.node(node).name());
-            let _ = write!(out, ",\"stage\":{stage}}}");
+            push_field(&mut out, ",\"stage\":", stage.into());
+            out.push('}');
         }
         out.push(']');
     }
@@ -170,7 +238,7 @@ mod tests {
     use super::*;
     use crate::mii::MiiInfo;
     use crate::schedule::Schedule;
-    use hrms_ddg::{DdgBuilder, DepKind, OpKind};
+    use hrms_ddg::{format_digest, DdgBuilder, DepKind, OpKind};
     use hrms_machine::presets;
     use std::time::Duration;
 
@@ -231,6 +299,32 @@ mod tests {
         assert!(line.contains(&format!("\"loop_digest\":\"{lk}\"")));
         assert!(line.contains(&format!("\"machine_digest\":\"{mk}\"")));
         assert!(line.contains(&format!("\"cache_key\":\"{ck}\"")));
+    }
+
+    #[test]
+    fn the_digest_taking_renderer_matches_report_line() {
+        let (g, m, outcome) = sample();
+        let digests = ReportDigests::compute(&g, &m, "HRMS");
+        for options in [ReportOptions::default(), ReportOptions { timing: true }] {
+            assert_eq!(
+                report_line_with_digests(&g, &m, "HRMS", &outcome, options, &digests),
+                report_line(&g, &m, "HRMS", &outcome, options)
+            );
+        }
+    }
+
+    #[test]
+    fn numbers_render_as_display_does() {
+        for v in [0, 7, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::new();
+            push_field(&mut out, ",\"k\":", v);
+            assert_eq!(out, format!(",\"k\":{v}"));
+        }
+        for v in [i64::MIN, -10, -1, 0, 1, i64::MAX] {
+            let mut out = String::new();
+            push_signed_field(&mut out, ",\"k\":", v);
+            assert_eq!(out, format!(",\"k\":{v}"));
+        }
     }
 
     #[test]

@@ -139,6 +139,7 @@ impl std::error::Error for JsonError {}
 /// allowed, nothing else).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -152,6 +153,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -268,6 +270,15 @@ impl Parser<'_> {
             .map_err(|_| self.error("expected a string"))?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote, backslash or
+            // control byte at once. Each of those is ASCII, so the run ends
+            // on a character boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.input[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -278,19 +289,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.error("unescaped control character in string"));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos += len;
-                }
+                Some(_) => return Err(self.error("unescaped control character in string")),
             }
         }
     }
@@ -396,15 +395,6 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,6 +458,79 @@ mod tests {
         assert!(parse("01").unwrap_err().message.contains("trailing"));
         assert!(parse("\"\u{1}\"").unwrap_err().message.contains("control"));
         assert!(parse("\"\\ud800x\"").is_err(), "unpaired surrogate");
+    }
+
+    /// Edge cases of the string reader, which copies each run of plain
+    /// bytes at once: each is a JSON source literal, its decoded value and
+    /// `push_json_str`'s rendering of that value.
+    fn string_edges() -> Vec<(String, String, String)> {
+        let long = "x".repeat(100);
+        vec![
+            // Plain runs ending at a 2-, 3- and 4-byte UTF-8 character.
+            (
+                "\"abcd\u{e9}\"".into(),
+                "abcd\u{e9}".into(),
+                "\"abcd\u{e9}\"".into(),
+            ),
+            (
+                "\"abcd\u{20ac}\"".into(),
+                "abcd\u{20ac}".into(),
+                "\"abcd\u{20ac}\"".into(),
+            ),
+            (
+                "\"abcd\u{1F600}\"".into(),
+                "abcd\u{1F600}".into(),
+                "\"abcd\u{1F600}\"".into(),
+            ),
+            (
+                "\"ab\u{e9}\\n\u{20ac}\"".into(),
+                "ab\u{e9}\n\u{20ac}".into(),
+                "\"ab\u{e9}\\n\u{20ac}\"".into(),
+            ),
+            // An escape as the first and as the last character.
+            ("\"\\nabc\"".into(), "\nabc".into(), "\"\\nabc\"".into()),
+            ("\"abc\\t\"".into(), "abc\t".into(), "\"abc\\t\"".into()),
+            ("\"\\\"\"".into(), "\"".into(), "\"\\\"\"".into()),
+            // A surrogate pair after a long run.
+            (
+                format!("\"{long}\\ud83d\\ude00\""),
+                format!("{long}\u{1F600}"),
+                format!("\"{long}\u{1F600}\""),
+            ),
+            // Escapes that render as `\u00XX` or unescaped.
+            (
+                "\"a\\u0001\\/\"".into(),
+                "a\u{1}/".into(),
+                "\"a\\u0001/\"".into(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn strings_decode_across_run_boundaries() {
+        for (source, value, rendered) in string_edges() {
+            assert_eq!(parse(&source).unwrap(), s(&value), "parsing {source}");
+            let mut out = String::new();
+            push_json_str(&mut out, &value);
+            assert_eq!(out, rendered, "rendering {value:?}");
+            assert_eq!(parse(&out).unwrap(), s(&value), "re-parsing {out}");
+        }
+    }
+
+    #[test]
+    fn a_raw_control_byte_after_a_long_run_is_pinned_at_its_offset() {
+        let long = "x".repeat(100);
+        // The opening quote is byte 0 and the run bytes 1 to 100.
+        let e = parse(&format!("\"{long}\u{1}\"")).unwrap_err();
+        assert_eq!(e.offset, 101, "{e}");
+        assert_eq!(e.message, "unescaped control character in string");
+        let e = parse(&format!("\"{long}\u{e9}\n\"")).unwrap_err();
+        assert_eq!(e.offset, 103, "{e}");
+        let e = parse(&format!("\"{long}")).unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (101, "unterminated string"));
+        let mut out = String::new();
+        push_json_str(&mut out, &format!("{long}\u{1}"));
+        assert_eq!(out, format!("\"{long}\\u0001\""));
     }
 
     #[test]

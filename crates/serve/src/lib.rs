@@ -27,4 +27,4 @@ pub mod registry;
 mod service;
 
 pub use protocol::{looks_like_dot, looks_like_machine};
-pub use service::{ServeConfig, Service};
+pub use service::{ServeConfig, Service, MAX_REQUEST_LINE};

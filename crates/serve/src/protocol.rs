@@ -220,13 +220,42 @@ fn feedback_field(obj: &Value, id: &Value) -> Result<Option<FeedbackConfig>, Req
     }
 }
 
+/// Moves the first `key` field out of an object, leaving `null` in its
+/// place, so a request owns its loop and machine texts without a copy.
+fn take_field(obj: &mut Value, key: &str) -> Option<Value> {
+    match obj {
+        Value::Obj(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Value::Null)),
+        _ => None,
+    }
+}
+
+/// Moves the strings out of an array's `items`; the first element that is
+/// not a string is an error, described by `what(index)`.
+fn string_items(
+    items: Vec<Value>,
+    id: &Value,
+    what: impl Fn(usize) -> String,
+) -> Result<Vec<String>, RequestError> {
+    items
+        .into_iter()
+        .enumerate()
+        .map(|(i, item)| match item {
+            Value::Str(s) => Ok(s),
+            _ => Err(RequestError::new(id.clone(), what(i))),
+        })
+        .collect()
+}
+
 /// Decodes one request line.
 ///
 /// Unknown *fields* are ignored (forward compatibility); an unknown *`req`
 /// verb*, a JSON syntax error or a wrongly-typed field is a
 /// [`RequestError`].
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
-    let value = json::parse(line)
+    let mut value = json::parse(line)
         .map_err(|e| RequestError::new(Value::Null, format!("request is not valid JSON: {e}")))?;
     if !matches!(value, Value::Obj(_)) {
         return Err(RequestError::new(
@@ -235,8 +264,18 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         ));
     }
     let id = value.get("id").cloned().unwrap_or(Value::Null);
-    let req = match value.get("req") {
-        Some(Value::Str(s)) => s.clone(),
+    match value.get("req") {
+        Some(Value::Str(s)) => match s.as_str() {
+            "stats" => return Ok(Request::Stats { id }),
+            "shutdown" => return Ok(Request::Shutdown { id }),
+            "schedule" => {}
+            other => {
+                return Err(RequestError::new(
+                    id,
+                    format!("unknown request `{other}` (schedule, stats or shutdown)"),
+                ));
+            }
+        },
         Some(_) => {
             return Err(RequestError::new(id, "`req` must be a string"));
         }
@@ -246,113 +285,86 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 "missing `req` field (schedule, stats or shutdown)",
             ));
         }
-    };
-    match req.as_str() {
-        "stats" => Ok(Request::Stats { id }),
-        "shutdown" => Ok(Request::Shutdown { id }),
-        "schedule" => {
-            let scheduler = string_field(&value, &id, "scheduler", "hrms")?;
-            let machines = match value.get("machines") {
-                Some(Value::Arr(items)) => {
-                    if value.get("machine").is_some() {
-                        return Err(RequestError::new(
-                            id,
-                            "give either `machine` or `machines`, not both",
-                        ));
-                    }
-                    if items.is_empty() {
-                        return Err(RequestError::new(id, "`machines` must not be empty"));
-                    }
-                    let mut texts = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        match item {
-                            Value::Str(s) => texts.push(s.clone()),
-                            _ => {
-                                return Err(RequestError::new(
-                                    id,
-                                    format!(
-                                        "machines[{i}] must be a string (preset name or \
-                                         `.machine` text)"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                    texts
-                }
-                Some(_) => {
-                    return Err(RequestError::new(
-                        id,
-                        "`machines` must be an array of strings",
-                    ));
-                }
-                None => vec![string_field(&value, &id, "machine", "govindarajan")?],
-            };
-            let cache = bool_field(&value, &id, "cache", true)?;
-            let timing = bool_field(&value, &id, "timing", false)?;
-            let feedback = feedback_field(&value, &id)?;
-            let loops = match value.get("loops") {
-                Some(Value::Arr(items)) if !items.is_empty() => {
-                    let mut texts = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        match item {
-                            Value::Str(s) => texts.push(s.clone()),
-                            _ => {
-                                return Err(RequestError::new(
-                                    id,
-                                    format!("loops[{i}] must be a string of `.loop` or DOT text"),
-                                ));
-                            }
-                        }
-                    }
-                    texts
-                }
-                Some(Value::Arr(_)) => {
-                    return Err(RequestError::new(id, "`loops` must not be empty"));
-                }
-                Some(_) | None => {
-                    return Err(RequestError::new(
-                        id,
-                        "missing `loops` field (array of `.loop` or DOT strings)",
-                    ));
-                }
-            };
-            Ok(Request::Schedule(ScheduleRequest {
-                id,
-                scheduler,
-                machines,
-                loops,
-                cache,
-                timing,
-                feedback,
-            }))
-        }
-        other => Err(RequestError::new(
-            id,
-            format!("unknown request `{other}` (schedule, stats or shutdown)"),
-        )),
     }
+    let scheduler = string_field(&value, &id, "scheduler", "hrms")?;
+    let machines = match take_field(&mut value, "machines") {
+        Some(Value::Arr(items)) => {
+            if value.get("machine").is_some() {
+                return Err(RequestError::new(
+                    id,
+                    "give either `machine` or `machines`, not both",
+                ));
+            }
+            if items.is_empty() {
+                return Err(RequestError::new(id, "`machines` must not be empty"));
+            }
+            string_items(items, &id, |i| {
+                format!("machines[{i}] must be a string (preset name or `.machine` text)")
+            })?
+        }
+        Some(_) => {
+            return Err(RequestError::new(
+                id,
+                "`machines` must be an array of strings",
+            ));
+        }
+        None => vec![string_field(&value, &id, "machine", "govindarajan")?],
+    };
+    let cache = bool_field(&value, &id, "cache", true)?;
+    let timing = bool_field(&value, &id, "timing", false)?;
+    let feedback = feedback_field(&value, &id)?;
+    let loops = match take_field(&mut value, "loops") {
+        Some(Value::Arr(items)) if !items.is_empty() => string_items(items, &id, |i| {
+            format!("loops[{i}] must be a string of `.loop` or DOT text")
+        })?,
+        Some(Value::Arr(_)) => {
+            return Err(RequestError::new(id, "`loops` must not be empty"));
+        }
+        Some(_) | None => {
+            return Err(RequestError::new(
+                id,
+                "missing `loops` field (array of `.loop` or DOT strings)",
+            ));
+        }
+    };
+    Ok(Request::Schedule(ScheduleRequest {
+        id,
+        scheduler,
+        machines,
+        loops,
+        cache,
+        timing,
+        feedback,
+    }))
 }
 
 /// `{"type":"result","id":...,"index":N,` + the report line's own fields.
 pub fn result_record(id: &Value, index: usize, report_line: &str) -> String {
-    debug_assert!(report_line.starts_with('{'));
-    format!(
-        "{{\"type\":\"result\",\"id\":{},\"index\":{index},{}",
-        id.to_json(),
-        &report_line[1..]
-    )
+    cell_record_for(&id.to_json(), index, Ok(report_line))
 }
 
 /// `{"type":"error","id":...,"index":N,"stage":"schedule",` + the error
 /// line's own fields.
 pub fn cell_error_record(id: &Value, index: usize, error_line: &str) -> String {
-    debug_assert!(error_line.starts_with('{'));
-    format!(
-        "{{\"type\":\"error\",\"id\":{},\"index\":{index},\"stage\":\"schedule\",{}",
-        id.to_json(),
-        &error_line[1..]
-    )
+    cell_record_for(&id.to_json(), index, Err(error_line))
+}
+
+/// The record of one cell, for an id rendered once per request: a
+/// [`result_record`] around a report line, or a [`cell_error_record`]
+/// around an error line.
+pub(crate) fn cell_record_for(id_json: &str, index: usize, line: Result<&str, &str>) -> String {
+    let (kind, stage, line) = match line {
+        Ok(line) => ("result", "", line),
+        Err(line) => ("error", "\"stage\":\"schedule\",", line),
+    };
+    debug_assert!(line.starts_with('{'));
+    let mut out = String::with_capacity(64 + id_json.len() + line.len());
+    let _ = write!(
+        out,
+        "{{\"type\":\"{kind}\",\"id\":{id_json},\"index\":{index},{stage}"
+    );
+    out.push_str(&line[1..]);
+    out
 }
 
 /// A request-stage error record, with optional embedded diagnostics.
@@ -380,10 +392,12 @@ pub fn request_error_record(err: &RequestError) -> String {
 
 /// The batch terminator record.
 pub fn done_record(id: &Value, results: usize, errors: usize) -> String {
-    format!(
-        "{{\"type\":\"done\",\"id\":{},\"results\":{results},\"errors\":{errors}}}",
-        id.to_json()
-    )
+    done_record_for(&id.to_json(), results, errors)
+}
+
+/// [`done_record`] for an id rendered once per request.
+pub(crate) fn done_record_for(id_json: &str, results: usize, errors: usize) -> String {
+    format!("{{\"type\":\"done\",\"id\":{id_json},\"results\":{results},\"errors\":{errors}}}")
 }
 
 /// The `stats` response record.

@@ -41,12 +41,12 @@ use std::path::Path;
 use hrms_ddg::{cache_key, ddg_fingerprint, dot, parse_loops, Ddg};
 use hrms_engine::{BatchEngine, CacheStats, Cell, ResultCache};
 use hrms_machine::{machine_fingerprint, Machine};
-use hrms_modsched::{error_line, report_line, ReportOptions};
+use hrms_modsched::{error_line, report_line_with_digests, ReportDigests, ReportOptions};
 use hrms_verify::{lint_dot_source, lint_loop_source, lint_machine_source};
 
 use crate::protocol::{
-    bye_record, cell_error_record, done_record, looks_like_dot, parse_request,
-    request_error_record, result_record, stats_record, Request, RequestError, ScheduleRequest,
+    bye_record, cell_record_for, done_record_for, looks_like_dot, parse_request,
+    request_error_record, stats_record, Request, RequestError, ScheduleRequest,
 };
 use crate::registry::{resolve_machine, scheduler_by_slug, MachineError, MachineFiles};
 
@@ -93,6 +93,44 @@ fn resolve_machine_request(id: &Value, text: &str) -> Result<Machine, RequestErr
 }
 
 use crate::json::Value;
+
+/// The most bytes a request line may hold before its newline (16 MiB):
+/// far above any real request, and a bound on what one client can make
+/// the service buffer.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// Reads the next line of `reader` into `line`, without its newline.
+/// Returns `None` at the end of the input, `Some(true)` for a line that
+/// fits [`MAX_REQUEST_LINE`] and `Some(false)` for one that does not; the
+/// rest of an over-long line is consumed but not kept.
+fn read_request_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    let (mut read_any, mut fits) = (false, true);
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(read_any.then_some(fits));
+        }
+        read_any = true;
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        if fits && line.len() + chunk.len() <= MAX_REQUEST_LINE {
+            line.extend_from_slice(chunk);
+        } else if fits {
+            fits = false;
+            line.clear();
+        }
+        let used = chunk.len() + usize::from(newline.is_some());
+        reader.consume(used);
+        if newline.is_some() {
+            return Ok(Some(fits));
+        }
+    }
+}
 
 /// The batch scheduling service. See the module docs for the guarantees.
 #[derive(Debug)]
@@ -187,7 +225,7 @@ impl Service {
     fn parse_request_loops(id: &Value, entries: &[String]) -> Result<Vec<Ddg>, Box<RequestError>> {
         let mut loops = Vec::new();
         for (i, text) in entries.iter().enumerate() {
-            let path = format!("loops[{i}]");
+            let path = || format!("loops[{i}]");
             let parsed = if looks_like_dot(text) {
                 dot::from_dot(text).map(|g| vec![g]).map_err(|e| (e, true))
             } else {
@@ -197,11 +235,12 @@ impl Service {
                 Ok(parsed) if parsed.is_empty() => {
                     return Err(Box::new(RequestError::new(
                         id.clone(),
-                        format!("{path} contains no loops"),
+                        format!("{} contains no loops", path()),
                     )));
                 }
                 Ok(parsed) => loops.extend(parsed),
                 Err((e, is_dot)) => {
+                    let path = path();
                     let lints = if is_dot {
                         lint_dot_source(text, None)
                     } else {
@@ -272,40 +311,55 @@ impl Service {
         // distinct cell is scheduled once. All lookups come before all
         // inserts.
         let use_cache = self.cache_enabled && request.cache && !request.timing;
+        let columns = machines.len();
         let mut seen_keys = HashSet::with_capacity(keys.len());
-        // One body per distinct key: the rendered report line on success,
-        // the rendered error line on failure.
-        let mut bodies: HashMap<u64, Result<String, String>> = HashMap::new();
-        let (mut queued, mut cells): (Vec<u64>, Vec<Cell<'_>>) = (Vec::new(), Vec::new());
+        let mut queued: Vec<usize> = Vec::new();
         for (cell, &key) in keys.iter().enumerate() {
             if !seen_keys.insert(key) {
                 if use_cache {
                     self.cache.count_reuse_hit();
                 }
-            } else if let Some(hit) = use_cache.then(|| self.cache.get(key)).flatten() {
-                bodies.insert(key, Ok(hit.clone()));
-            } else {
-                let (l, m) = (cell / machines.len(), cell % machines.len());
-                queued.push(key);
-                cells.push((&*scheduler, &loops[l], &machines[m]));
+            } else if !(use_cache && self.cache.get(key).is_some()) {
+                queued.push(cell);
             }
         }
+        let cells: Vec<Cell<'_>> = queued
+            .iter()
+            .map(|&cell| -> Cell<'_> {
+                (
+                    &*scheduler,
+                    &loops[cell / columns],
+                    &machines[cell % columns],
+                )
+            })
+            .collect();
         let outcomes = self.engine.schedule_cells(&cells);
         let options = ReportOptions {
             timing: request.timing,
         };
-        for ((key, (_, ddg, machine)), outcome) in queued.into_iter().zip(cells).zip(outcomes) {
+        // One body per scheduled key: the rendered report line on success,
+        // the rendered error line on failure. A cache hit has none here; its
+        // records splice the cached line.
+        let mut bodies: HashMap<u64, Result<String, String>> = HashMap::with_capacity(queued.len());
+        for (&cell, outcome) in queued.iter().zip(outcomes) {
+            let (l, m) = (cell / columns, cell % columns);
+            let (ddg, machine) = (&loops[l], &machines[m]);
             let body = match outcome {
                 Ok(outcome) => {
-                    let line = report_line(ddg, machine, &scheduler_name, &outcome, options);
-                    if use_cache {
-                        self.cache.insert(key, line.clone());
-                    }
-                    Ok(line)
+                    let digests = ReportDigests {
+                        loop_digest: core_fps[l],
+                        machine_digest: machine_digests[m],
+                        cache_key: keys[cell],
+                    };
+                    Ok(report_line_with_digests(
+                        ddg,
+                        machine,
+                        &scheduler_name,
+                        &outcome,
+                        options,
+                        &digests,
+                    ))
                 }
-                // Errors are answered but not cached: a transient failure
-                // (e.g. a contained panic) must not poison future requests
-                // for the same key.
                 Err(e) => Err(error_line(
                     ddg.name(),
                     &scheduler_name,
@@ -313,24 +367,39 @@ impl Service {
                     &e.to_string(),
                 )),
             };
-            bodies.insert(key, body);
+            bodies.insert(keys[cell], body);
         }
 
+        let id_json = id.to_json();
         let mut records = Vec::with_capacity(keys.len() + 1);
         let mut errors = 0usize;
         for (index, key) in keys.iter().enumerate() {
-            match &bodies[key] {
-                Ok(body) => records.push(result_record(id, index, body)),
-                Err(body) => {
-                    errors += 1;
-                    records.push(cell_error_record(id, index, body));
+            let line = match bodies.get(key) {
+                Some(body) => body.as_deref().map_err(String::as_str),
+                None => Ok(self
+                    .cache
+                    .peek(*key)
+                    .expect("a hit stays cached until this request's inserts")
+                    .as_str()),
+            };
+            errors += usize::from(line.is_err());
+            records.push(cell_record_for(&id_json, index, line));
+        }
+        // The new lines go into the cache last, in scheduling order, so no
+        // hit of this request is evicted before its records are written.
+        // Errors are answered but not cached: a transient failure (e.g. a
+        // contained panic) must not poison future requests for the same key.
+        if use_cache {
+            for &cell in &queued {
+                if let Some(Ok(line)) = bodies.remove(&keys[cell]) {
+                    self.cache.insert(keys[cell], line);
                 }
             }
         }
         let results = keys.len() - errors;
         self.results += results as u64;
         self.errors += errors as u64;
-        records.push(done_record(id, results, errors));
+        records.push(done_record_for(&id_json, results, errors));
         Ok(records)
     }
 
@@ -338,33 +407,43 @@ impl Service {
     /// in, the response lines out, flushed after every request so pipe and
     /// socket clients see results as soon as they exist.
     ///
-    /// Lines are read as bytes: a line that is not valid UTF-8 is answered
-    /// with a `stage:"request"` error record with a `null` id, like any
-    /// other malformed request, and reading goes on.
+    /// Lines are read as bytes: a line that is not valid UTF-8, or that
+    /// holds more than [`MAX_REQUEST_LINE`] bytes before its newline, is
+    /// answered with a `stage:"request"` error record with a `null` id,
+    /// like any other malformed request, and reading goes on after it. An
+    /// over-long line is skipped without being buffered.
     ///
     /// Returns `Ok(true)` when the stream ended with a `shutdown` request,
     /// `Ok(false)` on EOF. Either way all received requests were answered
     /// in full before returning (drain semantics).
-    pub fn run<R: BufRead, W: Write>(&mut self, reader: R, mut writer: W) -> io::Result<bool> {
-        for line in reader.split(b'\n') {
-            let line = line?;
+    pub fn run<R: BufRead, W: Write>(&mut self, mut reader: R, mut writer: W) -> io::Result<bool> {
+        let mut line = Vec::new();
+        let mut responses = String::new();
+        while let Some(fits) = read_request_line(&mut reader, &mut line)? {
+            responses.clear();
+            let mut respond = |record: &str| {
+                responses.push_str(record);
+                responses.push('\n');
+            };
             let line = line.strip_suffix(b"\r").unwrap_or(&line);
-            let mut responses: Vec<String> = Vec::new();
-            let shutdown = match std::str::from_utf8(line) {
-                Ok(line) => self.handle_line(line, &mut |record| responses.push(record.into())),
-                Err(e) => {
-                    let message = format!("request is not valid UTF-8: {e}");
-                    responses.push(request_error_record(&RequestError::new(
+            let text = if fits {
+                std::str::from_utf8(line).map_err(|e| format!("request is not valid UTF-8: {e}"))
+            } else {
+                Err(format!(
+                    "request line is longer than the limit of {MAX_REQUEST_LINE} bytes"
+                ))
+            };
+            let shutdown = match text {
+                Ok(text) => self.handle_line(text, &mut respond),
+                Err(message) => {
+                    respond(&request_error_record(&RequestError::new(
                         Value::Null,
                         message,
                     )));
                     false
                 }
             };
-            for record in &responses {
-                writer.write_all(record.as_bytes())?;
-                writer.write_all(b"\n")?;
-            }
+            writer.write_all(responses.as_bytes())?;
             writer.flush()?;
             if shutdown {
                 return Ok(true);

@@ -10,7 +10,8 @@
 //! only "lossless" if downstream results cannot tell the difference.
 
 use hrms_repro::ddg::{
-    ddg_fingerprint, dot, parse_loop, parse_loops, write_loop, write_loops, Ddg,
+    ddg_fingerprint, dot, parse_loop, parse_loops, parse_loops_with_spans, write_loop, write_loops,
+    Ddg, ParseError,
 };
 use hrms_repro::machine::{machine_fingerprint, parse_machine, presets, write_machine};
 use hrms_repro::prelude::*;
@@ -76,6 +77,73 @@ fn multi_loop_files_round_trip_in_order() {
             a.name()
         );
     }
+}
+
+/// Both `.loop` entry points side by side: `parse_loops` records no spans
+/// and `parse_loops_with_spans` does, over one parser core, so their graphs
+/// and their errors must be identical.
+fn parse_both(text: &str) -> Result<Vec<Ddg>, ParseError> {
+    let plain = parse_loops(text);
+    let spanned = parse_loops_with_spans(text);
+    match (&plain, spanned) {
+        (Ok(graphs), Ok(spanned)) => {
+            assert_eq!(graphs.len(), spanned.len());
+            for (g, (h, spans)) in graphs.iter().zip(&spanned) {
+                assert_eq!(g, h, "loop `{}`", g.name());
+                assert_eq!(spans.nodes.len(), g.num_nodes(), "loop `{}`", g.name());
+                assert_eq!(spans.edges.len(), g.num_edges(), "loop `{}`", g.name());
+            }
+        }
+        (Err(a), Err(b)) => assert_eq!(*a, b, "the two entry points disagree on\n{text}"),
+        (a, b) => panic!("one entry point failed: {a:?} vs {b:?}\n{text}"),
+    }
+    plain
+}
+
+#[test]
+fn both_loop_entry_points_parse_every_registry_corpus_alike() {
+    for (corpus, keyed) in corpus::built() {
+        let loops: Vec<Ddg> = keyed.iter().map(|(_, g)| g.clone()).collect();
+        let back = parse_both(&write_loops(&loops))
+            .unwrap_or_else(|e| panic!("corpus `{}` does not re-parse: {e}", corpus.name));
+        assert_eq!(back, loops, "corpus `{}`", corpus.name);
+    }
+}
+
+#[test]
+fn both_loop_entry_points_fail_alike_on_malformed_input() {
+    let dir = format!("{}/tests/fixtures/malformed", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the malformed corpus exists")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".loop"))
+        .collect();
+    names.sort();
+    let mut failed = 0;
+    for name in &names {
+        let text = corpus::repo_file(&format!("tests/fixtures/malformed/{name}"));
+        failed += usize::from(parse_both(&text).is_err());
+    }
+    // Errors at every stage of the parser: the tokenizer, a keyword, an
+    // attribute, an edge endpoint and the validation at `end`.
+    let inline = [
+        "loop l\n  node \"a\\q\" fadd latency=1\nend\n",
+        "loop l\n  node \"a fadd latency=1\nend\n",
+        "loop l\n  node a fadd latency=1\n  node b fadd latency=1\n  edge a -> c flow\nend\n",
+        "loop l\n  node a fadd latency=1\n  node a fmul latency=2\nend\n",
+        "loop l\n  node a fadd latency=1 \"x\"\nend\n",
+        "loop l\n  node a fadd latency=1\n  edge a a flow\nend\n",
+        "loop l\n  node a fadd latency=1\n",
+        "node a fadd latency=1\n",
+    ];
+    for text in inline {
+        assert!(parse_both(text).is_err(), "{text}");
+    }
+    assert!(
+        names.len() >= 5 && failed >= 2,
+        "{} `.loop` fixtures, {failed} failing to parse",
+        names.len()
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! `tests/serve_soak.rs`.
 
 use hrms_repro::serve::json::{self, Value};
-use hrms_repro::serve::{ServeConfig, Service};
+use hrms_repro::serve::{ServeConfig, Service, MAX_REQUEST_LINE};
 
 mod corpus;
 
@@ -177,6 +177,42 @@ fn a_non_utf8_line_is_a_request_error_and_reading_goes_on() {
         lines[1]
     );
     let last = fields(lines[2]);
+    assert_eq!(str_field(&last, "type"), "stats");
+    assert_eq!(num_field(&last, "id"), 3);
+}
+
+#[test]
+fn an_over_long_line_is_a_request_error_and_reading_goes_on() {
+    let mut service = Service::default();
+    // A request padded with spaces to exactly the limit is read whole; a
+    // line one byte longer is answered with an error and skipped.
+    let request = "{\"req\":\"stats\",\"id\":2}";
+    let at_limit = format!("{request}{}", " ".repeat(MAX_REQUEST_LINE - request.len()));
+    assert_eq!(at_limit.len(), MAX_REQUEST_LINE);
+    let mut input = b"{\"req\":\"stats\",\"id\":1}\n".to_vec();
+    input.extend_from_slice(at_limit.as_bytes());
+    input.extend_from_slice(b"\n");
+    input.extend(std::iter::repeat_n(b'x', MAX_REQUEST_LINE + 1));
+    input.extend_from_slice(b"\n{\"req\":\"stats\",\"id\":3}\n");
+    let mut out = Vec::new();
+    let shutdown = service
+        .run(std::io::Cursor::new(input), &mut out)
+        .expect("in-memory I/O cannot fail");
+    assert!(!shutdown, "EOF, not shutdown");
+    let out = String::from_utf8(out).expect("responses are UTF-8");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 4, "stats, stats, error, stats:\n{out}");
+    assert_eq!(num_field(&fields(lines[0]), "id"), 1);
+    assert_eq!(num_field(&fields(lines[1]), "id"), 2);
+    let bad = fields(lines[2]);
+    assert_eq!(str_field(&bad, "type"), "error");
+    assert_eq!(str_field(&bad, "stage"), "request");
+    assert_eq!(bad.get("id"), Some(&Value::Null));
+    assert_eq!(
+        str_field(&bad, "error"),
+        format!("request line is longer than the limit of {MAX_REQUEST_LINE} bytes")
+    );
+    let last = fields(lines[3]);
     assert_eq!(str_field(&last, "type"), "stats");
     assert_eq!(num_field(&last, "id"), 3);
 }
