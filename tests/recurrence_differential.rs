@@ -38,8 +38,15 @@
 //!    whole-graph bisection; so does the `RecMII` of seeded copies in
 //!    which some flow edges became anti or output dependences. Each
 //!    registry corpus holds its documented number of loops.
+//! 6. Every registry corpus is pinned by one digest line
+//!    (`tests/golden/corpus_digests.txt`) over each loop's default HRMS
+//!    order and, for loops of at most [`DIGEST_SCHEDULE_MAX_OPS`]
+//!    operations, its HRMS, Top-Down, Bottom-Up and FRLC schedules on the
+//!    Perfect Club machine.
 
 use std::collections::HashSet;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use hrms_oracle::{
     cross_check, exact_rec_mii, latest_starts_from, CrossCheckReport, RecurrenceInfo,
@@ -47,13 +54,14 @@ use hrms_oracle::{
 };
 use hrms_repro::ddg::analysis::{collect_dep_edges, longest_paths, DepEdge};
 use hrms_repro::ddg::{
-    scc, CycleRatios, Ddg, DdgBuilder, DepKind, Fnv64, IncrementalStarts, LoopAnalysis, NodeId,
-    OpKind, RecurrenceGroups,
+    scc, CycleRatios, Ddg, DdgBuilder, DepKind, Fnv64, IncrementalStarts, LoopAnalysis, LoopCore,
+    NodeId, OpKind, RecurrenceGroups,
 };
 use hrms_repro::engine::BatchEngine;
 use hrms_repro::hrms::{pre_order, HrmsScheduler};
 use hrms_repro::machine::presets;
 use hrms_repro::modsched::{validate_schedule, ModuloScheduler};
+use hrms_repro::registry::scheduler_by_slug;
 
 mod corpus;
 
@@ -699,4 +707,59 @@ fn every_registry_corpus_has_a_unique_name_and_its_documented_size() {
         .map(|(c, loops)| format!("`{}` holds {} loops, not {}", c.name, loops.len(), c.len))
         .collect();
     assert!(wrong.is_empty(), "{}", wrong.join("; "));
+}
+
+/// The largest loop whose schedules the corpus digests cover. The larger
+/// loops of `stress` and `recurrence-heavy` take seconds per scheduling
+/// cell in a debug build, so only their orders are digested.
+const DIGEST_SCHEDULE_MAX_OPS: usize = 200;
+
+/// One digest over a corpus: each loop's key and default HRMS order and,
+/// for loops of at most [`DIGEST_SCHEDULE_MAX_OPS`] operations, the II and
+/// every cycle (or the error) of its HRMS, Top-Down, Bottom-Up and FRLC
+/// schedules on the Perfect Club machine, one shared core per loop.
+fn corpus_digest(loops: &[(String, Ddg)]) -> u64 {
+    let machine = presets::perfect_club();
+    let schedulers = ["hrms", "top-down", "bottom-up", "frlc"]
+        .map(|slug| scheduler_by_slug(slug).expect("a registered scheduler"));
+    let mut h = Fnv64::new();
+    for (key, g) in loops {
+        h.write_str(key);
+        let core = Arc::new(LoopCore::new());
+        let order = pre_order(&LoopAnalysis::with_core(g, Arc::clone(&core))).order;
+        h.write_u64(order.len() as u64);
+        for n in order {
+            h.write_u32(n.0);
+        }
+        if g.num_nodes() > DIGEST_SCHEDULE_MAX_OPS {
+            continue;
+        }
+        for scheduler in &schedulers {
+            match scheduler.schedule_loop_with_core(g, &machine, &core) {
+                Ok(outcome) => {
+                    h.write_u32(outcome.schedule.ii());
+                    for (_, cycle) in outcome.schedule.iter() {
+                        h.write(&cycle.to_le_bytes());
+                    }
+                }
+                Err(e) => {
+                    h.write_str(&e.to_string());
+                }
+            }
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn every_registry_corpus_matches_its_golden_digest() {
+    // One line per corpus, in table order: its name, its loop count and
+    // its digest. The corpora are digested on the batch engine's workers.
+    let built = corpus::built();
+    let digests = BatchEngine::new().map(built, |_, (_, loops)| corpus_digest(loops));
+    let mut out = String::new();
+    for ((corpus, loops), digest) in built.iter().zip(digests) {
+        let _ = writeln!(out, "{} {} {digest:016x}", corpus.name, loops.len());
+    }
+    corpus::assert_matches_golden("corpus_digests.txt", &out);
 }
