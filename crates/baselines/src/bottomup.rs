@@ -36,7 +36,7 @@ impl ModuloScheduler for BottomUpScheduler {
         machine: &Machine,
         perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let mut order = bottomup_order(analysis.ddg());
+        let mut order = bottomup_order(analysis);
         boost_order(&mut order, perturbation);
         escalate_ii(analysis, machine, |ii, _| {
             schedule_directional_at_ii(analysis, machine, &order, ii, Direction::BottomUp)

@@ -4,7 +4,7 @@
 
 use std::cmp::Reverse;
 
-use hrms_ddg::{Ddg, LoopAnalysis, NodeId, TopoLevels};
+use hrms_ddg::{LoopAnalysis, NodeId};
 use hrms_machine::Machine;
 use hrms_modsched::{PartialSchedule, Perturbation, Schedule};
 
@@ -22,12 +22,14 @@ pub enum Direction {
 /// height (more critical first) and finally program order. All a node's
 /// intra-iteration predecessors precede it in this order.
 ///
-/// An invalid (zero-distance-cyclic) graph has no levels and keeps program
-/// order. That order is never used: [`hrms_modsched::escalate_ii`] rejects
-/// such a loop at the MII, before any attempt.
-pub fn topdown_order(ddg: &Ddg) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = ddg.node_ids().collect();
-    if let Ok(levels) = TopoLevels::compute(ddg) {
+/// The levels are the loop's cached [`LoopAnalysis::topo_levels`], so the
+/// Top-Down and Bottom-Up cells of one loop compute them once. An invalid
+/// (zero-distance-cyclic) graph has no levels and keeps program order.
+/// That order is never used: [`hrms_modsched::escalate_ii`] rejects such a
+/// loop at the MII, before any attempt.
+pub fn topdown_order(la: &LoopAnalysis<'_>) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = la.ddg().node_ids().collect();
+    if let Some(levels) = la.topo_levels() {
         order.sort_by_key(|&n| (levels.depth(n), Reverse(levels.height(n)), n.index()));
     }
     order
@@ -38,9 +40,9 @@ pub fn topdown_order(ddg: &Ddg) -> Vec<NodeId> {
 /// ties by larger depth and finally program order. All a node's
 /// intra-iteration successors precede it in this order. Invalid graphs keep
 /// program order, as in [`topdown_order`].
-pub fn bottomup_order(ddg: &Ddg) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = ddg.node_ids().collect();
-    if let Ok(levels) = TopoLevels::compute(ddg) {
+pub fn bottomup_order(la: &LoopAnalysis<'_>) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = la.ddg().node_ids().collect();
+    if let Some(levels) = la.topo_levels() {
         order.sort_by_key(|&n| (levels.height(n), Reverse(levels.depth(n)), n.index()));
     }
     order
@@ -108,7 +110,7 @@ pub fn schedule_directional_at_ii(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrms_ddg::{DdgBuilder, DepKind, OpKind};
+    use hrms_ddg::{Ddg, DdgBuilder, DepKind, OpKind};
     use hrms_machine::presets;
     use hrms_modsched::validate_schedule;
 
@@ -128,7 +130,7 @@ mod tests {
     #[test]
     fn topdown_order_puts_sources_first() {
         let g = diamond();
-        let order = topdown_order(&g);
+        let order = topdown_order(&LoopAnalysis::analyze(&g));
         assert_eq!(order[0], NodeId(0));
         assert_eq!(order[3], NodeId(3));
         // x is on the longer path (latency 2 vs 1) so it precedes y.
@@ -138,7 +140,7 @@ mod tests {
     #[test]
     fn bottomup_order_puts_sinks_first() {
         let g = diamond();
-        let order = bottomup_order(&g);
+        let order = bottomup_order(&LoopAnalysis::analyze(&g));
         assert_eq!(order[0], NodeId(3));
         assert_eq!(order[3], NodeId(0));
     }
@@ -146,7 +148,8 @@ mod tests {
     #[test]
     fn orders_cover_every_node_once() {
         let g = diamond();
-        for order in [topdown_order(&g), bottomup_order(&g)] {
+        let la = LoopAnalysis::analyze(&g);
+        for order in [topdown_order(&la), bottomup_order(&la)] {
             let mut o = order.clone();
             o.sort();
             o.dedup();
@@ -173,8 +176,8 @@ mod tests {
         let m = presets::govindarajan();
         let la = LoopAnalysis::analyze(&g);
         for (order, dir) in [
-            (topdown_order(&g), Direction::TopDown),
-            (bottomup_order(&g), Direction::BottomUp),
+            (topdown_order(&la), Direction::TopDown),
+            (bottomup_order(&la), Direction::BottomUp),
         ] {
             let s = schedule_directional_at_ii(&la, &m, &order, 2, dir).unwrap();
             validate_schedule(&g, &m, &s).unwrap();
@@ -189,7 +192,8 @@ mod tests {
         b.edge(a, c, DepKind::RegFlow, 0).unwrap();
         b.edge(c, a, DepKind::RegFlow, 0).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(topdown_order(&g), [a, c]);
-        assert_eq!(bottomup_order(&g), [a, c]);
+        let la = LoopAnalysis::analyze(&g);
+        assert_eq!(topdown_order(&la), [a, c]);
+        assert_eq!(bottomup_order(&la), [a, c]);
     }
 }

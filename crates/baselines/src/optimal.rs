@@ -82,7 +82,7 @@ impl BranchAndBoundScheduler {
             exhaustive: true,
         };
         let order = bfs_order(ddg);
-        let greedy_order = crate::common::topdown_order(ddg);
+        let greedy_order = crate::common::topdown_order(analysis);
         let outcome = escalate_ii(analysis, machine, |ii, _| {
             // Seed the incumbent with a greedy top-down schedule at this II.
             // This bounds the search from the start (better pruning) and

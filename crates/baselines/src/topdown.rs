@@ -37,7 +37,7 @@ impl ModuloScheduler for TopDownScheduler {
         machine: &Machine,
         perturbation: &Perturbation,
     ) -> Result<ScheduleOutcome, SchedError> {
-        let mut order = topdown_order(analysis.ddg());
+        let mut order = topdown_order(analysis);
         boost_order(&mut order, perturbation);
         escalate_ii(analysis, machine, |ii, _| {
             schedule_directional_at_ii(analysis, machine, &order, ii, Direction::TopDown)

@@ -14,17 +14,23 @@
 //! * Tarjan SCCs ([`LoopAnalysis::sccs`]) — one run, shared with the
 //!   cycle-ratio analysis and the backward-edge computation
 //!   (`O(|V| + |E|)`);
-//! * the backward edges of recurrence circuits
-//!   ([`LoopAnalysis::backward_edges`]) — `O(|E|)` given the SCCs;
+//! * the backward edges of recurrence circuits as a set of edge ids
+//!   ([`LoopAnalysis::backward_edges`]) — `O(|E|)` given the SCCs; no
+//!   scheduling phase reads it, which keeps it off the per-loop path;
 //! * the flat dependence-constraint edge list ([`LoopAnalysis::dep_edges`])
 //!   used by every start-time pass — `O(|E|)`, built once instead of once
 //!   per `earliest_starts` call or II-escalation loop;
 //! * the placement CSR ([`LoopAnalysis::placement`]) — per-node predecessor
 //!   and successor arc slices with **precomputed** [`dependence_latency`]
 //!   values, the dense representation `PartialSchedule` iterates on the
-//!   scheduling hot path (`O(|V| + |E|)`);
+//!   scheduling hot path (`O(|V| + |E|)`, two flat arrays per direction);
 //! * the full and backward-edge-filtered CSR adjacencies
-//!   ([`LoopAnalysis::csr_full`], [`LoopAnalysis::csr_work`]);
+//!   ([`LoopAnalysis::csr_full`], [`LoopAnalysis::csr_work`]), each built
+//!   into flat arrays with no per-node allocation; the work CSR drops an
+//!   edge by comparing the SCC ids of its endpoints, with no hash set;
+//! * the latency-weighted levels of the intra-iteration graph
+//!   ([`LoopAnalysis::topo_levels`]) that rank the Top-Down and Bottom-Up
+//!   orders;
 //! * the cycle-ratio analysis ([`LoopAnalysis::cycle_ratios`], built from
 //!   the cached SCCs), which yields both the enumeration-free recurrence
 //!   groups ([`LoopAnalysis::recurrence_groups`]) and the exact
@@ -56,6 +62,7 @@ use crate::graph::Ddg;
 use crate::node::NodeId;
 use crate::recurrence::RecurrenceGroups;
 use crate::scc;
+use crate::topo::TopoLevels;
 
 /// The latency enforced along a dependence edge: the number of cycles that
 /// must elapse between the issue of the source and the issue of the target
@@ -136,9 +143,10 @@ pub struct DepArc {
 /// become two flat slice scans with no per-edge latency dispatch and no
 /// hashing. Parallel edges are **kept** (unlike [`Csr`]): two dependences
 /// between the same nodes can carry different distances and both bound the
-/// placement.
+/// placement. Each node's arcs are in edge-id order.
 ///
-/// Construction is `O(|V| + |E|)`; arc queries are `O(1)` slice borrows.
+/// Construction is `O(|V| + |E|)` with four allocations; arc queries are
+/// `O(1)` slice borrows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementCsr {
     bound: usize,
@@ -151,38 +159,31 @@ pub struct PlacementCsr {
 impl PlacementCsr {
     /// Builds the placement arcs of `ddg` in `O(|V| + |E|)`, resolving
     /// latencies from the graph's node latencies ([`dependence_latency`]).
+    /// Each direction is one pass over the graph's per-node edge lists
+    /// (counting sorts of the edges by endpoint, in edge-id order) into one
+    /// flat array of arcs and one of row offsets.
     pub fn from_graph(ddg: &Ddg) -> Self {
-        let n = ddg.num_nodes();
-        let mut ins: Vec<Vec<DepArc>> = vec![Vec::new(); n];
-        let mut outs: Vec<Vec<DepArc>> = vec![Vec::new(); n];
-        for (_, e) in ddg.edges() {
-            if e.is_self_loop() {
-                continue; // self-dependences only bound II, not placement
-            }
-            let latency = dependence_latency(ddg, e);
-            ins[e.target().index()].push(DepArc {
-                other: e.source().0,
-                latency,
-                distance: e.distance(),
-            });
-            outs[e.source().index()].push(DepArc {
-                other: e.target().0,
-                latency,
-                distance: e.distance(),
-            });
-        }
-        let flatten = |rows: Vec<Vec<DepArc>>| {
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut flat = Vec::new();
-            offsets.push(0u32);
-            for row in rows {
-                flat.extend_from_slice(&row);
-                offsets.push(flat.len() as u32);
-            }
-            (offsets, flat)
+        let arc = |e: &Edge, other: NodeId| DepArc {
+            other: other.0,
+            latency: dependence_latency(ddg, e),
+            distance: e.distance(),
         };
-        let (in_offsets, in_arcs) = flatten(ins);
-        let (out_offsets, out_arcs) = flatten(outs);
+        let n = ddg.num_nodes();
+        let mut in_offsets = Vec::with_capacity(n + 1);
+        let mut in_arcs = Vec::with_capacity(ddg.num_edges());
+        let mut out_offsets = Vec::with_capacity(n + 1);
+        let mut out_arcs = Vec::with_capacity(ddg.num_edges());
+        in_offsets.push(0u32);
+        out_offsets.push(0u32);
+        for v in ddg.node_ids() {
+            // Self-dependences only bound II, not placement.
+            let ins = ddg.in_edges(v).filter(|(_, e)| !e.is_self_loop());
+            in_arcs.extend(ins.map(|(_, e)| arc(e, e.source())));
+            in_offsets.push(in_arcs.len() as u32);
+            let outs = ddg.out_edges(v).filter(|(_, e)| !e.is_self_loop());
+            out_arcs.extend(outs.map(|(_, e)| arc(e, e.target())));
+            out_offsets.push(out_arcs.len() as u32);
+        }
         PlacementCsr {
             bound: n,
             in_offsets,
@@ -213,22 +214,33 @@ impl PlacementCsr {
 
 /// The backward edges of every recurrence circuit, given the strongly
 /// connected components of the graph: loop-carried edges whose endpoints
-/// belong to the same SCC. Removing them makes the work graph acyclic (any
-/// remaining cycle would have distance 0, which the MII computation
-/// rejects). `O(|V| + |E|)` given the SCCs.
+/// belong to the same SCC ([`is_backward`]). Removing them makes the work
+/// graph acyclic (any remaining cycle would have distance 0, which the MII
+/// computation rejects). `O(|V| + |E|)` given the SCCs.
 pub fn backward_edges_of(ddg: &Ddg, sccs: &[Vec<NodeId>]) -> HashSet<EdgeId> {
-    let mut scc_of = vec![usize::MAX; ddg.num_nodes()];
-    for (i, comp) in sccs.iter().enumerate() {
-        for &n in comp {
-            scc_of[n.index()] = i;
-        }
-    }
+    let scc_of = scc_ids(ddg.num_nodes(), sccs);
     ddg.edges()
-        .filter(|(_, e)| {
-            e.distance() > 0 && scc_of[e.source().index()] == scc_of[e.target().index()]
-        })
+        .filter(|(_, e)| is_backward(&scc_of, e))
         .map(|(eid, _)| eid)
         .collect()
+}
+
+/// The index of each node's strongly connected component in `sccs`.
+fn scc_ids(num_nodes: usize, sccs: &[Vec<NodeId>]) -> Vec<u32> {
+    let mut scc_of = vec![u32::MAX; num_nodes];
+    for (i, comp) in sccs.iter().enumerate() {
+        for &n in comp {
+            scc_of[n.index()] = i as u32;
+        }
+    }
+    scc_of
+}
+
+/// Whether `e` is a backward edge of a recurrence circuit: loop-carried,
+/// with both endpoints in one strongly connected component (`scc_of` maps
+/// each node to its component).
+fn is_backward(scc_of: &[u32], e: &Edge) -> bool {
+    e.distance() > 0 && scc_of[e.source().index()] == scc_of[e.target().index()]
 }
 
 /// Longest-path solution of the dependence constraints at a given II — the
@@ -479,6 +491,7 @@ pub struct LoopCore {
     csr_work: OnceLock<Csr>,
     ratios: OnceLock<CycleRatios>,
     rec_groups: OnceLock<RecurrenceGroups>,
+    topo_levels: OnceLock<Option<TopoLevels>>,
     fingerprint: OnceLock<u64>,
     hrms_order: OnceLock<Vec<NodeId>>,
 }
@@ -594,11 +607,15 @@ impl<'a> LoopAnalysis<'a> {
     }
 
     /// The adjacency CSR with backward edges removed — the acyclic work
-    /// graph of the pre-ordering phase. `O(|V| + |E|)` on first access.
+    /// graph of the pre-ordering phase. `O(|V| + |E|)` on first access: an
+    /// edge is dropped when it is loop-carried and its endpoints share an
+    /// SCC id, read from a per-node array over the cached SCCs (the
+    /// definition [`LoopAnalysis::backward_edges`] uses, with no hashing).
     pub fn csr_work(&self) -> &Csr {
-        self.core
-            .csr_work
-            .get_or_init(|| Csr::filtered(self.ddg, self.backward_edges()))
+        self.core.csr_work.get_or_init(|| {
+            let scc_of = scc_ids(self.ddg.num_nodes(), self.sccs());
+            Csr::filtered(self.ddg, |_, e| is_backward(&scc_of, e))
+        })
     }
 
     /// The per-node maximum cycle-ratio analysis
@@ -630,6 +647,18 @@ impl<'a> LoopAnalysis<'a> {
     /// cycle and no II is feasible.
     pub fn rec_mii(&self) -> Option<u64> {
         self.cycle_ratios().rec_mii()
+    }
+
+    /// The latency-weighted levels of the loop's intra-iteration
+    /// (distance-0) graph ([`TopoLevels`]), which rank the Top-Down and
+    /// Bottom-Up orders; `None` when that graph is cyclic (a zero-distance
+    /// dependence cycle, which no II satisfies). `O(|V| + |E| log |V|)` on
+    /// first access.
+    pub fn topo_levels(&self) -> Option<&TopoLevels> {
+        self.core
+            .topo_levels
+            .get_or_init(|| TopoLevels::compute(self.ddg).ok())
+            .as_ref()
     }
 
     /// The HRMS pre-ordering under its default options, cached in the core:
@@ -762,7 +791,9 @@ mod tests {
         let g = accumulator_loop();
         let la = LoopAnalysis::analyze(&g);
         assert_eq!(la.csr_full(), &Csr::from_graph(&g));
-        assert_eq!(la.csr_work(), &Csr::filtered(&g, la.backward_edges()));
+        let backward = la.backward_edges();
+        let by_edge_set = Csr::filtered(&g, |eid, _| backward.contains(&eid));
+        assert_eq!(la.csr_work(), &by_edge_set);
     }
 
     #[test]

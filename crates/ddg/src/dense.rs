@@ -1,7 +1,8 @@
 //! Dense, allocation-light graph representations: a u64-word bitset
 //! ([`NodeSet`]), a compressed-sparse-row adjacency ([`Csr`]) and index-based
 //! versions of the graph routines the pre-ordering phase leans on
-//! ([`search_all_paths`], [`reachable`], [`sort_asap`], [`sort_pala`]).
+//! ([`search_all_paths`], [`neighbour_region`], [`reachable`],
+//! [`sort_asap`], [`sort_pala`]).
 //!
 //! The routines began as generic versions over an adjacency trait, with
 //! per-call `HashMap`/`HashSet` allocations and `Vec<NodeId>` adjacency
@@ -14,26 +15,32 @@
 //!   deterministic ascending iteration (the dense analogue of a
 //!   `BTreeSet<NodeId>`);
 //! * [`Csr`] — an immutable compressed-sparse-row view of a [`Ddg`] with
-//!   deduplicated, sorted neighbour slices, optionally excluding a set of
-//!   edges (the backward edges of recurrence circuits) — the representation
+//!   deduplicated, sorted neighbour slices, optionally excluding some edges
+//!   (the backward edges of recurrence circuits), built into two flat
+//!   arrays per direction with no per-node allocation — the representation
 //!   dense subgraph-extraction schedulers use for repeated region queries;
 //! * [`DenseAdjacency`] — the minimal adjacency interface shared by [`Csr`]
-//!   and the dense work graph of `hrms-core`;
+//!   and the hypernode work graph of `hrms-core`, a view over a [`Csr`];
 //! * [`search_all_paths`] / [`reachable`] — the paper's `Search_All_Paths`
 //!   on bitsets (two BFS sweeps, no hashing);
+//! * [`neighbour_region`] — the one-sided `Search_All_Paths` of a
+//!   hypernode step: the hypernode's predecessors (successors) and every
+//!   node on a path from them to the hypernode (from it to them), on a
+//!   reused [`PathScratch`];
 //! * [`sort_asap`] / [`sort_pala`] — Kahn's algorithm on index arrays with a
 //!   binary min-heap ready list, producing exactly the same deterministic
 //!   order (sources first / sinks first, ties by node id) as the generic
-//!   sorts.
+//!   sorts, into a reused [`KahnScratch`].
 //!
 //! The generic versions live on in the dev-only `hrms-oracle` crate, whose
 //! equivalence tests check every routine here against its generic
 //! counterpart; the golden pre-order fingerprints of the workspace tests
 //! pin the orders these routines produce.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use crate::edge::EdgeId;
+use crate::edge::{Edge, EdgeId};
 use crate::graph::Ddg;
 use crate::node::NodeId;
 use crate::topo::CycleError;
@@ -45,10 +52,25 @@ use crate::topo::CycleError;
 /// Membership tests, insertion and removal are `O(1)` word operations;
 /// whole-set operations (union, intersection, difference, length, clear)
 /// are `O(bound / 64)` word sweeps.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct NodeSet {
     words: Vec<u64>,
     bound: usize,
+}
+
+impl Clone for NodeSet {
+    fn clone(&self) -> Self {
+        NodeSet {
+            words: self.words.clone(),
+            bound: self.bound,
+        }
+    }
+
+    /// Copies `source` into this set's allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.bound = source.bound;
+    }
 }
 
 impl NodeSet {
@@ -122,6 +144,14 @@ impl NodeSet {
         self.words.fill(0);
     }
 
+    /// Empties the set and makes it hold indices `0..bound`, reusing its
+    /// allocation.
+    pub fn reset(&mut self, bound: usize) {
+        self.words.clear();
+        self.words.resize(bound.div_ceil(64), 0);
+        self.bound = bound;
+    }
+
     /// The smallest member, if any.
     pub fn min(&self) -> Option<usize> {
         for (wi, &w) in self.words.iter().enumerate() {
@@ -138,6 +168,24 @@ impl NodeSet {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
         }
+    }
+
+    /// Whether the two sets share a member (same bound required); one
+    /// word test per word.
+    pub fn intersects(&self, other: &NodeSet) -> bool {
+        debug_assert_eq!(self.bound, other.bound);
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
+
+    /// Iterates over the members of both sets in ascending index order
+    /// (same bound required), without building the intersection.
+    pub fn intersection<'s>(&'s self, other: &'s NodeSet) -> impl Iterator<Item = usize> + 's {
+        debug_assert_eq!(self.bound, other.bound);
+        let words = self.words.iter().zip(&other.words).enumerate();
+        words.flat_map(|(wi, (a, b))| Bits {
+            word: a & b,
+            base: wi * 64,
+        })
     }
 
     /// Iterates over the members in ascending index order.
@@ -182,6 +230,25 @@ impl Iterator for NodeSetIter<'_> {
     }
 }
 
+/// The set bits of one word, ascending, offset by `base`.
+struct Bits {
+    word: u64,
+    base: usize,
+}
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.word == 0 {
+            return None;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
+}
+
 impl<'a> IntoIterator for &'a NodeSet {
     type Item = usize;
     type IntoIter = NodeSetIter<'a>;
@@ -211,8 +278,8 @@ pub trait DenseAdjacency {
 ///
 /// Parallel edges are collapsed and self-loops skipped (the pre-ordering
 /// only needs adjacency, not multiplicity, and self-loops never constrain
-/// it); neighbour slices are sorted ascending. Optionally a set of edges —
-/// the backward edges of recurrence circuits — is excluded, which makes the
+/// it); neighbour slices are sorted ascending. Optionally some edges — the
+/// backward edges of recurrence circuits — are excluded, which makes the
 /// represented graph acyclic for well-formed loop bodies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
@@ -224,41 +291,63 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds the full (deduplicated, self-loop-free) adjacency of `ddg` in
-    /// `O(|V| + |E| log d)` (the log factor from sorting each neighbour
-    /// row of degree `d`).
+    /// Builds the full (deduplicated, self-loop-free) adjacency of `ddg`;
+    /// see [`Csr::filtered`] for the cost.
     pub fn from_graph(ddg: &Ddg) -> Self {
-        Self::filtered(ddg, &HashSet::new())
+        Self::filtered(ddg, |_, _| false)
     }
 
-    /// Builds the adjacency of `ddg` excluding `dropped` edges (and
-    /// self-loops); same cost as [`Csr::from_graph`] plus one hash probe
-    /// per edge.
-    pub fn filtered(ddg: &Ddg, dropped: &HashSet<EdgeId>) -> Self {
+    /// Builds the adjacency of `ddg` without the edges `dropped` selects
+    /// (and without self-loops), in `O(|V| + |E| log d)` with four
+    /// allocations and none per node; the log factor is the sort of each
+    /// successor row of degree `d`.
+    ///
+    /// The successor rows are read off the graph's per-node out-edge lists
+    /// (themselves a counting sort of the edges by source) into one flat
+    /// array, and each row is sorted and deduplicated in place. The
+    /// predecessor rows are their transpose, built by a counting sort:
+    /// count each target, take prefix sums, then fill every row from its
+    /// end while the sources are visited in descending order, so each row
+    /// comes out ascending and, like the successor rows, free of
+    /// duplicates.
+    pub fn filtered(ddg: &Ddg, dropped: impl Fn(EdgeId, &Edge) -> bool) -> Self {
         let n = ddg.num_nodes();
-        let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut pred: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (eid, e) in ddg.edges() {
-            if e.is_self_loop() || dropped.contains(&eid) {
-                continue;
-            }
-            succ[e.source().index()].push(e.target().0);
-            pred[e.target().index()].push(e.source().0);
+        let mut succ_offsets = Vec::with_capacity(n + 1);
+        let mut succ_targets: Vec<u32> = Vec::with_capacity(ddg.num_edges());
+        succ_offsets.push(0u32);
+        for v in ddg.node_ids() {
+            let start = succ_targets.len();
+            let kept = ddg
+                .out_edges(v)
+                .filter(|&(eid, e)| !e.is_self_loop() && !dropped(eid, e));
+            succ_targets.extend(kept.map(|(_, e)| e.target().0));
+            let row = &mut succ_targets[start..];
+            row.sort_unstable();
+            let distinct = dedup_sorted(row);
+            succ_targets.truncate(start + distinct);
+            succ_offsets.push(succ_targets.len() as u32);
         }
-        let flatten = |rows: &mut Vec<Vec<u32>>| {
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut flat = Vec::new();
-            offsets.push(0u32);
-            for row in rows.iter_mut() {
-                row.sort_unstable();
-                row.dedup();
-                flat.extend_from_slice(row);
-                offsets.push(flat.len() as u32);
+
+        // `pred_offsets[t]` first counts `t`'s predecessors, then holds the
+        // end of its row, and after the fill the row's start.
+        let mut pred_offsets = vec![0u32; n + 1];
+        for &t in &succ_targets {
+            pred_offsets[t as usize] += 1;
+        }
+        let mut end = 0u32;
+        for offset in &mut pred_offsets {
+            end += *offset;
+            *offset = end;
+        }
+        let mut pred_sources = vec![0u32; succ_targets.len()];
+        for v in (0..n).rev() {
+            let row = succ_offsets[v] as usize..succ_offsets[v + 1] as usize;
+            for &t in &succ_targets[row] {
+                let slot = &mut pred_offsets[t as usize];
+                *slot -= 1;
+                pred_sources[*slot as usize] = v as u32;
             }
-            (offsets, flat)
-        };
-        let (succ_offsets, succ_targets) = flatten(&mut succ);
-        let (pred_offsets, pred_sources) = flatten(&mut pred);
+        }
         Csr {
             bound: n,
             succ_offsets,
@@ -287,6 +376,19 @@ impl Csr {
         self.succs(i).iter().any(|&t| set.contains(t as usize))
             || self.preds(i).iter().any(|&s| set.contains(s as usize))
     }
+}
+
+/// Moves the distinct values of the sorted `row` to its front and returns
+/// how many there are.
+fn dedup_sorted(row: &mut [u32]) -> usize {
+    let mut distinct = 0;
+    for i in 0..row.len() {
+        if distinct == 0 || row[distinct - 1] != row[i] {
+            row[distinct] = row[i];
+            distinct += 1;
+        }
+    }
+    distinct
 }
 
 impl DenseAdjacency for Csr {
@@ -368,18 +470,102 @@ pub fn search_all_paths<G: DenseAdjacency + ?Sized>(graph: &G, seeds: &[usize]) 
     result
 }
 
+/// Reusable buffers for [`neighbour_region`]: two bitsets and a stack,
+/// sized on first use and kept across the steps of one ordering.
+#[derive(Debug, Clone, Default)]
+pub struct PathScratch {
+    /// The hypernode's ancestors (or descendants).
+    side: NodeSet,
+    region: NodeSet,
+    stack: Vec<usize>,
+}
+
+impl PathScratch {
+    /// A fresh scratch; it grows to the bound of the graphs it is used
+    /// with.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The region a hypernode step absorbs: the predecessors of `h`
+/// (`Dir::Backward`) or its successors (`Dir::Forward`), together with
+/// every node on a path from one of them to `h` (from `h` to one of them).
+/// `h` itself is never a member.
+///
+/// On an acyclic graph this is the paper's `Search_All_Paths` over the
+/// neighbours and `h` ([`search_all_paths`] with `h` among the seeds),
+/// less `h`, but it searches one side only. For predecessors: a node on a
+/// path between two seeds that descends from `h` would close a cycle
+/// through `h`, so the region is the predecessors plus their descendants
+/// among the ancestors of `h`. The sweep first marks the ancestors of `h`,
+/// then walks forward from the predecessors without leaving them (a node
+/// on a path from a predecessor to an ancestor of `h` is itself one). The
+/// successor side is the mirror image. `O(|V| + |E|)` with no allocation
+/// once `scratch` has grown to the graph's bound.
+pub fn neighbour_region<'s, G: DenseAdjacency + ?Sized>(
+    graph: &G,
+    h: usize,
+    dir: Dir,
+    scratch: &'s mut PathScratch,
+) -> &'s NodeSet {
+    let PathScratch {
+        side,
+        region,
+        stack,
+    } = scratch;
+    let bound = graph.node_bound();
+    side.reset(bound);
+    region.reset(bound);
+    let toward_h = |v: usize, f: &mut dyn FnMut(usize)| match dir {
+        Dir::Backward => graph.for_each_pred(v, f),
+        Dir::Forward => graph.for_each_succ(v, f),
+    };
+    let away_from_h = |v: usize, f: &mut dyn FnMut(usize)| match dir {
+        Dir::Backward => graph.for_each_succ(v, f),
+        Dir::Forward => graph.for_each_pred(v, f),
+    };
+
+    stack.clear();
+    stack.push(h);
+    while let Some(v) = stack.pop() {
+        toward_h(v, &mut |w| {
+            if side.insert(w) {
+                stack.push(w);
+            }
+        });
+    }
+    toward_h(h, &mut |w| {
+        region.insert(w);
+        stack.push(w);
+    });
+    while let Some(v) = stack.pop() {
+        away_from_h(v, &mut |w| {
+            if side.contains(w) && region.insert(w) {
+                stack.push(w);
+            }
+        });
+    }
+    region.remove(h);
+    region
+}
+
 /// Reusable buffers for the dense Kahn sorts.
 ///
 /// The pre-ordering phase runs one topological sort per hypernode-reduction
 /// step — up to `O(|V|)` of them per loop — so zeroing a bound-sized degree
 /// array for every call would itself be quadratic. The scratch keeps the
 /// array across calls and invalidates stale entries with an epoch stamp
-/// instead of re-zeroing.
+/// instead of re-zeroing; the ready heap, the neighbour buffer and the
+/// sorted order it returns are kept too.
 #[derive(Debug, Clone, Default)]
 pub struct KahnScratch {
     degree: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
+    ready: BinaryHeap<Reverse<usize>>,
+    neighbours: Vec<usize>,
+    order: Vec<usize>,
 }
 
 impl KahnScratch {
@@ -401,6 +587,8 @@ impl KahnScratch {
             self.stamp.fill(0);
             self.epoch = 1;
         }
+        self.ready.clear();
+        self.order.clear();
     }
 
     #[inline]
@@ -424,17 +612,17 @@ impl KahnScratch {
 /// (`hrms_oracle::sort_asap`). Only edges
 /// with both endpoints in `subset` count. `O((V' + E') log V')` over the
 /// subset's `V'` nodes and `E'` induced edges (the log from the min-heap
-/// ready list); the caller's [`KahnScratch`] is reused across calls, so a
-/// hot loop allocates nothing but the result.
+/// ready list). The order is returned in the caller's [`KahnScratch`],
+/// which is reused across calls, so a hot loop allocates nothing.
 ///
 /// # Errors
 ///
 /// Returns [`CycleError`] if the induced subgraph is cyclic.
-pub fn sort_asap<G: DenseAdjacency + ?Sized>(
+pub fn sort_asap<'s, G: DenseAdjacency + ?Sized>(
     graph: &G,
     subset: &NodeSet,
-    scratch: &mut KahnScratch,
-) -> Result<Vec<usize>, CycleError> {
+    scratch: &'s mut KahnScratch,
+) -> Result<&'s [usize], CycleError> {
     kahn(graph, subset, Dir::Forward, scratch)
 }
 
@@ -445,28 +633,24 @@ pub fn sort_asap<G: DenseAdjacency + ?Sized>(
 /// # Errors
 ///
 /// Returns [`CycleError`] if the induced subgraph is cyclic.
-pub fn sort_pala<G: DenseAdjacency + ?Sized>(
+pub fn sort_pala<'s, G: DenseAdjacency + ?Sized>(
     graph: &G,
     subset: &NodeSet,
-    scratch: &mut KahnScratch,
-) -> Result<Vec<usize>, CycleError> {
+    scratch: &'s mut KahnScratch,
+) -> Result<&'s [usize], CycleError> {
     kahn(graph, subset, Dir::Backward, scratch)
 }
 
-fn kahn<G: DenseAdjacency + ?Sized>(
+fn kahn<'s, G: DenseAdjacency + ?Sized>(
     graph: &G,
     subset: &NodeSet,
     dir: Dir,
-    scratch: &mut KahnScratch,
-) -> Result<Vec<usize>, CycleError> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
+    scratch: &'s mut KahnScratch,
+) -> Result<&'s [usize], CycleError> {
     scratch.begin(graph.node_bound());
     let mut members = 0usize;
     // The ready heap always pops the smallest remaining index, which matches
     // the sorted ready list of the generic Kahn implementation exactly.
-    let mut ready: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
     for v in subset.iter() {
         members += 1;
         let mut d = 0u32;
@@ -481,37 +665,35 @@ fn kahn<G: DenseAdjacency + ?Sized>(
         }
         scratch.set(v, d);
         if d == 0 {
-            ready.push(Reverse(v));
+            scratch.ready.push(Reverse(v));
         }
     }
 
-    let mut order = Vec::with_capacity(members);
-    let mut nbuf: Vec<usize> = Vec::new();
-    while let Some(Reverse(v)) = ready.pop() {
-        order.push(v);
-        nbuf.clear();
-        {
-            let mut collect = |w: usize| {
-                if w != v && subset.contains(w) {
-                    nbuf.push(w);
-                }
-            };
-            match dir {
-                Dir::Forward => graph.for_each_succ(v, &mut collect),
-                Dir::Backward => graph.for_each_pred(v, &mut collect),
+    while let Some(Reverse(v)) = scratch.ready.pop() {
+        scratch.order.push(v);
+        let mut neighbours = std::mem::take(&mut scratch.neighbours);
+        neighbours.clear();
+        let mut collect = |w: usize| {
+            if w != v && subset.contains(w) {
+                neighbours.push(w);
             }
+        };
+        match dir {
+            Dir::Forward => graph.for_each_succ(v, &mut collect),
+            Dir::Backward => graph.for_each_pred(v, &mut collect),
         }
-        for &w in &nbuf {
+        for &w in &neighbours {
             let d = scratch.get(w) - 1;
             scratch.set(w, d);
             if d == 0 {
-                ready.push(Reverse(w));
+                scratch.ready.push(Reverse(w));
             }
         }
+        scratch.neighbours = neighbours;
     }
 
-    if order.len() != members {
-        let placed = NodeSet::from_indices(graph.node_bound(), order.iter().copied());
+    if scratch.order.len() != members {
+        let placed = NodeSet::from_indices(graph.node_bound(), scratch.order.iter().copied());
         let stuck: Vec<NodeId> = subset
             .iter()
             .filter(|&v| !placed.contains(v))
@@ -519,7 +701,7 @@ fn kahn<G: DenseAdjacency + ?Sized>(
             .collect();
         return Err(CycleError { stuck });
     }
-    Ok(order)
+    Ok(&scratch.order)
 }
 
 #[cfg(test)]
@@ -569,6 +751,21 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 70]);
+        assert_eq!(a.intersection(&b).collect::<Vec<_>>(), vec![2, 70]);
+        assert!(a.intersects(&b));
+        assert!(!a.intersects(&NodeSet::from_indices(128, [0, 99])));
+    }
+
+    #[test]
+    fn nodeset_reset_and_clone_from_reuse_the_set() {
+        let mut s = NodeSet::from_indices(70, [3, 69]);
+        s.reset(200);
+        assert!(s.is_empty());
+        assert_eq!(s.bound(), 200);
+        s.insert(199);
+        let mut copy = NodeSet::new(10);
+        copy.clone_from(&s);
+        assert_eq!(copy, s);
     }
 
     /// A small irregular DAG plus one cycle, used by the equivalence tests.
@@ -630,13 +827,9 @@ mod tests {
     #[test]
     fn csr_filtered_drops_the_requested_edges() {
         let g = sample();
-        let dropped: HashSet<EdgeId> = g
-            .edges()
-            .filter(|(_, e)| e.distance() > 0)
-            .map(|(eid, _)| eid)
-            .collect();
-        let csr = Csr::filtered(&g, &dropped);
+        let csr = Csr::filtered(&g, |_, e| e.distance() > 0);
         assert!(csr.succs(6).iter().all(|&t| t != 0), "6 -> 0 was dropped");
+        assert!(csr.preds(0).is_empty(), "and so was 0 <- 6");
         assert!(csr.succs(9).is_empty(), "self loop always skipped");
     }
 

@@ -176,6 +176,12 @@ impl Ddg {
             .map(move |&eid| (eid, &self.edges[eid.index()]))
     }
 
+    /// The ids of the outgoing edges of `id`, in edge-id order.
+    #[inline]
+    pub(crate) fn out_edge_ids(&self, id: NodeId) -> &[EdgeId] {
+        self.out_edges.of(id)
+    }
+
     /// Incoming edges of `id`.
     #[inline]
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {

@@ -26,27 +26,20 @@ pub fn strongly_connected_components(ddg: &Ddg) -> Vec<Vec<NodeId>> {
     let mut next_index = 0usize;
     let mut components: Vec<Vec<NodeId>> = Vec::new();
 
-    // Explicit DFS state: (node, iterator position over successors, came_from)
+    // Explicit DFS state: the node and the position of the next edge to
+    // follow in its out-edge list. Tarjan is insensitive to duplicate
+    // targets (revisiting an indexed node only re-runs a lowlink min), so
+    // the raw edge list serves as the successor list.
     struct Frame {
         v: usize,
-        succ_pos: usize,
-        succs: Vec<usize>,
+        next_edge: usize,
     }
+    let mut call_stack: Vec<Frame> = Vec::new();
 
     for start in 0..n {
         if index[start] != UNVISITED {
             continue;
         }
-        // Raw edge targets, not `Ddg::successors`: Tarjan is insensitive to
-        // duplicate targets (revisiting an indexed node only re-runs a
-        // lowlink min), so the per-node dedup HashSet would be pure
-        // overhead on this hot path.
-        let raw_succs = |v: usize| -> Vec<usize> {
-            ddg.out_edges(NodeId::from_index(v))
-                .map(|(_, e)| e.target().index())
-                .collect()
-        };
-        let mut call_stack: Vec<Frame> = Vec::new();
         index[start] = next_index;
         lowlink[start] = next_index;
         next_index += 1;
@@ -54,26 +47,22 @@ pub fn strongly_connected_components(ddg: &Ddg) -> Vec<Vec<NodeId>> {
         on_stack[start] = true;
         call_stack.push(Frame {
             v: start,
-            succ_pos: 0,
-            succs: raw_succs(start),
+            next_edge: 0,
         });
 
         while let Some(frame) = call_stack.last_mut() {
             let v = frame.v;
-            if frame.succ_pos < frame.succs.len() {
-                let w = frame.succs[frame.succ_pos];
-                frame.succ_pos += 1;
+            let out = ddg.out_edge_ids(NodeId::from_index(v));
+            if let Some(&eid) = out.get(frame.next_edge) {
+                frame.next_edge += 1;
+                let w = ddg.edge(eid).target().index();
                 if index[w] == UNVISITED {
                     index[w] = next_index;
                     lowlink[w] = next_index;
                     next_index += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    call_stack.push(Frame {
-                        v: w,
-                        succ_pos: 0,
-                        succs: raw_succs(w),
-                    });
+                    call_stack.push(Frame { v: w, next_edge: 0 });
                 } else if on_stack[w] {
                     lowlink[v] = lowlink[v].min(index[w]);
                 }

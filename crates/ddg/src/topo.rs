@@ -1,6 +1,8 @@
 //! Latency-weighted levels ([`TopoLevels`]) and [`CycleError`], the error
 //! of the topological sorts in [`crate::dense`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -96,38 +98,36 @@ impl TopoLevels {
     }
 }
 
-/// Topological order over distance-0 edges only.
+/// Topological order over distance-0 edges only, smallest ready index
+/// first: the ready nodes sit in a min-heap.
 fn zero_distance_topo(ddg: &Ddg) -> Result<Vec<NodeId>, CycleError> {
     let n = ddg.num_nodes();
+    let intra = |e: &crate::edge::Edge| e.distance() == 0 && !e.is_self_loop();
     let mut indeg = vec![0usize; n];
     for (_, e) in ddg.edges() {
-        if e.distance() == 0 && !e.is_self_loop() {
+        if intra(e) {
             indeg[e.target().index()] += 1;
         }
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    ready.sort();
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(v) = ready.first().copied() {
-        ready.remove(0);
+    while let Some(Reverse(v)) = ready.pop() {
         order.push(NodeId::from_index(v));
-        let mut newly = Vec::new();
         for (_, e) in ddg.out_edges(NodeId::from_index(v)) {
-            if e.distance() == 0 && !e.is_self_loop() {
+            if intra(e) {
                 let t = e.target().index();
                 indeg[t] -= 1;
                 if indeg[t] == 0 {
-                    newly.push(t);
+                    ready.push(Reverse(t));
                 }
             }
         }
-        ready.extend(newly);
-        ready.sort();
     }
     if order.len() != n {
         let stuck = (0..n)
+            .filter(|&v| indeg[v] > 0)
             .map(NodeId::from_index)
-            .filter(|v| !order.contains(v))
             .collect();
         return Err(CycleError { stuck });
     }

@@ -8,17 +8,21 @@
 //! restrictive (highest `RecMII`) first, so that recurrences are never
 //! stretched.
 //!
-//! Since the dense-representation rewrite, the phase runs entirely on the
-//! index/bitset machinery of [`hrms_ddg::dense`]: the loop's adjacency is
-//! materialised once as a CSR with the backward edges of recurrence circuits
-//! removed, each weakly connected component gets a bitset [`WorkGraph`]
-//! carved out of it, and every `Search_All_Paths` / `Sort_ASAP` /
-//! `Sort_PALA` / reduction step is a word-level operation — restoring the
-//! `O(|V| + |E|)` per-step footprint the paper claims in footnote 2. The
-//! orderings are pinned by golden fingerprints
-//! (`tests/golden/preorder_fingerprints.txt`).
+//! The phase runs on the index/bitset machinery of [`hrms_ddg::dense`]. The
+//! loop's adjacency is built once, as a CSR with the backward edges of
+//! recurrence circuits removed (`LoopAnalysis::csr_work`), and the weakly
+//! connected components are labelled in one pass over the full CSR. Each
+//! component's [`WorkGraph`] is a view of four bitsets over the work CSR,
+//! and one scratch per call holds it, the copy each recurrence region is
+//! ordered in, the path-search bitsets and stack, and the Kahn heap, order
+//! and buffers. A reduction step is then a one-sided path search
+//! ([`dense::neighbour_region`]), a sort and a few word operations, with
+//! no allocation once the scratch has grown — the `O(|V| + |E|)` per-step
+//! footprint the paper claims in footnote 2. The orderings are pinned by
+//! golden fingerprints (`tests/golden/preorder_fingerprints.txt`) and by
+//! the per-corpus digests of `tests/golden/corpus_digests.txt`.
 
-use hrms_ddg::dense::KahnScratch;
+use hrms_ddg::dense::{DenseAdjacency, Dir, KahnScratch, PathScratch};
 use hrms_ddg::{dense, Csr, LoopAnalysis, NodeId, NodeSet};
 use hrms_modsched::StartHint;
 
@@ -69,131 +73,114 @@ pub fn pre_order(la: &LoopAnalysis<'_>) -> PreOrdering {
 
 /// Pre-orders the nodes of the analysed loop.
 ///
-/// The returned order contains every node exactly once. Graphs whose
-/// zero-distance subgraph is cyclic (invalid loop bodies) are still ordered
-/// — the order degenerates towards program order — but the scheduling step
-/// will subsequently reject them when computing the MII.
+/// The returned order contains every node exactly once. A loop with a
+/// zero-distance dependence cycle (an invalid loop body, whose `RecMII`
+/// is `None`) is returned in program order, with no recurrence subgraph:
+/// such a cycle is the only way the work graph can be cyclic, and every
+/// scheduler rejects the loop when it computes the MII.
 ///
-/// The recurrence circuits, backward edges and both CSR adjacencies come
-/// from (and are cached in) `la`, so the pre-ordering itself is pure index
+/// The recurrence groups and both CSR adjacencies come from (and are
+/// cached in) `la`, so the pre-ordering itself is pure index
 /// manipulation; callers that also compute the MII or drive the scheduling
 /// step hand the same [`LoopAnalysis`] to every phase and Tarjan plus the
 /// CSR construction run once per loop.
 pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOrdering {
     let ddg = la.ddg();
+    let bound = ddg.num_nodes();
+    // The full, undropped adjacency: it defines the weakly connected
+    // components, and it finds reference operations for nodes only
+    // connected through dropped edges.
+    let full_csr = la.csr_full();
+    let components = Components::of(full_csr);
+    if la.rec_mii().is_none() {
+        return PreOrdering {
+            order: ddg.node_ids().collect(),
+            components: components.len(),
+            recurrence_subgraphs: 0,
+            truncated: false,
+        };
+    }
     // The enumeration-free recurrence analysis: polynomial in the graph
     // size whatever the density of the SCCs, never truncated.
     let rec_info = la.recurrence_groups();
     let simplified = rec_info.simplified_node_lists();
-    let bound = ddg.num_nodes();
 
-    // The acyclic work adjacency (backward edges removed) and the full,
-    // undropped adjacency (used to find reference operations for nodes only
-    // connected through dropped edges).
-    let work_csr = la.csr_work();
-    let full_csr = la.csr_full();
-
-    // Components ordered by the most restrictive recurrence they contain.
-    let mut components = ddg.connected_components();
-    let component_priority: Vec<u64> = components
-        .iter()
-        .map(|comp| {
-            let members = NodeSet::from_indices(bound, comp.iter().map(|n| n.index()));
-            rec_info
-                .groups
-                .iter()
-                .filter(|sg| sg.nodes.iter().all(|n| members.contains(n.index())))
-                .map(|sg| sg.rec_mii)
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
+    // Components ordered by the most restrictive recurrence they contain,
+    // then by their smallest node.
+    let mut priority = vec![0u64; components.len()];
+    for group in &rec_info.groups {
+        let c = components.of_node(group.nodes[0]);
+        if group.nodes.iter().all(|&n| components.of_node(n) == c) {
+            priority[c] = priority[c].max(group.rec_mii);
+        }
+    }
     let mut component_order: Vec<usize> = (0..components.len()).collect();
-    component_order.sort_by(|&a, &b| {
-        component_priority[b]
-            .cmp(&component_priority[a])
-            .then_with(|| components[a][0].cmp(&components[b][0]))
-    });
-    let num_components = components.len();
+    component_order.sort_by_key(|&c| std::cmp::Reverse(priority[c]));
 
     let mut order: Vec<NodeId> = Vec::with_capacity(bound);
     let mut ordered = NodeSet::new(bound);
-    let mut scratch = KahnScratch::new();
+    let mut scratch = Scratch {
+        full_csr,
+        temp: None,
+        region: NodeSet::new(bound),
+        paths: PathScratch::new(),
+        kahn: KahnScratch::new(),
+    };
+    let mut work = WorkGraph::new(la.csr_work(), &[]);
     let mut recurrence_subgraphs = 0usize;
 
     for ci in component_order {
-        let component = std::mem::take(&mut components[ci]);
-        let member_set = NodeSet::from_indices(bound, component.iter().map(|n| n.index()));
-        let mut work = WorkGraph::from_csr(work_csr, &component);
+        let component = components.members(ci);
+        work.reset(component);
 
         // Recurrence subgraph node lists that live in this component,
         // already sorted by decreasing RecMII by `simplified_node_lists`.
-        let lists: Vec<&Vec<NodeId>> = simplified
-            .iter()
-            .filter(|l| member_set.contains(l[0].index()))
-            .collect();
+        let mut lists = simplified.iter().filter(|l| components.of_node(l[0]) == ci);
 
-        let h = if let Some(first_list) = lists.first() {
-            recurrence_subgraphs += lists.len();
+        let h = if let Some(first_list) = lists.next() {
             // --- Ordering_Recurrences (Section 3.2) ---
             let h = first_list[0];
             push(&mut order, &mut ordered, h);
             // Order the most restrictive recurrence subgraph on its own.
-            let region = NodeSet::from_indices(bound, first_list.iter().map(|n| n.index()));
-            order_region(
-                &mut work,
-                &region,
-                h,
-                &mut order,
-                &mut ordered,
-                full_csr,
-                &mut scratch,
-            );
+            let mut region = std::mem::take(&mut scratch.region);
+            region.clear();
+            for n in first_list {
+                region.insert(n.index());
+            }
+            scratch.order_region(&mut work, &region, h, &mut order, &mut ordered);
+            scratch.region = region;
+            recurrence_subgraphs += 1;
 
             // Then bring in the remaining recurrence subgraphs one by one,
             // together with the nodes on paths connecting them to the
             // hypernode.
-            for list in lists.iter().skip(1) {
+            for list in lists {
                 let mut seeds: Vec<usize> = vec![h.index()];
                 seeds.extend(list.iter().map(|n| n.index()));
                 let mut region = dense::search_all_paths(&work, &seeds);
-                for n in list.iter() {
+                for n in list {
                     region.insert(n.index());
                 }
                 region.insert(h.index());
-                order_region(
-                    &mut work,
-                    &region,
-                    h,
-                    &mut order,
-                    &mut ordered,
-                    full_csr,
-                    &mut scratch,
-                );
+                scratch.order_region(&mut work, &region, h, &mut order, &mut ordered);
+                recurrence_subgraphs += 1;
             }
             h
         } else {
             // No recurrences: pick the initial hypernode per policy.
-            let h = start_node(options.start_node, &component);
+            let h = start_node(options.start_node, component);
             push(&mut order, &mut ordered, h);
             h
         };
 
         // Order whatever is left of the component around the hypernode
         // (Section 3.1).
-        pre_order_connected(
-            &mut work,
-            h,
-            &mut order,
-            &mut ordered,
-            full_csr,
-            &mut scratch,
-        );
+        scratch.pre_order_connected(&mut work, h, &mut order, &mut ordered);
     }
 
     PreOrdering {
         order,
-        components: num_components,
+        components: components.len(),
         recurrence_subgraphs,
         truncated: false,
     }
@@ -204,116 +191,193 @@ fn push(order: &mut Vec<NodeId>, ordered: &mut NodeSet, n: NodeId) {
     ordered.insert(n.index());
 }
 
-/// Orders the sub-region `region` (which includes the hypernode `h`) of
-/// `work` around `h`: generates the restricted subgraph, runs the
-/// recurrence-free pre-ordering on it, and reduces the whole region into `h`
-/// in the main work graph.
-fn order_region(
-    work: &mut WorkGraph,
-    region: &NodeSet,
-    h: NodeId,
-    order: &mut Vec<NodeId>,
-    ordered: &mut NodeSet,
-    full_csr: &Csr,
-    scratch: &mut KahnScratch,
-) {
-    let mut temp = work.restricted_set(region);
-    temp.ensure_node(h);
-    pre_order_connected(&mut temp, h, order, ordered, full_csr, scratch);
-    let mut others = region.clone();
-    others.remove(h.index());
-    work.reduce_set(&others, h);
+/// The weakly connected components of a loop, labelled in one pass over
+/// its full CSR and numbered in order of their smallest node, with the
+/// members of each in one flat ascending array.
+struct Components {
+    /// Component number per node.
+    label: Vec<u32>,
+    /// Component `c`'s members are `members[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    members: Vec<NodeId>,
 }
 
-/// The paper's `Pre_Ordering` function (Figure 5) for graphs without
-/// recurrence circuits, operating on an acyclic [`WorkGraph`]: alternately
-/// absorbs the hypernode's predecessors (with all nodes on paths among them,
-/// in PALA order) and successors (in ASAP order) until nothing is adjacent,
-/// then falls back to pulling in a remaining node (this covers the paper's
-/// "no path between the hypernode and the next recurrence circuit" case as
-/// well as disconnected leftovers). The fallback prefers the lowest-numbered
-/// remaining node with an already-ordered neighbour in the *undropped*
-/// graph, so that every such node still has a reference operation for the
-/// scheduler's placement windows; only truly disconnected leftovers are
-/// absorbed by plain lowest-number order.
-fn pre_order_connected(
-    work: &mut WorkGraph,
-    h: NodeId,
-    order: &mut Vec<NodeId>,
-    ordered: &mut NodeSet,
-    full_csr: &Csr,
-    scratch: &mut KahnScratch,
-) {
-    let hi = h.index();
-    loop {
-        if !work.pred_row(hi).is_empty() {
-            let region = neighbour_region(work, hi, Side::Preds);
-            let sorted = dense::sort_pala(work, &region, scratch)
-                .expect("the work graph is acyclic once backward edges are removed");
-            work.reduce_set(&region, h);
-            for i in sorted {
-                push(order, ordered, NodeId::from_index(i));
+impl Components {
+    fn of(csr: &Csr) -> Self {
+        let n = csr.node_bound();
+        let mut label = vec![u32::MAX; n];
+        let mut count = 0u32;
+        let mut stack = Vec::new();
+        for first in 0..n {
+            if label[first] != u32::MAX {
+                continue;
             }
+            label[first] = count;
+            stack.push(first);
+            while let Some(v) = stack.pop() {
+                for &w in csr.succs(v).iter().chain(csr.preds(v)) {
+                    if label[w as usize] == u32::MAX {
+                        label[w as usize] = count;
+                        stack.push(w as usize);
+                    }
+                }
+            }
+            count += 1;
         }
+        // A counting sort of the nodes by label: `start[c]` first counts
+        // component `c`, then holds the end of its run, and after the
+        // descending fill its start.
+        let mut start = vec![0u32; count as usize + 1];
+        for &c in &label {
+            start[c as usize] += 1;
+        }
+        let mut end = 0;
+        for slot in &mut start {
+            end += *slot;
+            *slot = end;
+        }
+        let mut members = vec![NodeId(0); n];
+        for v in (0..n).rev() {
+            let slot = &mut start[label[v] as usize];
+            *slot -= 1;
+            members[*slot as usize] = NodeId::from_index(v);
+        }
+        Components {
+            label,
+            start,
+            members,
+        }
+    }
 
-        if !work.succ_row(hi).is_empty() {
-            let region = neighbour_region(work, hi, Side::Succs);
-            let sorted = dense::sort_asap(work, &region, scratch)
-                .expect("the work graph is acyclic once backward edges are removed");
-            work.reduce_set(&region, h);
-            for i in sorted {
-                push(order, ordered, NodeId::from_index(i));
-            }
-        }
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
 
-        if work.pred_row(hi).is_empty() && work.succ_row(hi).is_empty() {
-            if work.len() <= 1 {
-                break;
-            }
-            // Disconnected remainder (paper, Section 3.2, last paragraph of
-            // the recurrence-ordering description).
-            let next = work
-                .live()
-                .iter()
-                .filter(|&i| i != hi)
-                .find(|&i| full_csr.has_neighbour_in(i, ordered))
-                .or_else(|| work.live().iter().find(|&i| i != hi))
-                .expect("len > 1 guarantees another node");
-            let next = NodeId::from_index(next);
-            push(order, ordered, next);
-            work.reduce(&[next], h);
-        }
+    fn of_node(&self, n: NodeId) -> usize {
+        self.label[n.index()] as usize
+    }
+
+    fn members(&self, c: usize) -> &[NodeId] {
+        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
     }
 }
 
-/// Which side of the hypernode is being absorbed.
-#[derive(Clone, Copy)]
-enum Side {
-    Preds,
-    Succs,
+/// What one ordering reuses from step to step: the work-graph copy each
+/// recurrence region is ordered in, a region bitset, the path-search
+/// bitsets and stack, and the Kahn heap, order and buffers.
+struct Scratch<'a> {
+    full_csr: &'a Csr,
+    temp: Option<WorkGraph<'a>>,
+    region: NodeSet,
+    paths: PathScratch,
+    kahn: KahnScratch,
 }
 
-/// The region absorbed together with the hypernode's predecessors
-/// (successors): the neighbours themselves plus every node lying on a path
-/// among them **or between them and the hypernode**.
-///
-/// Including the hypernode as a path-search seed is essential: once the
-/// hypernode has absorbed several original operations, a node can be
-/// simultaneously a (transitive) successor of one absorbed operation and a
-/// (transitive) predecessor of a neighbour being absorbed now. Ordering it
-/// together with that neighbour keeps the paper's invariant — no operation
-/// is scheduled after both a predecessor and a successor have already been
-/// placed on opposite, too-tight sides.
-fn neighbour_region(work: &WorkGraph, hi: usize, side: Side) -> NodeSet {
-    let row = match side {
-        Side::Preds => work.pred_row(hi),
-        Side::Succs => work.succ_row(hi),
-    };
-    let mut seeds: Vec<usize> = row.iter().map(|&x| x as usize).collect();
-    seeds.push(hi);
-    let mut region = dense::search_all_paths(work, &seeds);
-    region.remove(hi);
-    region
+impl<'a> Scratch<'a> {
+    /// Orders the sub-region `region` (which includes the hypernode `h`) of
+    /// `work` around `h`: generates the restricted subgraph, runs the
+    /// recurrence-free pre-ordering on it, and reduces the whole region
+    /// into `h` in the main work graph.
+    fn order_region(
+        &mut self,
+        work: &mut WorkGraph<'a>,
+        region: &NodeSet,
+        h: NodeId,
+        order: &mut Vec<NodeId>,
+        ordered: &mut NodeSet,
+    ) {
+        let mut temp = match self.temp.take() {
+            Some(mut temp) => {
+                temp.clone_from(work);
+                temp
+            }
+            None => work.clone(),
+        };
+        temp.restrict(region);
+        debug_assert!(temp.live().contains(h.index()));
+        self.pre_order_connected(&mut temp, h, order, ordered);
+        self.temp = Some(temp);
+        work.reduce_set(region, h);
+    }
+
+    /// The paper's `Pre_Ordering` function (Figure 5) for graphs without
+    /// recurrence circuits, operating on an acyclic [`WorkGraph`]:
+    /// alternately absorbs the hypernode's predecessors (with all nodes on
+    /// paths from them to the hypernode, in PALA order) and successors (in
+    /// ASAP order) until nothing is adjacent, then falls back to pulling in
+    /// a remaining node (this covers the paper's "no path between the
+    /// hypernode and the next recurrence circuit" case as well as
+    /// disconnected leftovers). The fallback prefers the lowest-numbered
+    /// remaining node with an already-ordered neighbour in the *undropped*
+    /// graph, so that every such node still has a reference operation for
+    /// the scheduler's placement windows; only truly disconnected leftovers
+    /// are absorbed by plain lowest-number order.
+    fn pre_order_connected(
+        &mut self,
+        work: &mut WorkGraph<'a>,
+        h: NodeId,
+        order: &mut Vec<NodeId>,
+        ordered: &mut NodeSet,
+    ) {
+        let hi = h.index();
+        loop {
+            if work.has_preds(hi) {
+                self.absorb_side(work, h, Dir::Backward, order, ordered);
+            }
+            if work.has_succs(hi) {
+                self.absorb_side(work, h, Dir::Forward, order, ordered);
+            }
+            if !work.has_preds(hi) && !work.has_succs(hi) {
+                if work.len() <= 1 {
+                    break;
+                }
+                // Disconnected remainder (paper, Section 3.2, last
+                // paragraph of the recurrence-ordering description).
+                let next = work
+                    .live()
+                    .iter()
+                    .filter(|&i| i != hi)
+                    .find(|&i| self.full_csr.has_neighbour_in(i, ordered))
+                    .or_else(|| work.live().iter().find(|&i| i != hi))
+                    .expect("len > 1 guarantees another node");
+                let next = NodeId::from_index(next);
+                push(order, ordered, next);
+                work.reduce(&[next], h);
+            }
+        }
+    }
+
+    /// One reduction step: the hypernode's predecessors (`Dir::Backward`,
+    /// sinks first) or successors (`Dir::Forward`, sources first) with
+    /// every node on a path between them and the hypernode
+    /// ([`dense::neighbour_region`]) are ordered and reduced into it.
+    ///
+    /// Including the paths to the hypernode is essential: once the
+    /// hypernode has absorbed several original operations, a node can be a
+    /// (transitive) predecessor of a neighbour being absorbed now and a
+    /// (transitive) successor of another. Ordering it together with that
+    /// neighbour keeps the paper's invariant — no operation is scheduled
+    /// after both a predecessor and a successor have already been placed
+    /// on opposite, too-tight sides.
+    fn absorb_side(
+        &mut self,
+        work: &mut WorkGraph<'a>,
+        h: NodeId,
+        side: Dir,
+        order: &mut Vec<NodeId>,
+        ordered: &mut NodeSet,
+    ) {
+        let region = dense::neighbour_region(work, h.index(), side, &mut self.paths);
+        let sorted = match side {
+            Dir::Backward => dense::sort_pala(work, region, &mut self.kahn),
+            Dir::Forward => dense::sort_asap(work, region, &mut self.kahn),
+        }
+        .expect("the work graph is acyclic once backward edges are removed");
+        work.reduce_set(region, h);
+        for &i in sorted {
+            push(order, ordered, NodeId::from_index(i));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -578,6 +642,24 @@ mod tests {
             .map(|&n| g2.node(n).name().to_string())
             .collect();
         assert_eq!(names, vec!["A", "B", "C", "D", "F", "E", "G"]);
+    }
+
+    #[test]
+    fn a_zero_distance_cycle_gives_program_order() {
+        // Distance-0 edges n1 -> n2, n2 -> n0, n0 -> n2 and n2 -> n1: the
+        // work graph keeps both cycles, which no hypernode step can sort.
+        let mut b = DdgBuilder::new("zero_distance");
+        let ids: Vec<NodeId> = (0..3)
+            .map(|i| b.node(format!("n{i}"), OpKind::FpAdd, 1))
+            .collect();
+        for (s, t) in [(1, 2), (2, 0), (0, 2), (2, 1)] {
+            b.edge(ids[s], ids[t], DepKind::RegFlow, 0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let p = pre_order(&LoopAnalysis::analyze(&g));
+        assert_eq!(p.order, ids);
+        assert_eq!(p.components, 1);
+        assert_eq!(p.recurrence_subgraphs, 0);
     }
 
     #[test]

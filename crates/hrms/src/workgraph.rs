@@ -1,20 +1,29 @@
 //! The mutable working graph on which hypernode reduction operates.
 //!
-//! Since the dense-representation rewrite this graph stores its live set as
-//! a u64-word bitset ([`hrms_ddg::NodeSet`]) and its per-node adjacency as
-//! sorted index vectors (`Vec<u32>`) keyed by the original dense node ids,
-//! instead of `HashMap<NodeId, BTreeSet<NodeId>>`. Reduction is `O(degree)`
-//! per reduced node, adjacency iteration is `O(degree)` with no hashing and
-//! no per-query allocation, and path search / topological sorts run on the
-//! index machinery of [`hrms_ddg::dense`] — the representation dense
-//! subgraph-extraction schedulers use to make repeated region queries scale.
-//! Traversal is deterministic: rows and the live set iterate in ascending
-//! node id order.
+//! The work graph is a view over the loop's backward-edge-free
+//! [`Csr`] (`LoopAnalysis::csr_work`) made of four bitsets
+//! ([`hrms_ddg::NodeSet`]) and nothing else:
+//!
+//! * the *live* nodes, still to be absorbed;
+//! * the *absorbed* nodes, reduced into the hypernode;
+//! * the static successors and the static predecessors of the hypernode
+//!   and of every node absorbed into it: the union of their CSR rows.
+//!
+//! A live node's neighbours are its CSR row with every absorbed entry
+//! mapped to the hypernode, deduplicated and in ascending order; the
+//! hypernode's are the live members of its two neighbour sets. A
+//! reduction moves nodes from the live set to the absorbed set and ORs
+//! their CSR rows into the hypernode's sets, in `O(Σ degree)` word
+//! operations with no allocation, and a restricted copy copies the four
+//! bitsets. Every reduction of one work graph goes into the same
+//! hypernode: the pre-ordering grows one hypernode per component.
+//! Traversal is deterministic and ascending, and path search and
+//! topological sorts run on the index machinery of [`hrms_ddg::dense`].
 
 use hrms_ddg::dense::DenseAdjacency;
-use hrms_ddg::{Csr, Ddg, NodeId, NodeSet};
+use hrms_ddg::{Csr, NodeId, NodeSet};
 
-/// A mutable directed graph over a subset of a [`Ddg`]'s nodes, supporting
+/// A mutable directed graph over a subset of a loop's nodes, supporting
 /// the *hypernode reduction* operation of the paper (Section 3.1):
 ///
 /// > The reduction of a set of nodes to the Hypernode consists of deleting
@@ -25,92 +34,86 @@ use hrms_ddg::{Csr, Ddg, NodeId, NodeSet};
 ///
 /// The hypernode is identified by the node id it started from; after a
 /// reduction the reduced nodes disappear from the graph and their external
-/// edges are re-attached to the hypernode. Parallel edges collapse (the
+/// edges are attached to the hypernode. Parallel edges collapse (the
 /// pre-ordering only needs adjacency, not multiplicity), and dependence
-/// distances are irrelevant here — the work graph is built with the backward
-/// edges of every recurrence already removed, so it is acyclic.
-#[derive(Debug, Clone)]
-pub struct WorkGraph {
-    /// The live nodes.
+/// distances are irrelevant here — the underlying CSR has the backward
+/// edges of every recurrence removed, so it is acyclic.
+#[derive(Debug)]
+pub struct WorkGraph<'a> {
+    csr: &'a Csr,
+    /// The nodes still present.
     live: NodeSet,
     /// Number of live nodes (kept incrementally; `NodeSet::len` is a
     /// popcount).
     len: usize,
-    /// Successor rows, indexed by node id: sorted, deduplicated index
-    /// vectors. Rows of dead nodes are empty and live rows only ever contain
-    /// live nodes.
-    succs: Vec<Vec<u32>>,
-    /// Predecessor rows, symmetric to `succs`.
-    preds: Vec<Vec<u32>>,
-    /// Upper bound on node ids (from the original graph).
-    bound: usize,
+    /// The nodes reduced into the hypernode.
+    absorbed: NodeSet,
+    /// The node every reduction goes into, once there has been one.
+    hypernode: Option<usize>,
+    /// The CSR successors of the hypernode and of every absorbed node,
+    /// never the hypernode itself.
+    hyper_succs: NodeSet,
+    /// The CSR predecessors of the same nodes, never the hypernode.
+    hyper_preds: NodeSet,
 }
 
-/// Inserts `x` into a sorted, deduplicated row.
-#[inline]
-fn row_insert(row: &mut Vec<u32>, x: u32) {
-    if let Err(pos) = row.binary_search(&x) {
-        row.insert(pos, x);
-    }
-}
-
-/// Removes `x` from a sorted row if present.
-#[inline]
-fn row_remove(row: &mut Vec<u32>, x: u32) {
-    if let Ok(pos) = row.binary_search(&x) {
-        row.remove(pos);
-    }
-}
-
-impl WorkGraph {
-    /// Builds a work graph containing `members` and every edge of `ddg`
-    /// whose endpoints are both in `members`, **excluding** the edges listed
-    /// in `dropped_edges` (the backward edges of recurrence circuits) and
-    /// self-loops.
-    pub fn new(
-        ddg: &Ddg,
-        members: &[NodeId],
-        dropped_edges: &std::collections::HashSet<hrms_ddg::EdgeId>,
-    ) -> Self {
-        let csr = Csr::filtered(ddg, dropped_edges);
-        Self::from_csr(&csr, members)
-    }
-
-    /// Builds a work graph over `members` from a pre-built (already
-    /// backward-edge-filtered) [`Csr`] adjacency, in
-    /// `O(bound + Σ degree(members))`. The pre-ordering driver builds the
-    /// CSR once per loop and carves one work graph per weakly connected
-    /// component out of it.
-    pub fn from_csr(csr: &Csr, members: &[NodeId]) -> Self {
-        let bound = csr.node_bound();
-        let mut live = NodeSet::new(bound);
-        for &m in members {
-            live.insert(m.index());
-        }
-        let len = live.len();
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); bound];
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); bound];
-        for m in live.iter() {
-            // CSR rows are sorted and deduplicated, so the filtered copies
-            // are too; predecessor rows receive ascending `m`, keeping them
-            // sorted as well.
-            succs[m] = csr
-                .succs(m)
-                .iter()
-                .copied()
-                .filter(|&t| live.contains(t as usize))
-                .collect();
-            for &t in &succs[m] {
-                preds[t as usize].push(m as u32);
-            }
-        }
+impl Clone for WorkGraph<'_> {
+    fn clone(&self) -> Self {
         WorkGraph {
-            live,
-            len,
-            succs,
-            preds,
-            bound,
+            csr: self.csr,
+            live: self.live.clone(),
+            len: self.len,
+            absorbed: self.absorbed.clone(),
+            hypernode: self.hypernode,
+            hyper_succs: self.hyper_succs.clone(),
+            hyper_preds: self.hyper_preds.clone(),
         }
+    }
+
+    /// Copies the four bitsets of `source` into this graph's allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.csr = source.csr;
+        self.live.clone_from(&source.live);
+        self.len = source.len;
+        self.absorbed.clone_from(&source.absorbed);
+        self.hypernode = source.hypernode;
+        self.hyper_succs.clone_from(&source.hyper_succs);
+        self.hyper_preds.clone_from(&source.hyper_preds);
+    }
+}
+
+impl<'a> WorkGraph<'a> {
+    /// A work graph over `members` and every edge of `csr` between two of
+    /// them, with no hypernode yet. The pre-ordering driver carves one
+    /// work graph per weakly connected component out of the loop's
+    /// backward-edge-free CSR.
+    pub fn new(csr: &'a Csr, members: &[NodeId]) -> Self {
+        let bound = csr.node_bound();
+        let mut graph = WorkGraph {
+            csr,
+            live: NodeSet::new(bound),
+            len: 0,
+            absorbed: NodeSet::new(bound),
+            hypernode: None,
+            hyper_succs: NodeSet::new(bound),
+            hyper_preds: NodeSet::new(bound),
+        };
+        graph.reset(members);
+        graph
+    }
+
+    /// Makes this the work graph over `members`, with no hypernode, in the
+    /// allocations of the previous one. `O(bound / 64 + |members|)`.
+    pub fn reset(&mut self, members: &[NodeId]) {
+        self.live.clear();
+        for &m in members {
+            self.live.insert(m.index());
+        }
+        self.len = self.live.len();
+        self.absorbed.clear();
+        self.hypernode = None;
+        self.hyper_succs.clear();
+        self.hyper_preds.clear();
     }
 
     /// Number of nodes still present.
@@ -129,17 +132,26 @@ impl WorkGraph {
         &self.live
     }
 
-    /// The successor row of node `i`: a sorted, deduplicated slice of live
-    /// node indices (empty for dead nodes).
-    #[inline]
-    pub fn succ_row(&self, i: usize) -> &[u32] {
-        &self.succs[i]
+    /// Whether live node `i` has a successor: a word test for the
+    /// hypernode, `O(degree(i))` for any other node.
+    pub fn has_succs(&self, i: usize) -> bool {
+        if self.hypernode == Some(i) {
+            return self.hyper_succs.intersects(&self.live);
+        }
+        let mut any = false;
+        self.for_each_succ(i, &mut |_| any = true);
+        any
     }
 
-    /// The predecessor row of node `i` (empty for dead nodes).
-    #[inline]
-    pub fn pred_row(&self, i: usize) -> &[u32] {
-        &self.preds[i]
+    /// Whether live node `i` has a predecessor; see
+    /// [`WorkGraph::has_succs`].
+    pub fn has_preds(&self, i: usize) -> bool {
+        if self.hypernode == Some(i) {
+            return self.hyper_preds.intersects(&self.live);
+        }
+        let mut any = false;
+        self.for_each_pred(i, &mut |_| any = true);
+        any
     }
 
     /// Reduces `set` into the hypernode `h`: every member of `set` is
@@ -151,114 +163,99 @@ impl WorkGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `h` is not present in the graph.
+    /// Panics if `h` is not present in the graph, or if an earlier
+    /// reduction went into another hypernode.
     pub fn reduce(&mut self, set: &[NodeId], h: NodeId) {
-        let mut victims = NodeSet::new(self.bound);
-        for &v in set {
-            if v.index() < self.bound {
-                victims.insert(v.index());
-            }
-        }
-        self.reduce_set(&victims, h);
+        self.absorb(set.iter().map(|v| v.index()), h);
     }
 
-    /// [`WorkGraph::reduce`] over a bitset of victims — the allocation-free
-    /// fast path used by the pre-ordering phase. Runs in
-    /// `O(Σ degree(victims))` word operations.
+    /// [`WorkGraph::reduce`] over a bitset of victims. Runs in
+    /// `O(|set| + Σ degree(victims))` word operations with no allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `h` is not present in the graph.
+    /// As [`WorkGraph::reduce`].
     pub fn reduce_set(&mut self, set: &NodeSet, h: NodeId) {
+        self.absorb(set.iter(), h);
+    }
+
+    fn absorb(&mut self, victims: impl Iterator<Item = usize>, h: NodeId) {
         let hi = h.index();
         assert!(
             self.live.contains(hi),
             "hypernode {h} is not in the work graph"
         );
-        let mut victims = set.clone();
-        victims.intersect_with(&self.live);
-        victims.remove(hi);
-
-        for v in victims.iter() {
-            let out = std::mem::take(&mut self.succs[v]);
-            let inc = std::mem::take(&mut self.preds[v]);
-            self.live.remove(v);
-            self.len -= 1;
-            for &t in &out {
-                row_remove(&mut self.preds[t as usize], v as u32);
-                if t as usize == hi || victims.contains(t as usize) {
-                    continue;
-                }
-                // redirect v -> t into h -> t
-                row_insert(&mut self.succs[hi], t);
-                row_insert(&mut self.preds[t as usize], hi as u32);
+        match self.hypernode {
+            None => {
+                self.hypernode = Some(hi);
+                self.merge_rows(hi);
             }
-            for &s in &inc {
-                row_remove(&mut self.succs[s as usize], v as u32);
-                if s as usize == hi || victims.contains(s as usize) {
-                    continue;
-                }
-                // redirect s -> v into s -> h
-                row_insert(&mut self.succs[s as usize], hi as u32);
-                row_insert(&mut self.preds[hi], s);
+            Some(current) => assert_eq!(
+                current, hi,
+                "every reduction of one work graph goes into one hypernode"
+            ),
+        }
+        for v in victims {
+            if v != hi && self.live.remove(v) {
+                self.len -= 1;
+                self.absorbed.insert(v);
+                self.merge_rows(v);
             }
         }
-        // Drop any edge between h and itself that redirection may have
-        // introduced.
-        row_remove(&mut self.succs[hi], hi as u32);
-        row_remove(&mut self.preds[hi], hi as u32);
+        self.hyper_succs.remove(hi);
+        self.hyper_preds.remove(hi);
     }
 
-    /// Ensures `extra` is present (used when connecting a disconnected
-    /// recurrence subgraph to the hypernode): inserts it with no edges if it
-    /// was absent. Returns whether it was inserted.
-    pub fn ensure_node(&mut self, extra: NodeId) -> bool {
-        if self.live.contains(extra.index()) {
-            return false;
+    /// ORs node `v`'s CSR rows into the hypernode's neighbour sets.
+    fn merge_rows(&mut self, v: usize) {
+        for &t in self.csr.succs(v) {
+            self.hyper_succs.insert(t as usize);
         }
-        self.live.insert(extra.index());
-        self.len += 1;
-        true
+        for &s in self.csr.preds(v) {
+            self.hyper_preds.insert(s as usize);
+        }
     }
 
-    /// A new work graph containing only `members` (those of them currently
-    /// present) and the edges of this graph whose endpoints are both kept.
-    ///
-    /// This implements the paper's `Generate_Subgraph(V', G)`: the
-    /// recurrence-ordering procedure extracts the subgraph spanned by the
-    /// hypernode, the next recurrence circuit and the paths connecting them,
-    /// orders it in isolation, and then reduces it in the main graph.
-    pub fn restricted_set(&self, members: &NodeSet) -> WorkGraph {
-        let mut live = members.clone();
-        live.intersect_with(&self.live);
-        let len = live.len();
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); self.bound];
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); self.bound];
-        for m in live.iter() {
-            succs[m] = self.succs[m]
-                .iter()
-                .copied()
-                .filter(|&t| live.contains(t as usize))
-                .collect();
-            preds[m] = self.preds[m]
-                .iter()
-                .copied()
-                .filter(|&s| live.contains(s as usize))
-                .collect();
+    /// Restricts the graph to those of `members` that are present, keeping
+    /// the hypernode and what it absorbed: the paper's
+    /// `Generate_Subgraph(V', G)`. The recurrence-ordering procedure copies
+    /// the work graph ([`Clone::clone_from`] reuses the copy's bitsets),
+    /// restricts the copy to the subgraph spanned by the hypernode, the
+    /// next recurrence circuit and the paths connecting them, orders it in
+    /// isolation, and then reduces that subgraph in the main graph.
+    pub fn restrict(&mut self, members: &NodeSet) {
+        self.live.intersect_with(members);
+        self.len = self.live.len();
+    }
+
+    /// Calls `f` for the live entries of the CSR `row` of a live node other
+    /// than the hypernode, ascending, with the hypernode standing in at its
+    /// place for the absorbed entries when `to_hypernode` says the node
+    /// has an edge to (or from) the hypernode or an absorbed node.
+    fn for_each_in_row(&self, row: &[u32], to_hypernode: bool, f: &mut dyn FnMut(usize)) {
+        let mut pending = self
+            .hypernode
+            .filter(|&h| to_hypernode && self.live.contains(h));
+        for &t in row {
+            let t = t as usize;
+            if !self.live.contains(t) || Some(t) == self.hypernode {
+                continue;
+            }
+            if let Some(h) = pending.filter(|&h| h < t) {
+                f(h);
+                pending = None;
+            }
+            f(t);
         }
-        WorkGraph {
-            live,
-            len,
-            succs,
-            preds,
-            bound: self.bound,
+        if let Some(h) = pending {
+            f(h);
         }
     }
 }
 
-impl DenseAdjacency for WorkGraph {
+impl DenseAdjacency for WorkGraph<'_> {
     fn node_bound(&self) -> usize {
-        self.bound
+        self.csr.node_bound()
     }
 
     fn is_live(&self, i: usize) -> bool {
@@ -266,14 +263,24 @@ impl DenseAdjacency for WorkGraph {
     }
 
     fn for_each_succ(&self, i: usize, f: &mut dyn FnMut(usize)) {
-        for &t in &self.succs[i] {
-            f(t as usize);
+        if !self.live.contains(i) {
+            return;
+        }
+        if self.hypernode == Some(i) {
+            self.hyper_succs.intersection(&self.live).for_each(f);
+        } else {
+            self.for_each_in_row(self.csr.succs(i), self.hyper_preds.contains(i), f);
         }
     }
 
     fn for_each_pred(&self, i: usize, f: &mut dyn FnMut(usize)) {
-        for &s in &self.preds[i] {
-            f(s as usize);
+        if !self.live.contains(i) {
+            return;
+        }
+        if self.hypernode == Some(i) {
+            self.hyper_preds.intersection(&self.live).for_each(f);
+        } else {
+            self.for_each_in_row(self.csr.preds(i), self.hyper_succs.contains(i), f);
         }
     }
 }
@@ -281,15 +288,18 @@ impl DenseAdjacency for WorkGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrms_ddg::{DdgBuilder, DepKind, OpKind};
-    use std::collections::HashSet;
+    use hrms_ddg::{Ddg, DdgBuilder, DepKind, OpKind};
 
     fn succs(wg: &WorkGraph, n: NodeId) -> Vec<NodeId> {
-        wg.succ_row(n.index()).iter().map(|&t| NodeId(t)).collect()
+        let mut out = Vec::new();
+        wg.for_each_succ(n.index(), &mut |t| out.push(NodeId::from_index(t)));
+        out
     }
 
     fn preds(wg: &WorkGraph, n: NodeId) -> Vec<NodeId> {
-        wg.pred_row(n.index()).iter().map(|&t| NodeId(t)).collect()
+        let mut out = Vec::new();
+        wg.for_each_pred(n.index(), &mut |s| out.push(NodeId::from_index(s)));
+        out
     }
 
     fn contains(wg: &WorkGraph, n: NodeId) -> bool {
@@ -312,7 +322,8 @@ mod tests {
     #[test]
     fn construction_restricts_to_members() {
         let (g, ids) = triangle();
-        let wg = WorkGraph::new(&g, &[ids[0], ids[1]], &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let wg = WorkGraph::new(&csr, &[ids[0], ids[1]]);
         assert_eq!(wg.len(), 2);
         assert_eq!(succs(&wg, ids[0]), vec![ids[1]]);
         assert!(succs(&wg, ids[1]).is_empty(), "edge to c is outside");
@@ -322,12 +333,8 @@ mod tests {
     #[test]
     fn dropped_edges_are_excluded() {
         let (g, ids) = triangle();
-        let drop: HashSet<_> = g
-            .edges()
-            .filter(|(_, e)| e.source() == ids[0] && e.target() == ids[2])
-            .map(|(eid, _)| eid)
-            .collect();
-        let wg = WorkGraph::new(&g, &ids, &drop);
+        let csr = Csr::filtered(&g, |_, e| e.source() == ids[0] && e.target() == ids[2]);
+        let wg = WorkGraph::new(&csr, &ids);
         assert_eq!(succs(&wg, ids[0]), vec![ids[1]]);
         assert_eq!(preds(&wg, ids[2]), vec![ids[1]]);
     }
@@ -338,7 +345,8 @@ mod tests {
         let a = bld.node("a", OpKind::FpAdd, 1);
         bld.edge(a, a, DepKind::RegFlow, 1).unwrap();
         let g = bld.build().unwrap();
-        let wg = WorkGraph::new(&g, &[a], &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let wg = WorkGraph::new(&csr, &[a]);
         assert!(succs(&wg, a).is_empty());
         assert!(preds(&wg, a).is_empty());
     }
@@ -347,7 +355,8 @@ mod tests {
     fn reduce_redirects_external_edges() {
         // a -> b -> c with hypernode a: reducing {b} must leave a -> c.
         let (g, ids) = triangle();
-        let mut wg = WorkGraph::new(&g, &ids, &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
         wg.reduce(&[ids[1]], ids[0]);
         assert_eq!(wg.len(), 2);
         assert_eq!(succs(&wg, ids[0]), vec![ids[2]]);
@@ -360,7 +369,8 @@ mod tests {
         // Hypernode c: reducing {b} must produce a -> c (already present) and
         // drop b entirely.
         let (g, ids) = triangle();
-        let mut wg = WorkGraph::new(&g, &ids, &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
         wg.reduce(&[ids[1]], ids[2]);
         assert_eq!(succs(&wg, ids[0]), vec![ids[2]]);
         assert_eq!(preds(&wg, ids[2]), vec![ids[0]]);
@@ -369,18 +379,21 @@ mod tests {
     #[test]
     fn reduce_never_creates_hypernode_self_loop() {
         let (g, ids) = triangle();
-        let mut wg = WorkGraph::new(&g, &ids, &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
         // Reducing both b and c into a leaves a alone with no self edges.
         wg.reduce(&[ids[1], ids[2]], ids[0]);
         assert_eq!(wg.len(), 1);
         assert!(succs(&wg, ids[0]).is_empty());
         assert!(preds(&wg, ids[0]).is_empty());
+        assert!(!wg.has_succs(ids[0].index()) && !wg.has_preds(ids[0].index()));
     }
 
     #[test]
     fn reduce_ignores_absent_nodes_and_hypernode_itself() {
         let (g, ids) = triangle();
-        let mut wg = WorkGraph::new(&g, &ids, &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
         wg.reduce(&[ids[1]], ids[0]);
         // Reducing b again (already gone) and a (the hypernode) is a no-op.
         wg.reduce(&[ids[1], ids[0]], ids[0]);
@@ -391,18 +404,26 @@ mod tests {
     #[should_panic(expected = "not in the work graph")]
     fn reduce_panics_without_hypernode() {
         let (g, ids) = triangle();
-        let mut wg = WorkGraph::new(&g, &[ids[0], ids[1]], &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &[ids[0], ids[1]]);
         wg.reduce(&[ids[1]], ids[2]);
     }
 
     #[test]
-    fn ensure_node_inserts_isolated_nodes() {
-        let (g, ids) = triangle();
-        let mut wg = WorkGraph::new(&g, &[ids[0]], &HashSet::new());
-        assert!(wg.ensure_node(ids[2]));
-        assert!(!wg.ensure_node(ids[2]));
-        assert!(contains(&wg, ids[2]));
-        assert!(succs(&wg, ids[2]).is_empty());
+    #[should_panic(expected = "goes into one hypernode")]
+    fn reductions_into_a_second_hypernode_panic() {
+        let mut bld = DdgBuilder::new("chain");
+        let ids: Vec<NodeId> = (0..4)
+            .map(|i| bld.node(format!("n{i}"), OpKind::FpAdd, 1))
+            .collect();
+        for w in ids.windows(2) {
+            bld.edge(w[0], w[1], DepKind::RegFlow, 0).unwrap();
+        }
+        let g = bld.build().unwrap();
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
+        wg.reduce(&[ids[1]], ids[0]);
+        wg.reduce(&[ids[2]], ids[3]);
     }
 
     #[test]
@@ -421,25 +442,54 @@ mod tests {
         bld.edge(c, h, DepKind::RegFlow, 0).unwrap();
         bld.edge(d, h, DepKind::RegFlow, 0).unwrap();
         let g = bld.build().unwrap();
-        let mut wg = WorkGraph::new(&g, &g.node_ids().collect::<Vec<_>>(), &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &g.node_ids().collect::<Vec<_>>());
 
         assert_eq!(succs(&wg, a), vec![c]);
         wg.reduce(&[c], a);
         assert_eq!(succs(&wg, a), vec![g_, h]);
+        assert_eq!(preds(&wg, h), vec![a, d], "C -> H now reads A -> H");
         wg.reduce(&[g_, h], a);
         assert_eq!(preds(&wg, a), vec![d]);
+        assert_eq!(succs(&wg, d), vec![a], "D -> H now reads D -> A");
         wg.reduce(&[d], a);
         assert_eq!(wg.len(), 1);
     }
 
     #[test]
-    fn restricted_set_keeps_only_internal_edges() {
+    fn redirected_neighbours_stay_ascending_and_distinct() {
+        // n0 -> n2, n1 -> n2, n1 -> n3, n1 -> n4 with hypernode n2 absorbing
+        // n3: n1's successors n2, n3 and n4 read n2 (once) and n4.
+        let mut bld = DdgBuilder::new("asc");
+        let ids: Vec<NodeId> = (0..5)
+            .map(|i| bld.node(format!("n{i}"), OpKind::FpAdd, 1))
+            .collect();
+        for (s, t) in [(0, 2), (1, 2), (1, 3), (1, 4)] {
+            bld.edge(ids[s], ids[t], DepKind::RegFlow, 0).unwrap();
+        }
+        let g = bld.build().unwrap();
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
+        wg.reduce(&[ids[3]], ids[2]);
+        assert_eq!(succs(&wg, ids[1]), vec![ids[2], ids[4]]);
+        assert_eq!(preds(&wg, ids[2]), vec![ids[0], ids[1]]);
+        // Absorbing n4 as well: n1 -> {n2, n3, n4} is one edge to n2.
+        wg.reduce(&[ids[4]], ids[2]);
+        assert_eq!(succs(&wg, ids[1]), vec![ids[2]]);
+        assert!(wg.has_preds(ids[2].index()));
+        assert!(!wg.has_succs(ids[2].index()));
+    }
+
+    #[test]
+    fn restriction_keeps_only_internal_edges() {
         let (g, ids) = triangle();
-        let wg = WorkGraph::new(&g, &ids, &HashSet::new());
+        let csr = Csr::from_graph(&g);
+        let wg = WorkGraph::new(&csr, &ids);
         let mut keep = NodeSet::new(g.num_nodes());
         keep.insert(ids[0].index());
         keep.insert(ids[2].index());
-        let sub = wg.restricted_set(&keep);
+        let mut sub = wg.clone();
+        sub.restrict(&keep);
         assert_eq!(sub.len(), 2);
         assert_eq!(succs(&sub, ids[0]), vec![ids[2]]);
         assert!(!contains(&sub, ids[1]));
@@ -448,13 +498,52 @@ mod tests {
     }
 
     #[test]
-    fn dense_rows_track_reductions() {
-        let (g, ids) = triangle();
-        let mut wg = WorkGraph::new(&g, &ids, &HashSet::new());
-        assert!(wg.succ_row(ids[0].index()).contains(&ids[1].0));
+    fn restriction_keeps_the_hypernode_and_what_it_absorbed() {
+        // Chain n0 -> n1 -> n2 -> n3 with n1 absorbed into n0: the copy
+        // restricted to {n0, n2} still has the redirected edge n0 -> n2,
+        // and reductions in the copy leave the original alone.
+        let g = hrms_ddg::chain("c", 4, OpKind::FpAdd, 1);
+        let ids: Vec<NodeId> = g.node_ids().collect();
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
         wg.reduce(&[ids[1]], ids[0]);
-        assert!(wg.succ_row(ids[1].index()).is_empty(), "dead row is empty");
-        assert!(wg.pred_row(ids[2].index()).contains(&ids[0].0));
+        let region = NodeSet::from_indices(4, [0, 2]);
+        let mut sub = WorkGraph::new(&csr, &[]);
+        sub.clone_from(&wg);
+        sub.restrict(&region);
+        assert_eq!(succs(&sub, ids[0]), vec![ids[2]]);
+        assert!(succs(&sub, ids[2]).is_empty(), "n3 is outside the region");
+        sub.reduce(&[ids[2]], ids[0]);
+        assert_eq!(sub.len(), 1);
+        assert_eq!(succs(&wg, ids[0]), vec![ids[2]]);
+        assert_eq!(wg.len(), 3);
+    }
+
+    #[test]
+    fn dead_nodes_have_no_neighbours_and_are_never_reported() {
+        let (g, ids) = triangle();
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
+        assert!(succs(&wg, ids[0]).contains(&ids[1]));
+        wg.reduce(&[ids[1]], ids[0]);
+        assert!(succs(&wg, ids[1]).is_empty(), "a dead node has no edges");
+        assert!(preds(&wg, ids[1]).is_empty());
+        assert!(preds(&wg, ids[2]).contains(&ids[0]));
+        assert!(!preds(&wg, ids[2]).contains(&ids[1]));
         assert_eq!(wg.live().to_node_ids(), vec![ids[0], ids[2]]);
+    }
+
+    #[test]
+    fn reset_reuses_the_graph_for_another_component() {
+        let (g, ids) = triangle();
+        let csr = Csr::from_graph(&g);
+        let mut wg = WorkGraph::new(&csr, &ids);
+        wg.reduce(&[ids[1], ids[2]], ids[0]);
+        wg.reset(&[ids[1], ids[2]]);
+        assert_eq!(wg.len(), 2);
+        assert_eq!(succs(&wg, ids[1]), vec![ids[2]]);
+        // A new hypernode is allowed after a reset.
+        wg.reduce(&[ids[1]], ids[2]);
+        assert_eq!(wg.len(), 1);
     }
 }

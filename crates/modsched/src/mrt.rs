@@ -17,37 +17,49 @@ use hrms_machine::{ClassId, Machine};
 #[derive(Debug, Clone)]
 pub struct ModuloReservationTable {
     ii: u32,
-    /// usage[class][slot] = number of busy units.
-    usage: Vec<Vec<u32>>,
+    /// `usage[class * II + slot]` = number of busy units: one array of
+    /// `classes × II` entries.
+    usage: Vec<u32>,
     /// capacity per class.
     capacity: Vec<u32>,
     /// Per node index: (class, first cycle, occupancy) while placed. Dense
-    /// and grown lazily, so the once-per-placement-attempt "already placed?"
-    /// check is an array read rather than a hash lookup.
+    /// and sized to the node count, so the once-per-placement-attempt
+    /// "already placed?" check is an array read rather than a hash lookup.
     placements: Vec<Option<(ClassId, i64, u32)>>,
     /// Number of placed operations (kept incrementally).
     placed: usize,
 }
 
 impl ModuloReservationTable {
-    /// Creates an empty table for the given machine and initiation interval.
+    /// Creates an empty table for the given machine and initiation
+    /// interval, for operations whose node indices are below `nodes`.
     ///
     /// # Panics
     ///
     /// Panics if `ii` is 0.
-    pub fn new(machine: &Machine, ii: u32) -> Self {
+    pub fn new(machine: &Machine, ii: u32, nodes: usize) -> Self {
         assert!(ii > 0, "the initiation interval must be at least 1");
+        let classes = machine.classes();
         ModuloReservationTable {
             ii,
-            usage: machine
-                .classes()
-                .iter()
-                .map(|_| vec![0; ii as usize])
-                .collect(),
-            capacity: machine.classes().iter().map(|c| c.count).collect(),
-            placements: Vec::new(),
+            usage: vec![0; classes.len() * ii as usize],
+            capacity: classes.iter().map(|c| c.count).collect(),
+            placements: vec![None; nodes],
             placed: 0,
         }
+    }
+
+    /// The busy-unit counts of `class`, one per modulo slot.
+    #[inline]
+    fn row(&self, class: ClassId) -> &[u32] {
+        let ii = self.ii as usize;
+        &self.usage[class.index() * ii..][..ii]
+    }
+
+    /// The entry of `class` in modulo slot `slot`.
+    #[inline]
+    fn entry(&mut self, class: ClassId, slot: usize) -> &mut u32 {
+        &mut self.usage[class.index() * self.ii as usize + slot]
     }
 
     /// The initiation interval this table was built for.
@@ -116,9 +128,9 @@ impl ModuloReservationTable {
         span: u32,
         forward: bool,
     ) -> Option<i64> {
-        let class = machine.class_of(kind).index();
-        let usage = &self.usage[class];
-        let capacity = self.capacity[class];
+        let class = machine.class_of(kind);
+        let usage = self.row(class);
+        let capacity = self.capacity[class.index()];
         let occupancy = machine.occupancy_of(kind) as usize;
         let ii = self.ii as usize;
         // Window offsets stay below `II`, so one subtraction wraps a slot.
@@ -168,23 +180,32 @@ impl ModuloReservationTable {
     /// Places `node` (of kind `kind`) at `cycle`. Returns `false` (and leaves
     /// the table untouched) if the placement would oversubscribe a unit or if
     /// the node is already placed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node`'s index is not below the table's node count.
     pub fn place(&mut self, machine: &Machine, node: NodeId, kind: OpKind, cycle: i64) -> bool {
         if self.placement_of(node).is_some() || !self.can_place(machine, kind, cycle) {
             return false;
         }
+        self.commit(machine, node, kind, cycle);
+        true
+    }
+
+    /// Records `node` at `cycle` without checking the table again: the
+    /// caller has just had `cycle` from [`Self::first_fit`] for this kind,
+    /// and `node` is not placed.
+    pub(crate) fn commit(&mut self, machine: &Machine, node: NodeId, kind: OpKind, cycle: i64) {
+        debug_assert!(self.placement_of(node).is_none());
+        debug_assert!(self.can_place(machine, kind, cycle));
         let class = machine.class_of(kind);
         let occupancy = machine.occupancy_of(kind);
         for k in 0..occupancy {
             let slot = self.slot(cycle + i64::from(k));
-            self.usage[class.index()][slot] += 1;
+            *self.entry(class, slot) += 1;
         }
-        let i = node.index();
-        if i >= self.placements.len() {
-            self.placements.resize(i + 1, None);
-        }
-        self.placements[i] = Some((class, cycle, occupancy));
+        self.placements[node.index()] = Some((class, cycle, occupancy));
         self.placed += 1;
-        true
     }
 
     /// Removes a previously placed node, freeing its slots. Returns whether
@@ -197,21 +218,22 @@ impl ModuloReservationTable {
         self.placed -= 1;
         for k in 0..occupancy {
             let slot = self.slot(cycle + i64::from(k));
-            debug_assert!(self.usage[class.index()][slot] > 0);
-            self.usage[class.index()][slot] -= 1;
+            let busy = self.entry(class, slot);
+            debug_assert!(*busy > 0);
+            *busy -= 1;
         }
         true
     }
 
     /// Number of units of `class` busy in modulo slot `slot`.
     pub fn usage(&self, class: ClassId, slot: usize) -> u32 {
-        self.usage[class.index()][slot % self.ii as usize]
+        self.row(class)[slot % self.ii as usize]
     }
 
     /// Total number of busy unit-slots divided by total capacity, a utilisation
     /// figure in `[0, 1]` used by reports.
     pub fn utilisation(&self) -> f64 {
-        let busy: u32 = self.usage.iter().flatten().sum();
+        let busy: u32 = self.usage.iter().sum();
         let total: u32 = self.capacity.iter().map(|c| c * self.ii).sum();
         if total == 0 {
             0.0
@@ -229,7 +251,7 @@ mod tests {
     #[test]
     fn placement_respects_capacity() {
         let m = presets::govindarajan(); // single load/store unit
-        let mut mrt = ModuloReservationTable::new(&m, 2);
+        let mut mrt = ModuloReservationTable::new(&m, 2, 2);
         assert!(mrt.place(&m, NodeId(0), OpKind::Load, 0));
         assert!(!mrt.can_place(&m, OpKind::Load, 2), "slot 0 is taken");
         assert!(mrt.can_place(&m, OpKind::Load, 1));
@@ -244,7 +266,7 @@ mod tests {
     #[test]
     fn negative_cycles_wrap_correctly() {
         let m = presets::govindarajan();
-        let mut mrt = ModuloReservationTable::new(&m, 3);
+        let mut mrt = ModuloReservationTable::new(&m, 3, 2);
         assert!(mrt.place(&m, NodeId(0), OpKind::Load, -1)); // slot 2
         assert!(!mrt.can_place(&m, OpKind::Load, 2));
         assert!(mrt.can_place(&m, OpKind::Load, 0));
@@ -253,7 +275,7 @@ mod tests {
     #[test]
     fn removal_frees_slots() {
         let m = presets::govindarajan();
-        let mut mrt = ModuloReservationTable::new(&m, 2);
+        let mut mrt = ModuloReservationTable::new(&m, 2, 2);
         assert!(mrt.place(&m, NodeId(0), OpKind::FpMul, 0));
         assert!(!mrt.can_place(&m, OpKind::FpMul, 0));
         assert!(mrt.remove(NodeId(0)));
@@ -265,7 +287,7 @@ mod tests {
     #[test]
     fn duplicate_placement_is_rejected() {
         let m = presets::govindarajan();
-        let mut mrt = ModuloReservationTable::new(&m, 4);
+        let mut mrt = ModuloReservationTable::new(&m, 4, 2);
         assert!(mrt.place(&m, NodeId(0), OpKind::FpAdd, 0));
         assert!(!mrt.place(&m, NodeId(0), OpKind::FpAdd, 1));
     }
@@ -273,7 +295,7 @@ mod tests {
     #[test]
     fn non_pipelined_ops_occupy_multiple_slots() {
         let m = presets::perfect_club(); // 2 non-pipelined div/sqrt units, div latency 17
-        let mut mrt = ModuloReservationTable::new(&m, 9);
+        let mut mrt = ModuloReservationTable::new(&m, 9, 2);
         // One division occupies ceil(17/9) = 2 units in some slots, so a
         // second division cannot be placed anywhere, but the capacity of 2
         // units makes a single one fit.
@@ -291,7 +313,7 @@ mod tests {
     #[test]
     fn non_pipelined_two_divisions_need_ii_17() {
         let m = presets::perfect_club();
-        let mut mrt = ModuloReservationTable::new(&m, 17);
+        let mut mrt = ModuloReservationTable::new(&m, 17, 2);
         assert!(mrt.place(&m, NodeId(0), OpKind::FpDiv, 0));
         assert!(mrt.place(&m, NodeId(1), OpKind::FpDiv, 5));
         assert!(!mrt.can_place(&m, OpKind::FpDiv, 11), "both units busy");
@@ -304,7 +326,7 @@ mod tests {
         // placement must be refused even though each single check would
         // pass.
         let m = presets::perfect_club();
-        let mut mrt = ModuloReservationTable::new(&m, 24);
+        let mut mrt = ModuloReservationTable::new(&m, 24, 2);
         assert!(mrt.place(&m, NodeId(0), OpKind::FpDiv, 22)); // slots 22..14
         assert!(
             !mrt.can_place(&m, OpKind::FpSqrt, 22),
@@ -316,7 +338,7 @@ mod tests {
     #[test]
     fn pipelined_units_only_occupy_issue_slot() {
         let m = presets::govindarajan();
-        let mut mrt = ModuloReservationTable::new(&m, 2);
+        let mut mrt = ModuloReservationTable::new(&m, 2, 2);
         // The divider is pipelined: latency 17 but occupancy 1.
         assert!(mrt.place(&m, NodeId(0), OpKind::FpDiv, 0));
         assert!(mrt.place(&m, NodeId(1), OpKind::FpDiv, 1));
@@ -326,7 +348,7 @@ mod tests {
     #[test]
     fn utilisation_reflects_busy_slots() {
         let m = presets::general_purpose(); // 4 units, ii 2 -> 8 unit-slots
-        let mut mrt = ModuloReservationTable::new(&m, 2);
+        let mut mrt = ModuloReservationTable::new(&m, 2, 2);
         assert_eq!(mrt.utilisation(), 0.0);
         mrt.place(&m, NodeId(0), OpKind::FpAdd, 0);
         mrt.place(&m, NodeId(1), OpKind::FpAdd, 1);
@@ -337,6 +359,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_ii_panics() {
         let m = presets::govindarajan();
-        let _ = ModuloReservationTable::new(&m, 0);
+        let _ = ModuloReservationTable::new(&m, 0, 2);
     }
 }

@@ -55,7 +55,7 @@ impl PartialSchedule {
             ii,
             cycles: vec![UNPLACED; arcs.node_bound()],
             placed: 0,
-            mrt: ModuloReservationTable::new(machine, ii),
+            mrt: ModuloReservationTable::new(machine, ii, arcs.node_bound()),
             arcs,
         }
     }
@@ -225,8 +225,7 @@ impl PartialSchedule {
         }
         let kind = ddg.node(u).kind();
         let cycle = self.mrt.first_fit(machine, kind, from, span, forward)?;
-        let placed = self.mrt.place(machine, u, kind, cycle);
-        debug_assert!(placed, "the scan returned a cycle the table refuses");
+        self.mrt.commit(machine, u, kind, cycle);
         self.set_cycle(u, cycle);
         Some(cycle)
     }

@@ -244,7 +244,7 @@ mod tests {
         machine: &Machine,
         schedule: &Schedule,
     ) -> Result<(), (NodeId, i64)> {
-        let mut mrt = ModuloReservationTable::new(machine, schedule.ii());
+        let mut mrt = ModuloReservationTable::new(machine, schedule.ii(), ddg.num_nodes());
         for (node, cycle) in schedule.iter() {
             if !mrt.place(machine, node, ddg.node(node).kind(), cycle) {
                 return Err((node, cycle));

@@ -23,8 +23,8 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use hrms_repro::ddg::{Ddg, DdgBuilder, DepKind, Fnv64, LoopAnalysis, NodeId, OpKind};
-use hrms_repro::hrms::{pre_order_with, PreOrderOptions, PreOrdering};
+use hrms_repro::ddg::{parse_loops, Ddg, DdgBuilder, DepKind, Fnv64, LoopAnalysis, NodeId, OpKind};
+use hrms_repro::hrms::{pre_order, pre_order_with, PreOrderOptions, PreOrdering};
 use hrms_repro::modsched::StartHint;
 
 mod corpus;
@@ -256,4 +256,61 @@ fn ordering_is_stable_across_repeated_runs() {
         .into_iter()
         .collect();
     assert_eq!(deduped.len(), 1, "repeated runs must be byte-identical");
+}
+
+/// A copy of `g` with one more dependence cycle of distance 0, between two
+/// of its nodes picked by `seed`: a loop no II satisfies.
+fn with_zero_distance_cycle(g: &Ddg, seed: u64) -> Ddg {
+    let mut bld = DdgBuilder::new(format!("{}~zero{seed}", g.name()));
+    let ids: Vec<NodeId> = g
+        .nodes()
+        .map(|(_, n)| bld.node(n.name(), n.kind(), n.latency()))
+        .collect();
+    for (_, e) in g.edges() {
+        let (s, t) = (ids[e.source().index()], ids[e.target().index()]);
+        bld.edge(s, t, e.kind(), e.distance()).unwrap();
+    }
+    let n = ids.len() as u64;
+    let a = seed % n;
+    let b = (a + 1 + (seed / 7) % (n - 1)) % n;
+    bld.edge(ids[a as usize], ids[b as usize], DepKind::Memory, 0)
+        .unwrap();
+    bld.edge(ids[b as usize], ids[a as usize], DepKind::Memory, 0)
+        .unwrap();
+    bld.build().unwrap()
+}
+
+#[test]
+fn loops_with_a_zero_distance_cycle_are_ordered_in_program_order() {
+    // The smallest loop on which the hypernode ordering used to panic:
+    // distance-0 edges n1 -> n2, n2 -> n0, n0 -> n2 and n2 -> n1.
+    let mut bld = DdgBuilder::new("zero_distance");
+    let ids: Vec<NodeId> = (0..3)
+        .map(|i| bld.node(format!("n{i}"), OpKind::FpAdd, 1))
+        .collect();
+    for (s, t) in [(1, 2), (2, 0), (0, 2), (2, 1)] {
+        bld.edge(ids[s], ids[t], DepKind::RegFlow, 0).unwrap();
+    }
+    let mut loops = vec![bld.build().unwrap()];
+    let fixture = corpus::repo_file("tests/fixtures/malformed/05_zero_distance_cycle.loop");
+    loops.extend(parse_loops(&fixture).unwrap());
+    let gen = corpus::loops("gen").into_iter().enumerate();
+    loops.extend(
+        gen.filter(|(_, g)| g.num_nodes() >= 2)
+            .map(|(i, g)| with_zero_distance_cycle(&g, i as u64)),
+    );
+    assert!(loops.len() > 200);
+    for g in &loops {
+        let la = LoopAnalysis::analyze(g);
+        assert_eq!(
+            la.rec_mii(),
+            None,
+            "`{}` has a zero-distance cycle",
+            g.name()
+        );
+        let p = pre_order(&la);
+        let program: Vec<NodeId> = g.node_ids().collect();
+        assert_eq!(p.order, program, "`{}`", g.name());
+        assert_eq!(p.recurrence_subgraphs, 0);
+    }
 }
