@@ -24,8 +24,7 @@
 //! result is exact; on larger loops it degrades gracefully into a
 //! best-effort scheduler.
 
-use std::collections::{HashSet, VecDeque};
-
+use hrms_ddg::dense::Components;
 use hrms_ddg::{Ddg, LoopAnalysis, NodeId, OpKind};
 use hrms_machine::Machine;
 use hrms_modsched::{
@@ -81,7 +80,7 @@ impl BranchAndBoundScheduler {
             explored: 0,
             exhaustive: true,
         };
-        let order = bfs_order(ddg);
+        let order = bfs_order(analysis);
         let greedy_order = crate::common::topdown_order(analysis);
         let outcome = escalate_ii(analysis, machine, |ii, _| {
             // Seed the incumbent with a greedy top-down schedule at this II.
@@ -145,28 +144,29 @@ impl ModuloScheduler for BranchAndBoundScheduler {
 }
 
 /// Breadth-first order over the weakly-connected structure, starting from
-/// the lowest-numbered node of each component: every node except component
-/// roots has an already-visited neighbour.
-fn bfs_order(ddg: &Ddg) -> Vec<NodeId> {
-    let mut order = Vec::with_capacity(ddg.num_nodes());
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    for component in ddg.connected_components() {
-        let root = component[0];
-        let mut queue = VecDeque::new();
-        queue.push_back(root);
-        seen.insert(root);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut neighbours: Vec<NodeId> = ddg
-                .successors(v)
-                .into_iter()
-                .chain(ddg.predecessors(v))
-                .collect();
-            neighbours.sort();
+/// the lowest-numbered node of each component and visiting neighbours in
+/// ascending order: every node except component roots has an
+/// already-visited neighbour.
+fn bfs_order(la: &LoopAnalysis<'_>) -> Vec<NodeId> {
+    let csr = la.csr_full();
+    let components = Components::of(csr);
+    let mut order = Vec::with_capacity(la.ddg().num_nodes());
+    let mut seen = vec![false; la.ddg().num_nodes()];
+    let mut neighbours: Vec<u32> = Vec::new();
+    for c in 0..components.len() {
+        let root = components.members(c)[0];
+        let mut next = order.len();
+        order.push(root);
+        seen[root.index()] = true;
+        while let Some(v) = order.get(next).map(|v| v.index()) {
+            next += 1;
+            neighbours.clear();
+            neighbours.extend(csr.succs(v).iter().chain(csr.preds(v)));
+            neighbours.sort_unstable();
             neighbours.dedup();
-            for w in neighbours {
-                if seen.insert(w) {
-                    queue.push_back(w);
+            for &w in &neighbours {
+                if !std::mem::replace(&mut seen[w as usize], true) {
+                    order.push(NodeId(w));
                 }
             }
         }
@@ -275,6 +275,7 @@ mod tests {
     use hrms_ddg::{DdgBuilder, DepKind, OpKind};
     use hrms_machine::presets;
     use hrms_modsched::validate_schedule;
+    use std::collections::HashSet;
 
     fn small_loop() -> Ddg {
         let mut b = DdgBuilder::new("small");
@@ -325,7 +326,7 @@ mod tests {
     #[test]
     fn bfs_order_gives_every_node_a_placed_neighbour() {
         let g = small_loop();
-        let order = bfs_order(&g);
+        let order = bfs_order(&LoopAnalysis::analyze(&g));
         assert_eq!(order.len(), g.num_nodes());
         let mut seen: HashSet<NodeId> = HashSet::new();
         for (i, &n) in order.iter().enumerate() {

@@ -19,6 +19,8 @@
 //!   (the backward edges of recurrence circuits), built into two flat
 //!   arrays per direction with no per-node allocation — the representation
 //!   dense subgraph-extraction schedulers use for repeated region queries;
+//! * [`Components`] — the weakly connected components, from one pass over
+//!   a [`Csr`];
 //! * [`DenseAdjacency`] — the minimal adjacency interface shared by [`Csr`]
 //!   and the hypernode work graph of `hrms-core`, a view over a [`Csr`];
 //! * [`search_all_paths`] / [`reachable`] — the paper's `Search_All_Paths`
@@ -52,25 +54,10 @@ use crate::topo::CycleError;
 /// Membership tests, insertion and removal are `O(1)` word operations;
 /// whole-set operations (union, intersection, difference, length, clear)
 /// are `O(bound / 64)` word sweeps.
-#[derive(Debug, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeSet {
     words: Vec<u64>,
     bound: usize,
-}
-
-impl Clone for NodeSet {
-    fn clone(&self) -> Self {
-        NodeSet {
-            words: self.words.clone(),
-            bound: self.bound,
-        }
-    }
-
-    /// Copies `source` into this set's allocation.
-    fn clone_from(&mut self, source: &Self) {
-        self.words.clone_from(&source.words);
-        self.bound = source.bound;
-    }
 }
 
 impl NodeSet {
@@ -177,17 +164,6 @@ impl NodeSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
-    /// Iterates over the members of both sets in ascending index order
-    /// (same bound required), without building the intersection.
-    pub fn intersection<'s>(&'s self, other: &'s NodeSet) -> impl Iterator<Item = usize> + 's {
-        debug_assert_eq!(self.bound, other.bound);
-        let words = self.words.iter().zip(&other.words).enumerate();
-        words.flat_map(|(wi, (a, b))| Bits {
-            word: a & b,
-            base: wi * 64,
-        })
-    }
-
     /// Iterates over the members in ascending index order.
     pub fn iter(&self) -> NodeSetIter<'_> {
         NodeSetIter {
@@ -227,25 +203,6 @@ impl Iterator for NodeSetIter<'_> {
             }
             self.current = self.words[self.word_index];
         }
-    }
-}
-
-/// The set bits of one word, ascending, offset by `base`.
-struct Bits {
-    word: u64,
-    base: usize,
-}
-
-impl Iterator for Bits {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.word == 0 {
-            return None;
-        }
-        let bit = self.word.trailing_zeros() as usize;
-        self.word &= self.word - 1;
-        Some(self.base + bit)
     }
 }
 
@@ -375,6 +332,79 @@ impl Csr {
     pub fn has_neighbour_in(&self, i: usize, set: &NodeSet) -> bool {
         self.succs(i).iter().any(|&t| set.contains(t as usize))
             || self.preds(i).iter().any(|&s| set.contains(s as usize))
+    }
+}
+
+/// The weakly connected components of a graph, found in one pass over its
+/// [`Csr`] (one breadth-first search per component) and numbered in order
+/// of their smallest node, with the members of each in one flat array,
+/// ascending per component.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Components {
+    /// Component number per node.
+    label: Vec<u32>,
+    /// Component `c`'s members are `members[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    members: Vec<NodeId>,
+}
+
+impl Components {
+    /// The components of the graph `csr` represents; its dropped edges
+    /// connect nothing. `O(|V| + |E| + Σ c log c)` over components of `c`
+    /// nodes.
+    pub fn of(csr: &Csr) -> Self {
+        let n = csr.node_bound();
+        let mut label = vec![u32::MAX; n];
+        let mut start = vec![0u32];
+        let mut members = Vec::with_capacity(n);
+        for first in 0..n {
+            if label[first] != u32::MAX {
+                continue;
+            }
+            // The search queues the component's members where they are
+            // kept.
+            let c = start.len() as u32 - 1;
+            let begin = members.len();
+            label[first] = c;
+            members.push(NodeId::from_index(first));
+            let mut next = begin;
+            while let Some(v) = members.get(next).map(|v| v.index()) {
+                next += 1;
+                for &w in csr.succs(v).iter().chain(csr.preds(v)) {
+                    if label[w as usize] == u32::MAX {
+                        label[w as usize] = c;
+                        members.push(NodeId(w));
+                    }
+                }
+            }
+            members[begin..].sort_unstable();
+            start.push(members.len() as u32);
+        }
+        Components {
+            label,
+            start,
+            members,
+        }
+    }
+
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Whether the graph has no node at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The number of `n`'s component.
+    pub fn component_of(&self, n: NodeId) -> usize {
+        self.label[n.index()] as usize
+    }
+
+    /// The members of component `c`, ascending.
+    pub fn members(&self, c: usize) -> &[NodeId] {
+        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
     }
 }
 
@@ -751,21 +781,17 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 70]);
-        assert_eq!(a.intersection(&b).collect::<Vec<_>>(), vec![2, 70]);
         assert!(a.intersects(&b));
         assert!(!a.intersects(&NodeSet::from_indices(128, [0, 99])));
     }
 
     #[test]
-    fn nodeset_reset_and_clone_from_reuse_the_set() {
+    fn nodeset_reset_changes_the_bound_and_empties_the_set() {
         let mut s = NodeSet::from_indices(70, [3, 69]);
         s.reset(200);
         assert!(s.is_empty());
         assert_eq!(s.bound(), 200);
-        s.insert(199);
-        let mut copy = NodeSet::new(10);
-        copy.clone_from(&s);
-        assert_eq!(copy, s);
+        assert!(s.insert(199));
     }
 
     /// A small irregular DAG plus one cycle, used by the equivalence tests.
@@ -831,6 +857,23 @@ mod tests {
         assert!(csr.succs(6).iter().all(|&t| t != 0), "6 -> 0 was dropped");
         assert!(csr.preds(0).is_empty(), "and so was 0 <- 6");
         assert!(csr.succs(9).is_empty(), "self loop always skipped");
+    }
+
+    #[test]
+    fn components_split_and_list_their_members_ascending() {
+        let g = sample();
+        let comps = Components::of(&Csr::from_graph(&g));
+        assert_eq!(comps.len(), 3);
+        let ids = |v: &[usize]| v.iter().map(|&i| NodeId::from_index(i)).collect::<Vec<_>>();
+        assert_eq!(comps.members(0), ids(&[0, 1, 2, 3, 4, 5, 6]));
+        assert_eq!(comps.members(1), ids(&[7, 8]));
+        assert_eq!(comps.members(2), ids(&[9]), "a self-loop connects nothing");
+        assert_eq!(comps.component_of(NodeId(8)), 1);
+        // Dropped edges connect nothing either.
+        let chain = crate::graph::chain("c", 3, OpKind::FpAdd, 1);
+        let cut = Csr::filtered(&chain, |eid, _| eid.index() == 0);
+        assert_eq!(Components::of(&cut).len(), 2);
+        assert!(!Components::of(&cut).is_empty());
     }
 
     #[test]

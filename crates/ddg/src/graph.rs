@@ -1,6 +1,6 @@
 //! The dependence graph itself.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::edge::{DepKind, Edge, EdgeId};
@@ -245,46 +245,6 @@ impl Ddg {
         self.nodes.iter().map(|n| u64::from(n.latency())).sum()
     }
 
-    /// Partitions the nodes into weakly connected components (treating every
-    /// edge as undirected). Components are returned in order of their
-    /// smallest node id; nodes inside a component are sorted.
-    pub fn connected_components(&self) -> Vec<Vec<NodeId>> {
-        let n = self.num_nodes();
-        let mut comp = vec![usize::MAX; n];
-        let mut components: Vec<Vec<NodeId>> = Vec::new();
-        for start in 0..n {
-            if comp[start] != usize::MAX {
-                continue;
-            }
-            let cid = components.len();
-            let mut members = Vec::new();
-            let mut queue = VecDeque::new();
-            queue.push_back(start);
-            comp[start] = cid;
-            while let Some(v) = queue.pop_front() {
-                members.push(NodeId::from_index(v));
-                let vid = NodeId::from_index(v);
-                for (_, e) in self.out_edges(vid) {
-                    let t = e.target().index();
-                    if comp[t] == usize::MAX {
-                        comp[t] = cid;
-                        queue.push_back(t);
-                    }
-                }
-                for (_, e) in self.in_edges(vid) {
-                    let s = e.source().index();
-                    if comp[s] == usize::MAX {
-                        comp[s] = cid;
-                        queue.push_back(s);
-                    }
-                }
-            }
-            members.sort();
-            components.push(members);
-        }
-        components
-    }
-
     /// A rough structural summary used by reports and `Debug`-level logging.
     pub fn summary(&self) -> DdgSummary {
         let loop_carried = self.edges.iter().filter(|e| e.is_loop_carried()).count();
@@ -429,28 +389,6 @@ mod tests {
         b.edge(c, a, DepKind::RegFlow, 1).unwrap();
         let g = b.build().unwrap();
         assert!(g.has_recurrence());
-    }
-
-    #[test]
-    fn connected_components_split() {
-        let mut b = DdgBuilder::new("two_comps");
-        let a = b.node("a", OpKind::FpAdd, 1);
-        let c = b.node("c", OpKind::FpMul, 2);
-        let d = b.node("d", OpKind::Load, 2);
-        let e = b.node("e", OpKind::Store, 1);
-        b.edge(a, c, DepKind::RegFlow, 0).unwrap();
-        b.edge(d, e, DepKind::RegFlow, 0).unwrap();
-        let g = b.build().unwrap();
-        let comps = g.connected_components();
-        assert_eq!(comps.len(), 2);
-        assert_eq!(comps[0], vec![a, c]);
-        assert_eq!(comps[1], vec![d, e]);
-    }
-
-    #[test]
-    fn connected_components_single() {
-        let g = diamond();
-        assert_eq!(g.connected_components().len(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! On top of the graph itself the crate implements every graph routine the
 //! schedulers rely on, one implementation each:
 //!
-//! * weakly connected components ([`Ddg::connected_components`]),
+//! * weakly connected components ([`dense::Components`]),
 //! * strongly connected components ([`scc`]),
 //! * the exact per-node maximum cycle-ratio analysis ([`cycle_ratio`]):
 //!   for every node, the `RecMII` of the most critical recurrence circuit

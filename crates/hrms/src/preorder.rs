@@ -11,18 +11,18 @@
 //! The phase runs on the index/bitset machinery of [`hrms_ddg::dense`]. The
 //! loop's adjacency is built once, as a CSR with the backward edges of
 //! recurrence circuits removed (`LoopAnalysis::csr_work`), and the weakly
-//! connected components are labelled in one pass over the full CSR. Each
+//! connected components are found in one pass over the full CSR. Each
 //! component's [`WorkGraph`] is a view of four bitsets over the work CSR,
-//! and one scratch per call holds it, the copy each recurrence region is
-//! ordered in, the path-search bitsets and stack, and the Kahn heap, order
-//! and buffers. A reduction step is then a one-sided path search
+//! reused from component to component, and one scratch per call holds the
+//! path-search bitsets and stack and the Kahn heap, order and buffers. A
+//! reduction step is then a one-sided path search
 //! ([`dense::neighbour_region`]), a sort and a few word operations, with
 //! no allocation once the scratch has grown — the `O(|V| + |E|)` per-step
 //! footprint the paper claims in footnote 2. The orderings are pinned by
 //! golden fingerprints (`tests/golden/preorder_fingerprints.txt`) and by
 //! the per-corpus digests of `tests/golden/corpus_digests.txt`.
 
-use hrms_ddg::dense::{DenseAdjacency, Dir, KahnScratch, PathScratch};
+use hrms_ddg::dense::{Components, Dir, KahnScratch, PathScratch};
 use hrms_ddg::{dense, Csr, LoopAnalysis, NodeId, NodeSet};
 use hrms_modsched::StartHint;
 
@@ -109,8 +109,8 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
     // then by their smallest node.
     let mut priority = vec![0u64; components.len()];
     for group in &rec_info.groups {
-        let c = components.of_node(group.nodes[0]);
-        if group.nodes.iter().all(|&n| components.of_node(n) == c) {
+        let c = components.component_of(group.nodes[0]);
+        if group.nodes.iter().all(|&n| components.component_of(n) == c) {
             priority[c] = priority[c].max(group.rec_mii);
         }
     }
@@ -121,7 +121,6 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
     let mut ordered = NodeSet::new(bound);
     let mut scratch = Scratch {
         full_csr,
-        temp: None,
         region: NodeSet::new(bound),
         paths: PathScratch::new(),
         kahn: KahnScratch::new(),
@@ -135,7 +134,9 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
 
         // Recurrence subgraph node lists that live in this component,
         // already sorted by decreasing RecMII by `simplified_node_lists`.
-        let mut lists = simplified.iter().filter(|l| components.of_node(l[0]) == ci);
+        let mut lists = simplified
+            .iter()
+            .filter(|l| components.component_of(l[0]) == ci);
 
         let h = if let Some(first_list) = lists.next() {
             // --- Ordering_Recurrences (Section 3.2) ---
@@ -191,83 +192,10 @@ fn push(order: &mut Vec<NodeId>, ordered: &mut NodeSet, n: NodeId) {
     ordered.insert(n.index());
 }
 
-/// The weakly connected components of a loop, labelled in one pass over
-/// its full CSR and numbered in order of their smallest node, with the
-/// members of each in one flat ascending array.
-struct Components {
-    /// Component number per node.
-    label: Vec<u32>,
-    /// Component `c`'s members are `members[start[c]..start[c + 1]]`.
-    start: Vec<u32>,
-    members: Vec<NodeId>,
-}
-
-impl Components {
-    fn of(csr: &Csr) -> Self {
-        let n = csr.node_bound();
-        let mut label = vec![u32::MAX; n];
-        let mut count = 0u32;
-        let mut stack = Vec::new();
-        for first in 0..n {
-            if label[first] != u32::MAX {
-                continue;
-            }
-            label[first] = count;
-            stack.push(first);
-            while let Some(v) = stack.pop() {
-                for &w in csr.succs(v).iter().chain(csr.preds(v)) {
-                    if label[w as usize] == u32::MAX {
-                        label[w as usize] = count;
-                        stack.push(w as usize);
-                    }
-                }
-            }
-            count += 1;
-        }
-        // A counting sort of the nodes by label: `start[c]` first counts
-        // component `c`, then holds the end of its run, and after the
-        // descending fill its start.
-        let mut start = vec![0u32; count as usize + 1];
-        for &c in &label {
-            start[c as usize] += 1;
-        }
-        let mut end = 0;
-        for slot in &mut start {
-            end += *slot;
-            *slot = end;
-        }
-        let mut members = vec![NodeId(0); n];
-        for v in (0..n).rev() {
-            let slot = &mut start[label[v] as usize];
-            *slot -= 1;
-            members[*slot as usize] = NodeId::from_index(v);
-        }
-        Components {
-            label,
-            start,
-            members,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    fn of_node(&self, n: NodeId) -> usize {
-        self.label[n.index()] as usize
-    }
-
-    fn members(&self, c: usize) -> &[NodeId] {
-        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
-    }
-}
-
-/// What one ordering reuses from step to step: the work-graph copy each
-/// recurrence region is ordered in, a region bitset, the path-search
-/// bitsets and stack, and the Kahn heap, order and buffers.
+/// What one ordering reuses from step to step: a region bitset, the
+/// path-search bitsets and stack, and the Kahn heap, order and buffers.
 struct Scratch<'a> {
     full_csr: &'a Csr,
-    temp: Option<WorkGraph<'a>>,
     region: NodeSet,
     paths: PathScratch,
     kahn: KahnScratch,
@@ -286,17 +214,10 @@ impl<'a> Scratch<'a> {
         order: &mut Vec<NodeId>,
         ordered: &mut NodeSet,
     ) {
-        let mut temp = match self.temp.take() {
-            Some(mut temp) => {
-                temp.clone_from(work);
-                temp
-            }
-            None => work.clone(),
-        };
+        let mut temp = work.clone();
         temp.restrict(region);
         debug_assert!(temp.live().contains(h.index()));
         self.pre_order_connected(&mut temp, h, order, ordered);
-        self.temp = Some(temp);
         work.reduce_set(region, h);
     }
 

@@ -38,7 +38,7 @@ use hrms_ddg::{Csr, NodeId, NodeSet};
 /// pre-ordering only needs adjacency, not multiplicity), and dependence
 /// distances are irrelevant here — the underlying CSR has the backward
 /// edges of every recurrence removed, so it is acyclic.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WorkGraph<'a> {
     csr: &'a Csr,
     /// The nodes still present.
@@ -55,31 +55,6 @@ pub struct WorkGraph<'a> {
     hyper_succs: NodeSet,
     /// The CSR predecessors of the same nodes, never the hypernode.
     hyper_preds: NodeSet,
-}
-
-impl Clone for WorkGraph<'_> {
-    fn clone(&self) -> Self {
-        WorkGraph {
-            csr: self.csr,
-            live: self.live.clone(),
-            len: self.len,
-            absorbed: self.absorbed.clone(),
-            hypernode: self.hypernode,
-            hyper_succs: self.hyper_succs.clone(),
-            hyper_preds: self.hyper_preds.clone(),
-        }
-    }
-
-    /// Copies the four bitsets of `source` into this graph's allocations.
-    fn clone_from(&mut self, source: &Self) {
-        self.csr = source.csr;
-        self.live.clone_from(&source.live);
-        self.len = source.len;
-        self.absorbed.clone_from(&source.absorbed);
-        self.hypernode = source.hypernode;
-        self.hyper_succs.clone_from(&source.hyper_succs);
-        self.hyper_preds.clone_from(&source.hyper_preds);
-    }
 }
 
 impl<'a> WorkGraph<'a> {
@@ -219,10 +194,10 @@ impl<'a> WorkGraph<'a> {
     /// Restricts the graph to those of `members` that are present, keeping
     /// the hypernode and what it absorbed: the paper's
     /// `Generate_Subgraph(V', G)`. The recurrence-ordering procedure copies
-    /// the work graph ([`Clone::clone_from`] reuses the copy's bitsets),
-    /// restricts the copy to the subgraph spanned by the hypernode, the
-    /// next recurrence circuit and the paths connecting them, orders it in
-    /// isolation, and then reduces that subgraph in the main graph.
+    /// the work graph (four bitsets), restricts the copy to the subgraph
+    /// spanned by the hypernode, the next recurrence circuit and the paths
+    /// connecting them, orders it in isolation, and then reduces that
+    /// subgraph in the main graph.
     pub fn restrict(&mut self, members: &NodeSet) {
         self.live.intersect_with(members);
         self.len = self.live.len();
@@ -267,7 +242,8 @@ impl DenseAdjacency for WorkGraph<'_> {
             return;
         }
         if self.hypernode == Some(i) {
-            self.hyper_succs.intersection(&self.live).for_each(f);
+            let live = self.hyper_succs.iter().filter(|&t| self.live.contains(t));
+            live.for_each(f);
         } else {
             self.for_each_in_row(self.csr.succs(i), self.hyper_preds.contains(i), f);
         }
@@ -278,7 +254,8 @@ impl DenseAdjacency for WorkGraph<'_> {
             return;
         }
         if self.hypernode == Some(i) {
-            self.hyper_preds.intersection(&self.live).for_each(f);
+            let live = self.hyper_preds.iter().filter(|&s| self.live.contains(s));
+            live.for_each(f);
         } else {
             self.for_each_in_row(self.csr.preds(i), self.hyper_succs.contains(i), f);
         }
@@ -508,8 +485,7 @@ mod tests {
         let mut wg = WorkGraph::new(&csr, &ids);
         wg.reduce(&[ids[1]], ids[0]);
         let region = NodeSet::from_indices(4, [0, 2]);
-        let mut sub = WorkGraph::new(&csr, &[]);
-        sub.clone_from(&wg);
+        let mut sub = wg.clone();
         sub.restrict(&region);
         assert_eq!(succs(&sub, ids[0]), vec![ids[2]]);
         assert!(succs(&sub, ids[2]).is_empty(), "n3 is outside the region");

@@ -16,6 +16,7 @@
 use std::collections::{HashMap, HashSet};
 
 use hrms_ddg::analysis::LoopAnalysis;
+use hrms_ddg::dense::Components;
 use hrms_ddg::dot::from_dot_graphs_with_spans;
 use hrms_ddg::textfmt::tokenize_line;
 use hrms_ddg::{parse_loops_with_spans, Ddg, EdgeId, LoopSpans, OpKind, ParseError, Span};
@@ -177,7 +178,7 @@ pub fn lint_ddg(
     }
 
     // L005: the body splits into disconnected components.
-    let components = ddg.connected_components();
+    let components = Components::of(analysis.csr_full());
     if components.len() > 1 {
         let mut d = Diagnostic::new(
             Code::L005,
@@ -188,7 +189,7 @@ pub fn lint_ddg(
             ),
         )
         .with_note("independent subloops usually indicate a merge or naming mistake");
-        if let Some(first) = components.get(1).and_then(|c| c.first()) {
+        if let Some(first) = components.members(1).first() {
             d = d.with_note(format!(
                 "`{}` is unreachable from the first component",
                 ddg.node(*first).name()
