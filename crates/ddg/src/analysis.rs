@@ -214,9 +214,10 @@ impl PlacementCsr {
 
 /// The backward edges of every recurrence circuit, given the strongly
 /// connected components of the graph: loop-carried edges whose endpoints
-/// belong to the same SCC ([`is_backward`]). Removing them makes the work
-/// graph acyclic (any remaining cycle would have distance 0, which the MII
-/// computation rejects). `O(|V| + |E|)` given the SCCs.
+/// belong to the same SCC, the test [`LoopAnalysis::csr_work`] drops edges
+/// by. Removing them makes the work graph acyclic (any remaining cycle
+/// would have distance 0, which the MII computation rejects).
+/// `O(|V| + |E|)` given the SCCs.
 pub fn backward_edges_of(ddg: &Ddg, sccs: &[Vec<NodeId>]) -> HashSet<EdgeId> {
     let scc_of = scc_ids(ddg.num_nodes(), sccs);
     ddg.edges()
@@ -471,11 +472,12 @@ impl PerIiStarts {
 /// backward edges, adjacency CSRs, recurrence groups, cycle ratios, the
 /// flattened dependence edges (latencies resolved from the graph's node
 /// latencies, which are authoritative; see [`dependence_latency`]), the
-/// structural fingerprint, the default HRMS pre-ordering
-/// ([`LoopAnalysis::hrms_order`]). None of it depends on the target
-/// machine, which contributes only *resources* (ResMII, MRT occupancy) to
-/// scheduling. The struct is lifetime-free, so an `Arc<LoopCore>` can be
-/// built once per loop and handed to N per-machine scheduling cells through
+/// structural fingerprint, the latency-weighted levels of the distance-0
+/// graph, the default HRMS pre-ordering ([`LoopAnalysis::hrms_order`]).
+/// None of it depends on the target machine, which contributes only
+/// *resources* (ResMII, MRT occupancy) to scheduling. The struct is
+/// lifetime-free, so an `Arc<LoopCore>` can be built once per loop and
+/// handed to N per-machine scheduling cells through
 /// [`LoopAnalysis::with_core`]: each fact is computed by whichever cell
 /// asks first ([`OnceLock`] guarantees exactly-once under concurrency) and
 /// reused by all others. The `tarjan_runs_exactly_once` test and the
@@ -894,8 +896,13 @@ mod tests {
         let core = Arc::new(LoopCore::new());
         let a = LoopAnalysis::with_core(&g, Arc::clone(&core));
         let b = LoopAnalysis::with_core(&g, Arc::clone(&core));
-        // The placement Arc is literally the same allocation.
+        // The placement Arc is literally the same allocation, and so are
+        // the levels.
         assert!(Arc::ptr_eq(a.placement(), b.placement()));
+        assert!(std::ptr::eq(
+            a.topo_levels().unwrap(),
+            b.topo_levels().unwrap()
+        ));
         assert_eq!(a.dep_edges(), b.dep_edges());
         assert_eq!(a.rec_mii(), b.rec_mii());
     }

@@ -121,7 +121,6 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
     let mut ordered = NodeSet::new(bound);
     let mut scratch = Scratch {
         full_csr,
-        region: NodeSet::new(bound),
         paths: PathScratch::new(),
         kahn: KahnScratch::new(),
     };
@@ -143,13 +142,8 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
             let h = first_list[0];
             push(&mut order, &mut ordered, h);
             // Order the most restrictive recurrence subgraph on its own.
-            let mut region = std::mem::take(&mut scratch.region);
-            region.clear();
-            for n in first_list {
-                region.insert(n.index());
-            }
+            let region = NodeSet::from_indices(bound, first_list.iter().map(|n| n.index()));
             scratch.order_region(&mut work, &region, h, &mut order, &mut ordered);
-            scratch.region = region;
             recurrence_subgraphs += 1;
 
             // Then bring in the remaining recurrence subgraphs one by one,
@@ -192,11 +186,10 @@ fn push(order: &mut Vec<NodeId>, ordered: &mut NodeSet, n: NodeId) {
     ordered.insert(n.index());
 }
 
-/// What one ordering reuses from step to step: a region bitset, the
-/// path-search bitsets and stack, and the Kahn heap, order and buffers.
+/// What one ordering reuses from step to step: the path-search bitsets
+/// and stack, and the Kahn heap, order and buffers.
 struct Scratch<'a> {
     full_csr: &'a Csr,
-    region: NodeSet,
     paths: PathScratch,
     kahn: KahnScratch,
 }

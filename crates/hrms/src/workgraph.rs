@@ -2,7 +2,7 @@
 //!
 //! The work graph is a view over the loop's backward-edge-free
 //! [`Csr`] (`LoopAnalysis::csr_work`) made of four bitsets
-//! ([`hrms_ddg::NodeSet`]) and nothing else:
+//! ([`hrms_ddg::NodeSet`]):
 //!
 //! * the *live* nodes, still to be absorbed;
 //! * the *absorbed* nodes, reduced into the hypernode;
@@ -79,7 +79,7 @@ impl<'a> WorkGraph<'a> {
 
     /// Makes this the work graph over `members`, with no hypernode, in the
     /// allocations of the previous one. `O(bound / 64 + |members|)`.
-    pub fn reset(&mut self, members: &[NodeId]) {
+    pub(crate) fn reset(&mut self, members: &[NodeId]) {
         self.live.clear();
         for &m in members {
             self.live.insert(m.index());
@@ -109,7 +109,7 @@ impl<'a> WorkGraph<'a> {
 
     /// Whether live node `i` has a successor: a word test for the
     /// hypernode, `O(degree(i))` for any other node.
-    pub fn has_succs(&self, i: usize) -> bool {
+    pub(crate) fn has_succs(&self, i: usize) -> bool {
         if self.hypernode == Some(i) {
             return self.hyper_succs.intersects(&self.live);
         }
@@ -120,7 +120,7 @@ impl<'a> WorkGraph<'a> {
 
     /// Whether live node `i` has a predecessor; see
     /// [`WorkGraph::has_succs`].
-    pub fn has_preds(&self, i: usize) -> bool {
+    pub(crate) fn has_preds(&self, i: usize) -> bool {
         if self.hypernode == Some(i) {
             return self.hyper_preds.intersects(&self.live);
         }
@@ -507,6 +507,179 @@ mod tests {
         assert!(preds(&wg, ids[2]).contains(&ids[0]));
         assert!(!preds(&wg, ids[2]).contains(&ids[1]));
         assert_eq!(wg.live().to_node_ids(), vec![ids[0], ids[2]]);
+    }
+
+    /// The paper's reduction on explicit, sorted edge rows: the reference
+    /// the bitset view is checked against.
+    #[derive(Clone)]
+    struct Rows {
+        live: Vec<bool>,
+        succs: Vec<Vec<usize>>,
+        preds: Vec<Vec<usize>>,
+    }
+
+    impl Rows {
+        fn new(csr: &Csr, live: Vec<bool>) -> Self {
+            let n = live.len();
+            let row = |r: &[u32]| -> Vec<usize> {
+                r.iter().map(|&x| x as usize).filter(|&x| live[x]).collect()
+            };
+            let succs = (0..n).map(|v| {
+                if live[v] {
+                    row(csr.succs(v))
+                } else {
+                    Vec::new()
+                }
+            });
+            let preds = (0..n).map(|v| {
+                if live[v] {
+                    row(csr.preds(v))
+                } else {
+                    Vec::new()
+                }
+            });
+            Rows {
+                succs: succs.collect(),
+                preds: preds.collect(),
+                live,
+            }
+        }
+
+        fn reduce(&mut self, set: &[usize], h: usize) {
+            fn insert(row: &mut Vec<usize>, x: usize) {
+                if let Err(pos) = row.binary_search(&x) {
+                    row.insert(pos, x);
+                }
+            }
+            fn remove(row: &mut Vec<usize>, x: usize) {
+                if let Ok(pos) = row.binary_search(&x) {
+                    row.remove(pos);
+                }
+            }
+            let victims: Vec<usize> = set
+                .iter()
+                .copied()
+                .filter(|&v| v != h && self.live[v])
+                .collect();
+            for &v in &victims {
+                self.live[v] = false;
+                for t in std::mem::take(&mut self.succs[v]) {
+                    remove(&mut self.preds[t], v);
+                    if t != h && !victims.contains(&t) {
+                        insert(&mut self.succs[h], t);
+                        insert(&mut self.preds[t], h);
+                    }
+                }
+                for s in std::mem::take(&mut self.preds[v]) {
+                    remove(&mut self.succs[s], v);
+                    if s != h && !victims.contains(&s) {
+                        insert(&mut self.succs[s], h);
+                        insert(&mut self.preds[h], s);
+                    }
+                }
+            }
+            remove(&mut self.succs[h], h);
+            remove(&mut self.preds[h], h);
+        }
+
+        fn restrict(&mut self, keep: &[bool]) {
+            for (live, &kept) in self.live.iter_mut().zip(keep) {
+                *live &= kept;
+            }
+            let live = &self.live;
+            for v in 0..live.len() {
+                for row in [&mut self.succs[v], &mut self.preds[v]] {
+                    row.retain(|&x| live[v] && live[x]);
+                }
+            }
+        }
+    }
+
+    fn assert_same(wg: &WorkGraph, rows: &Rows, what: &str) {
+        for v in 0..rows.live.len() {
+            assert_eq!(
+                wg.live().contains(v),
+                rows.live[v],
+                "{what}: liveness of {v}"
+            );
+            let mut succs = Vec::new();
+            wg.for_each_succ(v, &mut |t| succs.push(t));
+            assert_eq!(succs, rows.succs[v], "{what}: succs of {v}");
+            let mut preds = Vec::new();
+            wg.for_each_pred(v, &mut |s| preds.push(s));
+            assert_eq!(preds, rows.preds[v], "{what}: preds of {v}");
+            if rows.live[v] {
+                assert_eq!(wg.has_succs(v), !rows.succs[v].is_empty(), "{what}: {v}");
+                assert_eq!(wg.has_preds(v), !rows.preds[v].is_empty(), "{what}: {v}");
+            }
+        }
+        assert_eq!(wg.len(), rows.live.iter().filter(|&&l| l).count());
+    }
+
+    #[test]
+    fn reductions_and_restrictions_match_explicit_edge_rows() {
+        // Seeded DAGs (edges from lower to higher index), each reduced step
+        // by step into one hypernode by random victim sets, with a
+        // restricted copy reduced further at every step.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..60 {
+            let n = 2 + next(40) as usize;
+            let mut bld = DdgBuilder::new(format!("dag{case}"));
+            let ids: Vec<NodeId> = (0..n)
+                .map(|i| bld.node(format!("n{i}"), OpKind::FpAdd, 1))
+                .collect();
+            for _ in 0..2 * n {
+                let (a, b) = (next(n as u64) as usize, next(n as u64) as usize);
+                if a != b {
+                    let (s, t) = (a.min(b), a.max(b));
+                    bld.edge(ids[s], ids[t], DepKind::RegFlow, 0).unwrap();
+                }
+            }
+            let g = bld.build().unwrap();
+            let csr = Csr::from_graph(&g);
+            let members: Vec<NodeId> = ids.iter().copied().filter(|_| next(5) != 0).collect();
+            let mut live = vec![false; n];
+            for m in &members {
+                live[m.index()] = true;
+            }
+            let Some(&h) = members.first() else { continue };
+            let mut wg = WorkGraph::new(&csr, &members);
+            let mut rows = Rows::new(&csr, live);
+            assert_same(&wg, &rows, "built");
+            for step in 0..6 {
+                let victims: Vec<usize> = (0..n).filter(|_| next(4) == 0).collect();
+                let set = NodeSet::from_indices(n, victims.iter().copied());
+                wg.reduce_set(&set, h);
+                rows.reduce(&victims, h.index());
+                assert_same(&wg, &rows, &format!("case {case} step {step}"));
+
+                let keep: Vec<bool> = (0..n).map(|v| v == h.index() || next(2) == 0).collect();
+                let region = NodeSet::from_indices(n, (0..n).filter(|&v| keep[v]));
+                let mut sub = wg.clone();
+                sub.restrict(&region);
+                let mut sub_rows = rows.clone();
+                sub_rows.restrict(&keep);
+                assert_same(
+                    &sub,
+                    &sub_rows,
+                    &format!("case {case} step {step} restricted"),
+                );
+                let more: Vec<usize> = (0..n).filter(|_| next(3) == 0).collect();
+                sub.reduce_set(&NodeSet::from_indices(n, more.iter().copied()), h);
+                sub_rows.reduce(&more, h.index());
+                assert_same(
+                    &sub,
+                    &sub_rows,
+                    &format!("case {case} step {step} sub-reduced"),
+                );
+            }
+        }
     }
 
     #[test]
