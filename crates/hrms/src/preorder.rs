@@ -12,7 +12,7 @@
 //! loop's adjacency is built once, as a CSR with the backward edges of
 //! recurrence circuits removed (`LoopAnalysis::csr_work`), and the weakly
 //! connected components are found in one pass over the full CSR. Each
-//! component's [`WorkGraph`] is a view of four bitsets over the work CSR,
+//! component's [`WorkGraph`] is a view of three bitsets over the work CSR,
 //! reused from component to component, and one scratch per call holds the
 //! path-search bitsets and stack and the Kahn heap, order and buffers. A
 //! reduction step is then a one-sided path search

@@ -1,22 +1,22 @@
 //! The mutable working graph on which hypernode reduction operates.
 //!
 //! The work graph is a view over the loop's backward-edge-free
-//! [`Csr`] (`LoopAnalysis::csr_work`) made of four bitsets
+//! [`Csr`] (`LoopAnalysis::csr_work`) made of three bitsets
 //! ([`hrms_ddg::NodeSet`]):
 //!
 //! * the *live* nodes, still to be absorbed;
-//! * the *absorbed* nodes, reduced into the hypernode;
 //! * the static successors and the static predecessors of the hypernode
 //!   and of every node absorbed into it: the union of their CSR rows.
 //!
-//! A live node's neighbours are its CSR row with every absorbed entry
-//! mapped to the hypernode, deduplicated and in ascending order; the
+//! A live node's neighbours are its live CSR entries, with the hypernode
+//! standing in for the absorbed ones (the node is then in the hypernode's
+//! opposite neighbour set), deduplicated and in ascending order; the
 //! hypernode's are the live members of its two neighbour sets. A
-//! reduction moves nodes from the live set to the absorbed set and ORs
-//! their CSR rows into the hypernode's sets, in `O(Σ degree)` word
-//! operations with no allocation, and a restricted copy copies the four
-//! bitsets. Every reduction of one work graph goes into the same
-//! hypernode: the pre-ordering grows one hypernode per component.
+//! reduction takes nodes out of the live set and ORs their CSR rows into
+//! the hypernode's sets, in `O(Σ degree)` word operations with no
+//! allocation, and a restricted copy copies the three bitsets. Every
+//! reduction of one work graph goes into the same hypernode: the
+//! pre-ordering grows one hypernode per component.
 //! Traversal is deterministic and ascending, and path search and
 //! topological sorts run on the index machinery of [`hrms_ddg::dense`].
 
@@ -46,8 +46,6 @@ pub struct WorkGraph<'a> {
     /// Number of live nodes (kept incrementally; `NodeSet::len` is a
     /// popcount).
     len: usize,
-    /// The nodes reduced into the hypernode.
-    absorbed: NodeSet,
     /// The node every reduction goes into, once there has been one.
     hypernode: Option<usize>,
     /// The CSR successors of the hypernode and of every absorbed node,
@@ -59,16 +57,15 @@ pub struct WorkGraph<'a> {
 
 impl<'a> WorkGraph<'a> {
     /// A work graph over `members` and every edge of `csr` between two of
-    /// them, with no hypernode yet. The pre-ordering driver carves one
-    /// work graph per weakly connected component out of the loop's
-    /// backward-edge-free CSR.
+    /// them, with no hypernode yet. The pre-ordering builds one over the
+    /// loop's backward-edge-free CSR and resets it for each weakly
+    /// connected component.
     pub fn new(csr: &'a Csr, members: &[NodeId]) -> Self {
         let bound = csr.node_bound();
         let mut graph = WorkGraph {
             csr,
             live: NodeSet::new(bound),
             len: 0,
-            absorbed: NodeSet::new(bound),
             hypernode: None,
             hyper_succs: NodeSet::new(bound),
             hyper_preds: NodeSet::new(bound),
@@ -85,7 +82,6 @@ impl<'a> WorkGraph<'a> {
             self.live.insert(m.index());
         }
         self.len = self.live.len();
-        self.absorbed.clear();
         self.hypernode = None;
         self.hyper_succs.clear();
         self.hyper_preds.clear();
@@ -173,7 +169,6 @@ impl<'a> WorkGraph<'a> {
         for v in victims {
             if v != hi && self.live.remove(v) {
                 self.len -= 1;
-                self.absorbed.insert(v);
                 self.merge_rows(v);
             }
         }
@@ -194,7 +189,7 @@ impl<'a> WorkGraph<'a> {
     /// Restricts the graph to those of `members` that are present, keeping
     /// the hypernode and what it absorbed: the paper's
     /// `Generate_Subgraph(V', G)`. The recurrence-ordering procedure copies
-    /// the work graph (four bitsets), restricts the copy to the subgraph
+    /// the work graph (three bitsets), restricts the copy to the subgraph
     /// spanned by the hypernode, the next recurrence circuit and the paths
     /// connecting them, orders it in isolation, and then reduces that
     /// subgraph in the main graph.

@@ -282,8 +282,9 @@ fn with_zero_distance_cycle(g: &Ddg, seed: u64) -> Ddg {
 
 #[test]
 fn loops_with_a_zero_distance_cycle_are_ordered_in_program_order() {
-    // The smallest loop on which the hypernode ordering used to panic:
-    // distance-0 edges n1 -> n2, n2 -> n0, n0 -> n2 and n2 -> n1.
+    // The smallest loop whose work graph keeps a cycle that no hypernode
+    // step can sort: distance-0 edges n1 -> n2, n2 -> n0, n0 -> n2 and
+    // n2 -> n1.
     let mut bld = DdgBuilder::new("zero_distance");
     let ids: Vec<NodeId> = (0..3)
         .map(|i| bld.node(format!("n{i}"), OpKind::FpAdd, 1))
