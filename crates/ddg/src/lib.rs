@@ -82,7 +82,7 @@ pub use analysis::{
 };
 pub use builder::DdgBuilder;
 pub use cycle_ratio::CycleRatios;
-pub use dense::{Csr, DenseAdjacency, NodeSet};
+pub use dense::{Csr, NodeSet};
 pub use edge::{DepKind, Edge, EdgeId};
 pub use error::DdgError;
 pub use fingerprint::{cache_key, ddg_fingerprint, format_digest, Fnv64};

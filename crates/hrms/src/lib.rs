@@ -26,8 +26,10 @@
 //! # Dense representation
 //!
 //! The pre-ordering phase runs on the dense bitset/CSR machinery of
-//! [`hrms_ddg::dense`] (see [`workgraph`]), and the scheduling step scans
-//! the per-node dependence arcs of the loop's
+//! [`hrms_ddg::dense`]: the hypernode is the set of nodes ordered so far,
+//! kept as a live-node mask and the work CSR's successors and
+//! predecessors of its members (see [`preorder`]), and the scheduling
+//! step scans the per-node dependence arcs of the loop's
 //! [`hrms_ddg::LoopAnalysis::placement`]. Each phase has exactly one
 //! implementation; golden fingerprint pins and the independent certifier
 //! of `hrms-verify` guard their output.
@@ -37,8 +39,6 @@
 
 pub mod preorder;
 pub mod scheduler;
-pub mod workgraph;
 
 pub use preorder::{pre_order, pre_order_with, PreOrderOptions, PreOrdering};
 pub use scheduler::{program_order_scheduler, schedule_at_ii_with, HrmsScheduler};
-pub use workgraph::WorkGraph;

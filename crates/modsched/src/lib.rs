@@ -56,6 +56,6 @@ pub use report::{
 };
 pub use schedule::Schedule;
 pub use scheduler::{
-    escalate_ii, ModuloScheduler, ScheduleMetrics, ScheduleOutcome, SchedulerConfig,
+    escalate_ii, ModuloScheduler, ScheduleMetrics, ScheduleOutcome, SchedulerConfig, MAX_II,
 };
 pub use validate::{validate_schedule, ValidationError};

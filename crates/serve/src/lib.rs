@@ -26,5 +26,5 @@ pub mod protocol;
 pub mod registry;
 mod service;
 
-pub use protocol::{looks_like_dot, looks_like_machine};
+pub use protocol::{looks_like_dot, looks_like_machine, parse_loop_source};
 pub use service::{ServeConfig, Service, MAX_REQUEST_LINE};

@@ -13,6 +13,7 @@
 
 use std::fmt::Write as _;
 
+use hrms_ddg::{dot, parse_loops, Ddg, ParseError};
 use hrms_engine::CacheStats;
 use hrms_modsched::{push_json_str, FeedbackConfig, RegisterBudget};
 
@@ -33,6 +34,22 @@ pub fn looks_like_dot(text: &str) -> bool {
             || t.starts_with("/*");
     }
     false
+}
+
+/// Reads one loop source, `.loop` or DOT as [`looks_like_dot`] tells them
+/// apart, into its loops in order: a `.loop` text may hold several loops,
+/// and a DOT text one per digraph, back to back. `hrms schedule` reads
+/// each input file through it, and `hrms serve` each `loops` entry.
+///
+/// # Errors
+///
+/// The first parse error of the text.
+pub fn parse_loop_source(text: &str) -> Result<Vec<Ddg>, ParseError> {
+    if looks_like_dot(text) {
+        dot::from_dot_graphs(text)
+    } else {
+        parse_loops(text)
+    }
 }
 
 /// Whether `text` looks like a `.machine` description: the first line that

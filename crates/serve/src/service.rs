@@ -38,14 +38,14 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
-use hrms_ddg::{cache_key, ddg_fingerprint, dot, parse_loops, Ddg};
+use hrms_ddg::{cache_key, ddg_fingerprint, Ddg};
 use hrms_engine::{BatchEngine, CacheStats, Cell, ResultCache};
 use hrms_machine::{machine_fingerprint, Machine};
 use hrms_modsched::{error_line, report_line_with_digests, ReportDigests, ReportOptions};
 use hrms_verify::{lint_dot_source, lint_loop_source, lint_machine_source};
 
 use crate::protocol::{
-    bye_record, cell_record_for, done_record_for, looks_like_dot, parse_request,
+    bye_record, cell_record_for, done_record_for, looks_like_dot, parse_loop_source, parse_request,
     request_error_record, stats_record, Request, RequestError, ScheduleRequest,
 };
 use crate::registry::{resolve_machine, scheduler_by_slug, MachineError, MachineFiles};
@@ -218,20 +218,15 @@ impl Service {
         }
     }
 
-    /// Parses every loop entry, flattening multi-loop `.loop` entries in
-    /// order. A parse failure rejects the whole request (the index ↔ loop
+    /// Parses every loop entry, flattening multi-loop `.loop` entries and
+    /// multi-digraph DOT entries in order. A parse failure rejects the whole request (the index ↔ loop
     /// correspondence would otherwise be ambiguous) with span diagnostics
     /// for the offending entry.
     fn parse_request_loops(id: &Value, entries: &[String]) -> Result<Vec<Ddg>, Box<RequestError>> {
         let mut loops = Vec::new();
         for (i, text) in entries.iter().enumerate() {
             let path = || format!("loops[{i}]");
-            let parsed = if looks_like_dot(text) {
-                dot::from_dot(text).map(|g| vec![g]).map_err(|e| (e, true))
-            } else {
-                parse_loops(text).map_err(|e| (e, false))
-            };
-            match parsed {
+            match parse_loop_source(text) {
                 Ok(parsed) if parsed.is_empty() => {
                     return Err(Box::new(RequestError::new(
                         id.clone(),
@@ -239,9 +234,9 @@ impl Service {
                     )));
                 }
                 Ok(parsed) => loops.extend(parsed),
-                Err((e, is_dot)) => {
+                Err(e) => {
                     let path = path();
-                    let lints = if is_dot {
+                    let lints = if looks_like_dot(text) {
                         lint_dot_source(text, None)
                     } else {
                         lint_loop_source(text, None)

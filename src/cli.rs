@@ -8,11 +8,11 @@
 
 use std::fmt::Write as _;
 
-use hrms_ddg::{dot, parse_loops, textfmt, Ddg};
+use hrms_ddg::{dot, textfmt, Ddg};
 use hrms_engine::BatchEngine;
 use hrms_machine::{presets, write_machine, Machine};
 use hrms_modsched::{report_line, FeedbackConfig, ModuloScheduler, ReportOptions, ScheduleOutcome};
-use hrms_serve::{looks_like_dot, looks_like_machine, ServeConfig, Service};
+use hrms_serve::{looks_like_dot, looks_like_machine, parse_loop_source, ServeConfig, Service};
 use hrms_verify::{certify, lint_dot_source, lint_loop_source, lint_machine_source, Diagnostic};
 
 use crate::registry::{
@@ -126,11 +126,7 @@ fn read_source(source: &str, stdin: &str) -> Result<String, CliError> {
 /// Parses one input source into its loops: a `.loop` file may hold
 /// several, and a DOT file one loop per digraph, back to back.
 fn parse_source(source: &str, text: &str) -> Result<Vec<Ddg>, CliError> {
-    if looks_like_dot(text) {
-        dot::from_dot_graphs(text).map_err(|e| CliError::data(format!("{source}: {e}")))
-    } else {
-        parse_loops(text).map_err(|e| CliError::data(format!("{source}: {e}")))
-    }
+    parse_loop_source(text).map_err(|e| CliError::data(format!("{source}: {e}")))
 }
 
 /// Loads every loop from the listed sources, in argument order.
@@ -714,7 +710,7 @@ mod tests {
         assert_eq!(as_dot.matches("digraph").count(), 2);
         let back = run(&args(&["convert", "-", "--to", "loop"]), &as_dot).unwrap();
         let fingerprints = |text: &str| -> Vec<u64> {
-            parse_loops(text)
+            hrms_ddg::parse_loops(text)
                 .unwrap()
                 .iter()
                 .map(hrms_ddg::ddg_fingerprint)

@@ -4,7 +4,7 @@
 
 use hrms_repro::baselines::all_baselines;
 use hrms_repro::ddg::{parse_loop, LoopAnalysis};
-use hrms_repro::modsched::SchedError;
+use hrms_repro::modsched::{SchedError, MAX_II};
 use hrms_repro::prelude::*;
 use hrms_repro::registry::{scheduler_by_slug, SCHEDULER_SLUGS};
 
@@ -141,21 +141,27 @@ fn preordering_covers_every_node_exactly_once_on_all_workloads() {
 
 #[test]
 fn a_rec_mii_above_the_largest_ii_is_rejected_before_any_attempt() {
-    // RecMII 6·10⁹ exceeds u32::MAX, the largest II. Every scheduler reads
-    // the MII before its first attempt, so each must give up there instead
-    // of truncating the bound or sizing a reservation table by it.
-    let ddg = parse_loop(&corpus::repo_file("tests/fixtures/recmii_overflow.loop")).unwrap();
-    assert_eq!(LoopAnalysis::analyze(&ddg).rec_mii(), Some(6_000_000_000));
+    // Every scheduler reads the MII before its first attempt, so each must
+    // give up there instead of truncating the bound or sizing a
+    // reservation table by it. RecMII 6·10⁹ exceeds u32::MAX; RecMII 2·10⁹
+    // fits in u32 but exceeds MAX_II, the largest II any scheduler tries.
+    let cases = [
+        ("recmii_overflow", 6_000_000_000, u32::MAX),
+        ("huge_ii", 2_000_000_000, MAX_II),
+    ];
     let machine = presets::govindarajan();
-    let slugs = SCHEDULER_SLUGS.into_iter().chain(["feedback:hrms"]);
-    for slug in slugs {
-        let scheduler = scheduler_by_slug(slug).unwrap();
-        assert_eq!(
-            scheduler.schedule_loop(&ddg, &machine).err(),
-            Some(SchedError::NoValidSchedule {
-                max_ii_tried: u32::MAX
-            }),
-            "`{slug}`"
-        );
+    for (name, rec_mii, max_ii_tried) in cases {
+        let path = format!("tests/fixtures/{name}.loop");
+        let ddg = parse_loop(&corpus::repo_file(&path)).unwrap();
+        assert_eq!(LoopAnalysis::analyze(&ddg).rec_mii(), Some(rec_mii));
+        let slugs = SCHEDULER_SLUGS.into_iter().chain(["feedback:hrms"]);
+        for slug in slugs {
+            let scheduler = scheduler_by_slug(slug).unwrap();
+            assert_eq!(
+                scheduler.schedule_loop(&ddg, &machine).err(),
+                Some(SchedError::NoValidSchedule { max_ii_tried }),
+                "`{name}` under `{slug}`"
+            );
+        }
     }
 }

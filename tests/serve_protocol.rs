@@ -291,6 +291,75 @@ fn failing_cells_become_error_records_and_spare_the_batch() {
 }
 
 #[test]
+fn a_loop_whose_mii_exceeds_the_ii_cap_is_a_cell_error_and_serving_goes_on() {
+    // RecMII 2·10⁹ fits in u32 but is above MAX_II: the cell fails before
+    // any reservation table is sized, and the request after it is still
+    // answered.
+    let mut service = Service::default();
+    let huge = corpus::repo_file("tests/fixtures/huge_ii.loop");
+    let input = [
+        schedule_request("1", &[loop_text("before")]),
+        schedule_request("2", &[huge]),
+        schedule_request("3", &[loop_text("after")]),
+    ]
+    .concat();
+    let (out, shutdown) = service.process(&input);
+    assert!(!shutdown);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 6, "a record and done per request:\n{out}");
+    let err = fields(lines[2]);
+    assert_eq!(str_field(&err, "type"), "error");
+    assert_eq!(str_field(&err, "stage"), "schedule");
+    assert_eq!(num_field(&err, "id"), 2);
+    assert_eq!(str_field(&err, "loop"), "huge_ii");
+    assert!(
+        str_field(&err, "error").contains("no valid schedule found for any II up to 1048576"),
+        "{}",
+        lines[2]
+    );
+    let after = fields(lines[4]);
+    assert_eq!(str_field(&after, "type"), "result");
+    assert_eq!(num_field(&after, "id"), 3);
+    assert_eq!(str_field(&after, "loop"), "after");
+    for (line, id) in [(1, 1), (3, 2), (5, 3)] {
+        let done = fields(lines[line]);
+        assert_eq!(str_field(&done, "type"), "done");
+        assert_eq!(num_field(&done, "id"), id);
+    }
+}
+
+#[test]
+fn a_dot_entry_with_two_digraphs_yields_a_record_per_digraph() {
+    // The CLI and the service read a loop source alike: a DOT text of two
+    // digraphs back to back is two loops, flattened in order.
+    let text = "digraph a { x -> y; }\ndigraph b { p -> q; }\n".to_string();
+    let cli_out = hrms_repro::cli::run(
+        &["schedule", "-", "--emit", "json"].map(String::from),
+        &text,
+    )
+    .expect("both digraphs schedule");
+    let cli_lines: Vec<&str> = cli_out.lines().collect();
+    assert_eq!(cli_lines.len(), 2, "{cli_out}");
+
+    let (out, _) = Service::default().process(&schedule_request("1", &[text]));
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "2 results + done:\n{out}");
+    for (i, (name, cli_line)) in ["a", "b"].iter().zip(&cli_lines).enumerate() {
+        let v = fields(lines[i]);
+        assert_eq!(str_field(&v, "type"), "result");
+        assert_eq!(num_field(&v, "index"), i as i64);
+        assert_eq!(str_field(&v, "loop"), *name);
+        // The record is the CLI line plus the envelope, byte for byte.
+        assert!(
+            lines[i].ends_with(&cli_line[1..]),
+            "service: {}\ncli:     {cli_line}",
+            lines[i]
+        );
+    }
+    assert_eq!(num_field(&fields(lines[2]), "results"), 2);
+}
+
+#[test]
 fn panicking_cells_are_contained_with_the_payload_and_location() {
     let mut service = Service::default();
     let input = format!(
