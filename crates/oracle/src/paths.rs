@@ -1,7 +1,9 @@
 //! Path search: the paper's `Search_All_Paths` routine over any
-//! [`GraphView`], with `HashSet` results. The pre-ordering runs the dense
-//! port, [`hrms_ddg::dense::search_all_paths`]; this generic version is its
-//! reference in the equivalence tests.
+//! [`GraphView`], with `HashSet` results. The pre-ordering runs it on
+//! bitsets: one side of it per reduction step
+//! ([`hrms_ddg::dense::neighbour_region`]) and two
+//! [`hrms_ddg::dense::reachable`] sweeps per further recurrence list; this
+//! generic version is their reference in the equivalence tests.
 
 use std::collections::{HashSet, VecDeque};
 

@@ -27,7 +27,10 @@ use crate::diag::{sort_diagnostics, Code, Diagnostic};
 /// Latencies and distances at or above this are almost certainly typos
 /// (`L006`). The largest legitimate value in the paper's workloads is the
 /// square-root latency, 30; a mistyped extra digit is still far below this.
-pub const MAGNITUDE_LIMIT: u32 = 1 << 20;
+/// The limit is the largest II any scheduler tries,
+/// [`hrms_modsched::MAX_II`]: one latency above it on a circuit of
+/// distance 1 already puts the RecMII beyond every II tried.
+pub const MAGNITUDE_LIMIT: u32 = hrms_modsched::MAX_II;
 
 /// Lints a `.loop` file (possibly holding several loops). Parse failures
 /// become a single `L001`; otherwise every loop is linted with spans.
