@@ -514,6 +514,79 @@ fn the_cache_is_bounded_and_reports_evictions() {
 }
 
 #[test]
+fn a_small_cache_answers_a_mixed_stream_with_the_cold_bytes() {
+    // Every way a caching request can meet an entry seen before, through a
+    // cache that evicts: the answers must be the bytes a service without a
+    // cache gives, and the counters those the service has always kept.
+    let multi = [loop_text("m1"), loop_text("m2")].concat();
+    let dot = "digraph d1 { x -> y; }\ndigraph d2 { p -> q; q -> r; }\n".to_string();
+    let (a, b) = (loop_text("a"), loop_text("b"));
+    let broken = "loop broken\nnode a\nend\n".to_string();
+    let request = |id: u32, options: &str, loops: &[&String]| {
+        let entries: Vec<String> = loops.iter().map(|l| quoted(l)).collect();
+        format!(
+            "{{\"req\":\"schedule\",\"id\":{id},{options}\"loops\":[{}]}}\n",
+            entries.join(",")
+        )
+    };
+    let stream = [
+        // Five cells into four slots: `a`'s result is evicted at once.
+        request(1, "", &[&a, &multi, &dot]),
+        // Hot repeats of a multi-loop entry and a two-digraph DOT entry.
+        request(2, "", &[&multi, &dot]),
+        request(3, "", &[&multi, &dot]),
+        // A remembered entry on a new machine.
+        request(4, "\"machine\":\"perfect-club\",", &[&multi]),
+        // A remembered entry whose result was evicted, twice in one request.
+        request(5, "", &[&a, &a]),
+        request(6, "", &[&multi]),
+        request(7, "\"cache\":false,", &[&dot]),
+        // A malformed entry after a remembered one rejects the request.
+        request(8, "", &[&a, &broken]),
+        request(9, "", &[&b, &b, &a]),
+        request(10, "\"scheduler\":\"top-down\",", &[&a, &dot]),
+        request(11, "", &[&dot, &b]),
+        "{\"req\":\"stats\",\"id\":12}\n".to_string(),
+    ]
+    .concat();
+    let mut cached = Service::new(&ServeConfig {
+        cache_capacity: 4,
+        ..ServeConfig::default()
+    });
+    let mut cold = Service::new(&ServeConfig {
+        cache: false,
+        ..ServeConfig::default()
+    });
+    let (out, _) = cached.process(&stream);
+    let (cold_out, _) = cold.process(&stream);
+    let (out, cold_out): (Vec<&str>, Vec<&str>) =
+        (out.lines().collect(), cold_out.lines().collect());
+    assert_eq!(out.len(), cold_out.len(), "{out:#?}");
+    let (stats, records) = out.split_last().expect("a stats record");
+    assert_eq!(records, &cold_out[..records.len()]);
+    assert!(
+        records
+            .iter()
+            .any(|r| r.contains("\"id\":8,") && r.contains("\"stage\":\"request\"")),
+        "{records:#?}"
+    );
+    let stats = fields(stats);
+    let counters = [
+        "hits",
+        "misses",
+        "evictions",
+        "entries",
+        "cores",
+        "core_machine_keys",
+        "requests",
+        "results",
+        "errors",
+    ]
+    .map(|key| num_field(&stats, key));
+    assert_eq!(counters, [12, 16, 12, 4, 6, 8, 10, 30, 0], "{stats:?}");
+}
+
+#[test]
 fn stats_requests_expose_the_service_counters() {
     let mut service = Service::default();
     let input = [
