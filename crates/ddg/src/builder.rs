@@ -167,27 +167,35 @@ impl DdgBuilder {
     /// * [`DdgError::ZeroLatency`] if any node has latency 0.
     /// * [`DdgError::DuplicateName`] if two nodes share a name.
     pub fn build(&self) -> Result<Ddg, DdgError> {
-        self.clone().into_ddg()
+        self.clone().into_ddg(self.first_duplicate())
+    }
+
+    /// The index of the first node whose name an earlier node already has.
+    pub(crate) fn first_duplicate(&self) -> Option<usize> {
+        let mut names = HashSet::with_capacity(self.nodes.len());
+        self.nodes.iter().position(|n| !names.insert(n.name()))
     }
 
     /// [`DdgBuilder::build`] for a builder that is no longer needed: the
-    /// name, nodes and edges move into the graph.
-    pub(crate) fn into_ddg(self) -> Result<Ddg, DdgError> {
+    /// name, nodes and edges move into the graph. `first_duplicate` is
+    /// [`DdgBuilder::first_duplicate`], which a parser that mapped every
+    /// name as it read it already knows.
+    pub(crate) fn into_ddg(self, first_duplicate: Option<usize>) -> Result<Ddg, DdgError> {
         if self.nodes.is_empty() {
             return Err(DdgError::EmptyGraph);
         }
-        let mut names = HashSet::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            if n.latency() == 0 {
-                return Err(DdgError::ZeroLatency {
-                    name: n.name().to_string(),
-                });
-            }
-            if !names.insert(n.name()) {
-                return Err(DdgError::DuplicateName {
-                    name: n.name().to_string(),
-                });
-            }
+        // The first bad node in program order wins; a node whose latency is
+        // zero and whose name repeats reports its latency.
+        let checked = first_duplicate.map_or(self.nodes.len(), |d| d + 1);
+        if let Some(n) = self.nodes[..checked].iter().find(|n| n.latency() == 0) {
+            return Err(DdgError::ZeroLatency {
+                name: n.name().to_string(),
+            });
+        }
+        if let Some(d) = first_duplicate {
+            return Err(DdgError::DuplicateName {
+                name: self.nodes[d].name().to_string(),
+            });
         }
         let invariants = self
             .invariants

@@ -721,8 +721,9 @@ fn parse_graph(cur: &mut Cursor<'_>) -> Result<(Ddg, LoopSpans), ParseError> {
     if let Some(it) = iterations {
         b.iteration_count(it);
     }
+    let first_duplicate = b.first_duplicate();
     let ddg = b
-        .into_ddg()
+        .into_ddg(first_duplicate)
         .map_err(|e| ParseError::new(0, format!("invalid graph: {e}")))?;
     Ok((
         ddg,

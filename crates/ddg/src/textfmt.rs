@@ -35,6 +35,7 @@
 //! diagnostics back at the input file.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -498,10 +499,12 @@ pub fn line_span(line: &str, lineno: usize, line_offset: usize) -> Span {
 /// State of the `loop` block currently being parsed.
 struct Block<'a> {
     builder: DdgBuilder,
-    /// name → id, for edge endpoint resolution (duplicate names are
-    /// rejected at `build` time; first wins for resolution here). Keys
-    /// borrow from the input unless the name was written with escapes.
+    /// name → id, for edge endpoint resolution (first wins). Keys borrow
+    /// from the input unless the name was written with escapes.
     names: HashMap<Cow<'a, str>, NodeId>,
+    /// The index of the first node whose name is already in `names`: a
+    /// duplicate the builder rejects at `end`.
+    first_duplicate: Option<usize>,
     start_line: usize,
     /// The block's spans, recorded only for [`parse_loops_with_spans`].
     spans: Option<LoopSpans>,
@@ -608,6 +611,7 @@ fn parse_blocks(
                 *slot = Some(Block {
                     builder: DdgBuilder::new(name.text()),
                     names: HashMap::new(),
+                    first_duplicate: None,
                     start_line: lineno,
                     spans: spans.is_some().then(|| LoopSpans {
                         header: ctx.span_all(),
@@ -620,7 +624,7 @@ fn parse_blocks(
                 let b = block.take().expect("matched Some");
                 let ddg = b
                     .builder
-                    .into_ddg()
+                    .into_ddg(b.first_duplicate)
                     .map_err(|e| ctx.err(format!("invalid loop: {e}")))?;
                 loops.push(ddg);
                 if let (Some(out), Some(block_spans)) = (spans.as_deref_mut(), b.spans) {
@@ -678,7 +682,14 @@ fn parse_blocks(
                 if invariant_uses > 0 {
                     b.builder.node_invariant_uses(id, invariant_uses);
                 }
-                b.names.entry(name).or_insert(id);
+                match b.names.entry(name) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(id);
+                    }
+                    Entry::Occupied(_) => {
+                        b.first_duplicate.get_or_insert(id.index());
+                    }
+                }
                 if let Some(block_spans) = &mut b.spans {
                     block_spans.nodes.push(ctx.span_all());
                 }
@@ -795,7 +806,44 @@ pub fn parse_loop(input: &str) -> Result<Ddg, ParseError> {
 mod tests {
     use super::*;
     use crate::fingerprint::ddg_fingerprint;
-    use crate::{DdgBuilder, DepKind, OpKind};
+    use crate::{DdgBuilder, DdgError, DepKind, OpKind};
+
+    /// Parses one loop of `(name, latency)` nodes and builds the same nodes
+    /// with [`DdgBuilder::build`]: the parser's name map and the builder's
+    /// set must report `expected`, the first bad node in program order.
+    fn assert_first_bad_node(nodes: &[(&str, u32)], expected: DdgError) {
+        let mut text = String::from("loop l\n");
+        let mut b = DdgBuilder::new("l");
+        for &(name, latency) in nodes {
+            text.push_str(&format!("node {name} fadd latency={latency}\n"));
+            b.node(name, OpKind::FpAdd, latency);
+        }
+        text.push_str("end\n");
+        let err = parse_loops(&text).expect_err("a bad node");
+        assert_eq!(err.message, format!("invalid loop: {expected}"));
+        assert_eq!(b.build().expect_err("a bad node"), expected);
+    }
+
+    #[test]
+    fn a_zero_latency_before_a_duplicate_name_is_reported_first() {
+        assert_first_bad_node(
+            &[("z", 0), ("a", 1), ("a", 1)],
+            DdgError::ZeroLatency { name: "z".into() },
+        );
+        // A duplicate whose own latency is zero reports its latency.
+        assert_first_bad_node(
+            &[("a", 1), ("a", 0), ("a", 1)],
+            DdgError::ZeroLatency { name: "a".into() },
+        );
+    }
+
+    #[test]
+    fn a_duplicate_name_before_a_zero_latency_is_reported_first() {
+        assert_first_bad_node(
+            &[("a", 1), ("b", 1), ("a", 1), ("z", 0), ("b", 1)],
+            DdgError::DuplicateName { name: "a".into() },
+        );
+    }
 
     fn tricky() -> Ddg {
         let mut b = DdgBuilder::new("tricky \"loop\" \\ name");

@@ -117,21 +117,32 @@ impl<V> ResultCache<V> {
     }
 
     /// Inserts (or replaces) `key`, evicting the least-recently-used entry
-    /// first when the cache is full.
-    pub fn insert(&mut self, key: u64, value: V) {
+    /// first when the cache is full. Returns the value that left the
+    /// cache: the one `key` held before, or the evicted one.
+    pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
-        if let Some((_, last_use)) = self.map.get(&key) {
-            self.order.remove(last_use);
-        } else if self.map.len() >= self.capacity {
-            if let Some((&oldest_tick, &oldest_key)) = self.order.iter().next() {
-                self.order.remove(&oldest_tick);
-                self.map.remove(&oldest_key);
-                self.evictions += 1;
+        let evicted = match self.map.get(&key) {
+            Some((_, last_use)) => {
+                self.order.remove(last_use);
+                None
             }
-        }
+            None if self.map.len() >= self.capacity => self.pop_lru(),
+            None => None,
+        };
         self.order.insert(tick, key);
-        self.map.insert(key, (value, tick));
+        self.map
+            .insert(key, (value, tick))
+            .map(|(old, _)| old)
+            .or(evicted)
+    }
+
+    /// Evicts the least-recently-used entry, counting an eviction, and
+    /// returns its value (`None` when the cache is empty).
+    pub fn pop_lru(&mut self) -> Option<V> {
+        let (_, oldest_key) = self.order.pop_first()?;
+        self.evictions += 1;
+        self.map.remove(&oldest_key).map(|(value, _)| value)
     }
 
     /// The lifetime counters and current occupancy.
@@ -187,6 +198,20 @@ mod tests {
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.get(1), Some(&11));
         assert_eq!(cache.get(2), Some(&20));
+    }
+
+    #[test]
+    fn insert_returns_the_value_that_left_and_pop_lru_evicts_the_oldest() {
+        let mut cache: ResultCache<u32> = ResultCache::with_capacity(2);
+        assert_eq!(cache.insert(1, 10), None);
+        assert_eq!(cache.insert(2, 20), None);
+        assert_eq!(cache.insert(1, 11), Some(10), "replaced");
+        assert_eq!(cache.insert(3, 30), Some(20), "2 was the LRU entry");
+        assert_eq!(cache.pop_lru(), Some(11));
+        assert_eq!(cache.pop_lru(), Some(30));
+        assert_eq!(cache.pop_lru(), None);
+        let stats = cache.stats();
+        assert_eq!((stats.evictions, stats.entries), (3, 0));
     }
 
     #[test]

@@ -112,6 +112,15 @@ impl ModuloScheduler for HrmsScheduler {
             // start, program order) is this cell's own and never touches
             // the core's slot.
             let order = order.get_or_insert_with(|| {
+                // The hypernode ordering reads these `LoopCore` facts.
+                // Building them before the timer starts keeps
+                // `ordering_time` to the ordering itself (§4.2's share).
+                if !self.program_order {
+                    analysis.csr_full();
+                    analysis.rec_mii();
+                    analysis.recurrence_groups();
+                    analysis.csr_work();
+                }
                 let order_start = Instant::now();
                 let order = match perturbation.start {
                     _ if self.program_order => Cow::Owned(ddg.node_ids().collect()),

@@ -178,10 +178,12 @@ pub struct ScheduleOutcome {
     pub elapsed: Duration,
     /// Wall-clock time this cell spent in the pre-ordering phase (zero for
     /// schedulers without one); lets the harness reproduce the paper's
-    /// "ordering is only 9% of the time" measurement. HRMS keeps its
-    /// default order in the loop's shared analysis core, so a cell that
-    /// reuses an order another cell of the same loop computed reports ≈0
-    /// here.
+    /// "ordering is only 9% of the time" measurement. It times the
+    /// ordering alone: HRMS builds the loop facts the ordering reads (the
+    /// CSRs, the cycle ratios and the recurrence groups) before its timer
+    /// starts. HRMS keeps its default order in the loop's shared analysis
+    /// core, so a cell that reuses an order another cell of the same loop
+    /// computed reports ≈0 here.
     pub ordering_time: Duration,
     /// Whether the recurrence analysis feeding the scheduler was truncated
     /// (a circuit-enumeration budget was hit), silently degrading the

@@ -21,6 +21,7 @@
 //! rendered with the same escaping helpers as `hrms schedule --emit
 //! json`, so service records are byte-compatible with CLI records).
 
+mod entries;
 pub mod json;
 pub mod protocol;
 pub mod registry;

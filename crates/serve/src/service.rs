@@ -25,6 +25,9 @@
 //! * **Cached and cold results are byte-identical.** The cache stores the
 //!   rendered report record; a hit replays exactly the bytes a cold run
 //!   would produce.
+//! * **A cache hit parses nothing.** A caching request remembers each
+//!   `loops` entry's text with its loops' fingerprints, and parses a
+//!   remembered entry again only when one of its cells misses.
 //! * **Failure containment.** A malformed request — a line that is not
 //!   UTF-8 included — is answered with a structured error record (with
 //!   source-span diagnostics where they apply) and the connection lives
@@ -36,6 +39,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use hrms_ddg::{cache_key, ddg_fingerprint, Ddg};
@@ -44,6 +48,7 @@ use hrms_machine::{machine_fingerprint, Machine};
 use hrms_modsched::{error_line, report_line_with_digests, ReportDigests, ReportOptions};
 use hrms_verify::{lint_dot_source, lint_loop_source, lint_machine_source};
 
+use crate::entries::EntryMap;
 use crate::protocol::{
     bye_record, cell_record_for, done_record_for, looks_like_dot, parse_loop_source, parse_request,
     request_error_record, stats_record, Request, RequestError, ScheduleRequest,
@@ -138,6 +143,11 @@ pub struct Service {
     engine: BatchEngine,
     cache: ResultCache<String>,
     cache_enabled: bool,
+    /// The loop fingerprints of the `loops` entries caching requests
+    /// parsed, so a hit builds its keys without parsing (see
+    /// [`Service::read_loops`]). Holds as many entries as the cache, with
+    /// at most [`MAX_REQUEST_LINE`] bytes of text.
+    entries: EntryMap,
     /// Distinct machine digests seen per loop-core fingerprint over every
     /// schedule request, cold or cached — the `stats` breakdown that makes
     /// multi-machine batches observable (one core amortised across N
@@ -158,6 +168,7 @@ impl Service {
             },
             cache: ResultCache::with_capacity(config.cache_capacity),
             cache_enabled: config.cache,
+            entries: EntryMap::new(config.cache_capacity, MAX_REQUEST_LINE),
             seen: HashMap::new(),
             requests: 0,
             results: 0,
@@ -218,36 +229,40 @@ impl Service {
         }
     }
 
-    /// Parses every loop entry, flattening multi-loop `.loop` entries and
-    /// multi-digraph DOT entries in order. A parse failure rejects the whole request (the index ↔ loop
+    /// Reads the loops of every entry, flattening multi-loop `.loop`
+    /// entries and multi-digraph DOT entries in order. When `remembering`
+    /// (a caching request), an entry the [`EntryMap`] knows gives its
+    /// loops' fingerprints and is not parsed here; every other entry is. A
+    /// parse failure rejects the whole request (the index ↔ loop
     /// correspondence would otherwise be ambiguous) with span diagnostics
-    /// for the offending entry.
-    fn parse_request_loops(id: &Value, entries: &[String]) -> Result<Vec<Ddg>, Box<RequestError>> {
-        let mut loops = Vec::new();
+    /// for the first offending entry. A remembered entry parsed before, so
+    /// it cannot be that entry.
+    fn read_loops<'r>(
+        &self,
+        id: &Value,
+        entries: &'r [String],
+        remembering: bool,
+    ) -> Result<RequestLoops<'r>, Box<RequestError>> {
+        let mut loops = RequestLoops::default();
         for (i, text) in entries.iter().enumerate() {
-            let path = || format!("loops[{i}]");
-            match parse_loop_source(text) {
-                Ok(parsed) if parsed.is_empty() => {
-                    return Err(Box::new(RequestError::new(
-                        id.clone(),
-                        format!("{} contains no loops", path()),
-                    )));
-                }
-                Ok(parsed) => loops.extend(parsed),
-                Err(e) => {
-                    let path = path();
-                    let lints = if looks_like_dot(text) {
-                        lint_dot_source(text, None)
-                    } else {
-                        lint_loop_source(text, None)
-                    };
-                    return Err(Box::new(RequestError {
-                        id: id.clone(),
-                        message: format!("{path} does not parse: {e}"),
-                        diagnostics: lints.iter().map(|d| d.render_json(&path)).collect(),
-                    }));
-                }
+            let key = remembering.then(|| self.entries.key(text));
+            let start = loops.fingerprints.len();
+            let remembered = key.and_then(|key| self.entries.get(key, text));
+            if let Some(fingerprints) = remembered {
+                loops.fingerprints.extend_from_slice(fingerprints);
+                loops.graphs.resize_with(loops.fingerprints.len(), || None);
+            } else {
+                let parsed = parse_entry(id, i, text)?;
+                loops
+                    .fingerprints
+                    .extend(parsed.iter().map(ddg_fingerprint));
+                loops.graphs.extend(parsed.into_iter().map(Some));
             }
+            loops.entries.push(LoopEntry {
+                text,
+                key,
+                loops: start..loops.fingerprints.len(),
+            });
         }
         Ok(loops)
     }
@@ -278,34 +293,42 @@ impl Service {
             .iter()
             .map(|text| resolve_machine_request(id, text))
             .collect::<Result<Vec<Machine>, RequestError>>()?;
-        let loops = Self::parse_request_loops(id, &request.loops).map_err(|e| *e)?;
+        // A cold request (`"cache":false`, `"timing":true` or `--no-cache`)
+        // reads, writes and counts nothing, the entry map included.
+        let use_cache = self.cache_enabled && request.cache && !request.timing;
+        let mut loops = self
+            .read_loops(id, &request.loops, use_cache)
+            .map_err(|e| *e)?;
 
         self.requests += 1;
         let scheduler_name = scheduler.name().to_string();
-        let core_fps: Vec<u64> = loops.iter().map(ddg_fingerprint).collect();
+        let core_fps = &loops.fingerprints;
         let machine_digests: Vec<u64> = machines.iter().map(machine_fingerprint).collect();
         // Cells are loop-major: the record for loop `l` on machine `m` has
         // index `l * machines.len() + m`, so single-machine requests keep
         // their historical loop-per-record indexing.
         let mut keys = Vec::with_capacity(core_fps.len() * machine_digests.len());
-        for &fp in &core_fps {
+        for &fp in core_fps {
             for &digest in &machine_digests {
                 keys.push(cache_key(fp, digest, &scheduler_name));
             }
         }
-        for &fp in &core_fps {
+        for &fp in core_fps {
             let digests = self.seen.entry(fp).or_default();
             digests.extend(machine_digests.iter().copied());
+        }
+        for entry in &loops.entries {
+            if let Some(key) = entry.key {
+                self.entries
+                    .remember(key, entry.text, &core_fps[entry.loops.clone()]);
+            }
         }
 
         // One pass over the cells, in order: a key already seen in this
         // request is a duplicate (a reuse hit when caching), a new key is
         // looked up only when caching, and the rest are queued for one
-        // engine call. A cold request (`"cache":false`, `"timing":true` or
-        // `--no-cache`) reads, writes and counts nothing; either way each
-        // distinct cell is scheduled once. All lookups come before all
-        // inserts.
-        let use_cache = self.cache_enabled && request.cache && !request.timing;
+        // engine call. Either way each distinct cell is scheduled once. All
+        // lookups come before all inserts.
         let columns = machines.len();
         let mut seen_keys = HashSet::with_capacity(keys.len());
         let mut queued: Vec<usize> = Vec::new();
@@ -318,12 +341,15 @@ impl Service {
                 queued.push(cell);
             }
         }
+        for &cell in &queued {
+            loops.parse(cell / columns);
+        }
         let cells: Vec<Cell<'_>> = queued
             .iter()
             .map(|&cell| -> Cell<'_> {
                 (
                     &*scheduler,
-                    &loops[cell / columns],
+                    loops.graph(cell / columns),
                     &machines[cell % columns],
                 )
             })
@@ -338,11 +364,11 @@ impl Service {
         let mut bodies: HashMap<u64, Result<String, String>> = HashMap::with_capacity(queued.len());
         for (&cell, outcome) in queued.iter().zip(outcomes) {
             let (l, m) = (cell / columns, cell % columns);
-            let (ddg, machine) = (&loops[l], &machines[m]);
+            let (ddg, machine) = (loops.graph(l), &machines[m]);
             let body = match outcome {
                 Ok(outcome) => {
                     let digests = ReportDigests {
-                        loop_digest: core_fps[l],
+                        loop_digest: loops.fingerprints[l],
                         machine_digest: machine_digests[m],
                         cache_key: keys[cell],
                     };
@@ -509,5 +535,129 @@ impl Service {
 impl Default for Service {
     fn default() -> Self {
         Service::new(&ServeConfig::default())
+    }
+}
+
+/// Parses the loop entry `text`, the `index`th of its request, into its
+/// loops in order; an entry that fails to parse or holds no loops is a
+/// request error, with span diagnostics for a parse failure.
+fn parse_entry(id: &Value, index: usize, text: &str) -> Result<Vec<Ddg>, Box<RequestError>> {
+    let path = format!("loops[{index}]");
+    match parse_loop_source(text) {
+        Ok(parsed) if parsed.is_empty() => Err(Box::new(RequestError::new(
+            id.clone(),
+            format!("{path} contains no loops"),
+        ))),
+        Ok(parsed) => Ok(parsed),
+        Err(e) => {
+            let lints = if looks_like_dot(text) {
+                lint_dot_source(text, None)
+            } else {
+                lint_loop_source(text, None)
+            };
+            Err(Box::new(RequestError {
+                id: id.clone(),
+                message: format!("{path} does not parse: {e}"),
+                diagnostics: lints.iter().map(|d| d.render_json(&path)).collect(),
+            }))
+        }
+    }
+}
+
+/// One `loops` entry of a schedule request.
+#[derive(Debug)]
+struct LoopEntry<'r> {
+    text: &'r str,
+    /// The entry's key in the [`EntryMap`]; `None` on a cold request.
+    key: Option<u64>,
+    /// The indices of the entry's loops among the request's loops.
+    loops: Range<usize>,
+}
+
+/// The loops of a schedule request, flattened in order over its entries.
+#[derive(Debug, Default)]
+struct RequestLoops<'r> {
+    /// Each loop's structural fingerprint.
+    fingerprints: Vec<u64>,
+    /// Each loop's graph: `None` for a loop of a remembered entry until
+    /// [`RequestLoops::parse`] reads it.
+    graphs: Vec<Option<Ddg>>,
+    entries: Vec<LoopEntry<'r>>,
+}
+
+impl RequestLoops<'_> {
+    /// Parses the entry that holds loop `l`, unless its graphs are read.
+    fn parse(&mut self, l: usize) {
+        if self.graphs[l].is_some() {
+            return;
+        }
+        let entry = &self.entries[self.entries.partition_point(|e| e.loops.end <= l)];
+        let parsed = parse_loop_source(entry.text).expect("a remembered entry parsed before");
+        debug_assert!(
+            parsed
+                .iter()
+                .map(ddg_fingerprint)
+                .eq(self.fingerprints[entry.loops.clone()].iter().copied()),
+            "a remembered entry parses to the loops it was remembered with"
+        );
+        for (graph, ddg) in self.graphs[entry.loops.clone()].iter_mut().zip(parsed) {
+            *graph = Some(ddg);
+        }
+    }
+
+    /// The graph of loop `l`, once [`RequestLoops::parse`] has read it.
+    fn graph(&self, l: usize) -> &Ddg {
+        self.graphs[l]
+            .as_ref()
+            .expect("parsed before it is scheduled")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A schedule request with one entry per text (texts without quotes or
+    /// backslashes).
+    fn request(texts: &[String]) -> String {
+        let entries: Vec<String> = texts
+            .iter()
+            .map(|t| format!("\"{}\"", t.replace('\n', "\\n")))
+            .collect();
+        format!(
+            "{{\"req\":\"schedule\",\"id\":1,\"loops\":[{}]}}",
+            entries.join(",")
+        )
+    }
+
+    #[test]
+    fn the_entry_map_stays_within_the_cache_capacity_and_the_line_limit() {
+        let mut service = Service::new(&ServeConfig {
+            workers: Some(1),
+            cache_capacity: 3,
+            ..ServeConfig::default()
+        });
+        let small = |i: usize| format!("loop s{i}\nnode a fadd latency=1\nend\n");
+        for i in 0..5 {
+            service.handle_line(&request(&[small(i), small(i + 10)]), &mut |_| {});
+            assert!(service.entries.size().0 <= 3);
+        }
+        assert_eq!(service.entries.size().0, 3);
+        // Three entries of 6 MiB each hold more text than the byte bound.
+        let padding = "#".repeat(6 << 20);
+        let big = |i: usize| format!("{padding}\nloop b{i}\nnode a fadd latency=1\nend\n");
+        for i in 0..3 {
+            service.handle_line(&request(&[big(i)]), &mut |_| {});
+            let (entries, bytes) = service.entries.size();
+            assert!(
+                entries <= 3 && bytes <= MAX_REQUEST_LINE,
+                "{entries}, {bytes}"
+            );
+        }
+        assert_eq!(service.entries.size(), (2, 2 * big(0).len()));
+        // A cold request neither reads nor fills the map.
+        let cold = request(&[small(20)]).replace("\"id\":1,", "\"id\":1,\"cache\":false,");
+        service.handle_line(&cold, &mut |_| {});
+        assert_eq!(service.entries.size(), (2, 2 * big(0).len()));
     }
 }
