@@ -24,10 +24,12 @@ pub struct Section42Stats {
     pub dynamic_efficiency: f64,
     /// Total scheduling time (all phases).
     pub total_time: Duration,
-    /// Time spent in the pre-ordering phase (paper: ≈ 9 % of the total).
+    /// Time spent in the pre-ordering phase (paper: ≈ 9 % of the total):
+    /// the ordering alone, since HRMS builds the loop facts it reads
+    /// before starting its timer.
     pub ordering_time: Duration,
-    /// Time spent computing recurrence information and MII, approximated by
-    /// everything that is neither ordering nor placement.
+    /// Everything else: the loop facts (SCCs, cycle ratios, CSRs and
+    /// recurrence groups), the MII and placement.
     pub scheduling_time: Duration,
 }
 
