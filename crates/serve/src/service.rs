@@ -258,11 +258,13 @@ impl Service {
                     .extend(parsed.iter().map(ddg_fingerprint));
                 loops.graphs.extend(parsed.into_iter().map(Some));
             }
-            loops.entries.push(LoopEntry {
-                text,
-                key,
-                loops: start..loops.fingerprints.len(),
-            });
+            if let Some(key) = key {
+                loops.entries.push(LoopEntry {
+                    text,
+                    key,
+                    loops: start..loops.fingerprints.len(),
+                });
+            }
         }
         Ok(loops)
     }
@@ -318,10 +320,8 @@ impl Service {
             digests.extend(machine_digests.iter().copied());
         }
         for entry in &loops.entries {
-            if let Some(key) = entry.key {
-                self.entries
-                    .remember(key, entry.text, &core_fps[entry.loops.clone()]);
-            }
+            self.entries
+                .remember(entry.key, entry.text, &core_fps[entry.loops.clone()]);
         }
 
         // One pass over the cells, in order: a key already seen in this
@@ -564,12 +564,12 @@ fn parse_entry(id: &Value, index: usize, text: &str) -> Result<Vec<Ddg>, Box<Req
     }
 }
 
-/// One `loops` entry of a schedule request.
+/// One `loops` entry of a caching request.
 #[derive(Debug)]
 struct LoopEntry<'r> {
     text: &'r str,
-    /// The entry's key in the [`EntryMap`]; `None` on a cold request.
-    key: Option<u64>,
+    /// The entry's key in the [`EntryMap`].
+    key: u64,
     /// The indices of the entry's loops among the request's loops.
     loops: Range<usize>,
 }
@@ -582,11 +582,15 @@ struct RequestLoops<'r> {
     /// Each loop's graph: `None` for a loop of a remembered entry until
     /// [`RequestLoops::parse`] reads it.
     graphs: Vec<Option<Ddg>>,
+    /// The entries of a caching request, in order; none for a cold
+    /// request, whose loops are all parsed.
     entries: Vec<LoopEntry<'r>>,
 }
 
 impl RequestLoops<'_> {
-    /// Parses the entry that holds loop `l`, unless its graphs are read.
+    /// Parses the entry that holds loop `l`, unless its graphs are read
+    /// (a graph is missing only in a caching request, which lists every
+    /// entry).
     fn parse(&mut self, l: usize) {
         if self.graphs[l].is_some() {
             return;
